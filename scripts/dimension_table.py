@@ -11,8 +11,7 @@ that they match the generator matrix rank), and writes one CSV.
 import argparse
 import sys
 
-from prmcodes.cli import _csv
-from prmcodes.sweeps import TABLE_COLUMNS, SweepConfig, table_rows
+from prmcodes.sweeps import SweepConfig, table_csv, table_rows
 
 
 def main() -> int:
@@ -23,10 +22,7 @@ def main() -> int:
 
     cfg = SweepConfig(qs=(2, 3, 4, 5, 7, 8, 9), m_lo=1, m_hi=4, with_rank=args.with_rank)
     rows = table_rows(cfg)
-    cols = list(TABLE_COLUMNS)
-    if args.with_rank:
-        cols.insert(cols.index("agree"), "rank")
-    text = _csv(rows, cols)
+    text = table_csv(rows, args.with_rank)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: table, verify, genmat, reduce, witness, count-minwt,
-check-fibers, distribution.  Common flags: --format {json,csv}, --out PATH,
---guard N, --seed N.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  Every command is deterministic given its flags; the witness
-command derives its randomness from --seed (default 0).
+check-fibers, distribution.  Common flags: --format {json,csv}, --out PATH.
+--guard N (codewords an exhaustive walk may visit) is taken by verify,
+count-minwt and distribution, the commands that walk a code; --seed N only
+by witness.  Guard defaults live in errors.py.  Exit codes: 0 success,
+1 verification failure, 2 usage error.  Every command is deterministic given
+its flags; the witness command derives its randomness from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ import random
 import sys
 
 from . import codes, minwt, oracle, sweeps
-from .dimension import _factor_prime_power
-from .errors import GuardExceeded
+from .errors import ORACLE_GUARD, WITNESS_GUARD
 from .gf import GF
 from .poly import PolyParseError, format_poly, parse_poly, reduce_projective
-
-
-def _field(q: int) -> GF:
-    p, e = _factor_prime_power(q)
-    return GF(p, e)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -54,9 +50,11 @@ def _emit(text: str, out: str | None) -> None:
 def _common_flags(sp: argparse.ArgumentParser, fmt_default: str = "json") -> None:
     sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
     sp.add_argument("--out", default=None, help="write output to a file")
-    sp.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD,
+
+
+def _guard_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--guard", type=int, default=ORACLE_GUARD,
                     help="max codewords an exhaustive enumeration may visit")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_parse_ints, default=(2, 3))
     sp.add_argument("--m", type=_parse_range, default=(1, 2))
     sp.add_argument("--d", type=_parse_range, default=None)
-    sp.add_argument("--witness-guard", type=int, default=minwt.WITNESS_GUARD)
+    sp.add_argument("--witness-guard", type=int, default=WITNESS_GUARD)
+    _guard_flag(sp)
     _common_flags(sp, fmt_default="csv")
 
     sp = sub.add_parser("genmat", help="emit a generator matrix")
@@ -99,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=0)
     _common_flags(sp, fmt_default="csv")
 
     sp = sub.add_parser("count-minwt", help="minimum-weight codeword counts")
@@ -106,13 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--oracle", action="store_true", help="also brute force")
+    _guard_flag(sp)
     _common_flags(sp)
 
     sp = sub.add_parser("check-fibers", help="incidence consistency report")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--witness-guard", type=int, default=minwt.WITNESS_GUARD)
+    sp.add_argument("--witness-guard", type=int, default=WITNESS_GUARD)
     _common_flags(sp)
 
     sp = sub.add_parser("distribution", help="exhaustive weight distribution")
@@ -120,41 +121,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
+    _guard_flag(sp)
     _common_flags(sp)
 
     return ap
 
 
-def _csv(rows: list[dict], columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _cfg(args, with_rank: bool = False) -> sweeps.SweepConfig:
+def _cfg(args, **kw) -> sweeps.SweepConfig:
     d = args.d if args.d is not None else (1, None)
     return sweeps.SweepConfig(
-        qs=args.q,
-        m_lo=args.m[0],
-        m_hi=args.m[1],
-        d_lo=d[0],
-        d_hi=d[1] if args.d is not None else None,
-        guard=args.guard,
-        witness_guard=getattr(args, "witness_guard", minwt.WITNESS_GUARD),
-        with_rank=with_rank,
-        seed=args.seed,
+        qs=args.q, m_lo=args.m[0], m_hi=args.m[1], d_lo=d[0], d_hi=d[1], **kw
     )
 
 
 def cmd_table(args) -> int:
-    cfg = _cfg(args, with_rank=args.with_rank)
-    rows = sweeps.table_rows(cfg)
-    cols = list(sweeps.TABLE_COLUMNS)
-    if args.with_rank:
-        cols.insert(cols.index("agree"), "rank")
+    rows = sweeps.table_rows(_cfg(args, with_rank=args.with_rank))
     if args.format == "csv":
-        _emit(_csv(rows, cols), args.out)
+        _emit(sweeps.table_csv(rows, args.with_rank), args.out)
     else:
         for row in rows:
             for key in ("alpha", "beta", "gamma", "delta", "minwt_count", "rank"):
@@ -165,8 +148,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _cfg(args)
-    rep = sweeps.run_verify(cfg)
+    rep = sweeps.run_verify(
+        _cfg(args, guard=args.guard, witness_guard=args.witness_guard)
+    )
     if args.format == "json":
         _emit(json.dumps(rep.as_dict(), indent=2) + "\n", args.out)
     else:
@@ -179,7 +163,7 @@ def cmd_genmat(args) -> int:
     if order is None:
         print("error: genmat needs --d or --order", file=sys.stderr)
         return 2
-    F = _field(args.q)
+    F = GF.from_q(args.q)
     if args.family == "prm":
         g = codes.prm_generator_matrix(F, order, args.m)
     else:
@@ -192,7 +176,7 @@ def cmd_genmat(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    F = _field(args.q)
+    F = GF.from_q(args.q)
     f = parse_poly(args.poly, F, args.m + 1)
     reduced = reduce_projective(f)
     if args.format == "json":
@@ -204,7 +188,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    F = _field(args.q)
+    F = GF.from_q(args.q)
     rng = random.Random(args.seed)
     w = minwt.random_prm_witness(F, args.d, args.m, rng)
     f = minwt.prm_witness_poly(w, F, args.d, args.m)
@@ -224,7 +208,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_count_minwt(args) -> int:
-    F = _field(args.q)
+    F = GF.from_q(args.q)
     rep = minwt.count_report(F, args.d, args.m, with_oracle=args.oracle,
                              guard=args.guard)
     _emit(json.dumps(rep.as_dict(), indent=2) + "\n", args.out)
@@ -232,7 +216,7 @@ def cmd_count_minwt(args) -> int:
 
 
 def cmd_check_fibers(args) -> int:
-    F = _field(args.q)
+    F = GF.from_q(args.q)
     ts = minwt.ts_decompose(args.d, args.q, "prm")
     if ts.s != 0:
         rep = minwt.support_fiber_check(F, args.d, args.m, args.witness_guard)
@@ -243,7 +227,7 @@ def cmd_check_fibers(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    F = _field(args.q)
+    F = GF.from_q(args.q)
     if args.family == "prm":
         g = codes.prm_generator_matrix(F, args.order, args.m)
     else:
@@ -271,9 +255,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except PolyParseError as exc:
         print(f"parse error at {exc}", file=sys.stderr)
-        return 2
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,11 +15,10 @@ from itertools import product
 
 from . import linalg
 from .combinat import p_k
-from .errors import GuardExceeded
+from .errors import POINT_GUARD, GuardExceeded
 from .gf import GF
 from .poly import Poly, reduced_monomials_affine, reduced_monomials_projective
 
-POINT_GUARD = 10 ** 5
 
 Point = tuple[int, ...]
 Codeword = tuple[int, ...]
@@ -43,7 +42,7 @@ def affine_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if field.q ** m > guard:
-        raise GuardExceeded(f"{field.q}^{m} affine points exceed guard {guard}")
+        raise GuardExceeded("point", f"{field.q}^{m} affine points", guard)
     pts = tuple(product(range(field.q), repeat=m))
     return PointList("affine", field, m, pts)
 
@@ -64,7 +63,7 @@ def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
         raise ValueError("m must be positive")
     n = p_k(field.q, m)
     if n > guard:
-        raise GuardExceeded(f"p_{m} = {n} exceeds guard {guard}")
+        raise GuardExceeded("point", f"{n} projective points", guard)
     pts = tuple(
         pt
         for pt in product(range(field.q), repeat=m + 1)

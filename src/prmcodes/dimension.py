@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import binomial, p_k
+from .errors import POINT_GUARD, GuardExceeded
 
 
 def _check_range(q: int, d: int, m: int) -> None:
@@ -143,7 +144,7 @@ class DimReport:
 
 
 def dim_report(
-    q: int, d: int, m: int, with_rank: bool = False, rank_guard: int = 10 ** 5
+    q: int, d: int, m: int, with_rank: bool = False, rank_guard: int = POINT_GUARD
 ) -> DimReport:
     """All four formulas (and optionally the generator matrix rank) plus
     their agreement flag."""
@@ -155,28 +156,11 @@ def dim_report(
     r: int | None = None
     if with_rank:
         if p_k(q, m) > rank_guard:
-            from .errors import GuardExceeded
-
-            raise GuardExceeded(f"p_{m} = {p_k(q, m)} exceeds rank guard {rank_guard}")
+            raise GuardExceeded("rank", f"length {p_k(q, m)}", rank_guard)
         from .codes import prm_generator_matrix
         from .gf import GF
 
-        p, e = _factor_prime_power(q)
-        r = prm_generator_matrix(GF(p, e), d, m).rank()
+        r = prm_generator_matrix(GF.from_q(q), d, m).rank()
     agree = a == b == g == dl and (r is None or r == g)
     return DimReport(q, d, m, a, b, g, dl, r, agree)
 
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p^e with p prime; ValueError if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e

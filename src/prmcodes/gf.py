@@ -93,6 +93,20 @@ class GF:
         self._add_tab: list[int] | None = None
         self._mul_tab: list[int] | None = None
 
+    @classmethod
+    def from_q(cls, q: int) -> GF:
+        """The field with q elements; ValueError if q is not a prime power."""
+        if q < 2:
+            raise ValueError(f"{q} is not a prime power")
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        e, n = 0, q
+        while n % p == 0:
+            n //= p
+            e += 1
+        if n != 1:
+            raise ValueError(f"{q} is not a prime power")
+        return cls(p, e)
+
     # -- encoding ----------------------------------------------------------
 
     def digits(self, a: int) -> list[int]:

@@ -27,11 +27,9 @@ from itertools import combinations, product
 from . import linalg
 from .codes import PointList, prm_generator_matrix, projective_points
 from .combinat import binomial, gaussian_binomial, p_k
-from .errors import GuardExceeded
+from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
 from .poly import Poly
-
-WITNESS_GUARD = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ class CountReport:
 
 
 def count_report(
-    field: GF, d: int, m: int, with_oracle: bool = False, guard: int | None = None
+    field: GF, d: int, m: int, with_oracle: bool = False, guard: int = ORACLE_GUARD
 ) -> CountReport:
     q = field.q
     brute = None
@@ -296,9 +294,7 @@ def count_report(
         from . import oracle
 
         g = prm_generator_matrix(field, d, m)
-        dist = oracle.weight_distribution(
-            g, **({} if guard is None else {"guard": guard})
-        )
+        dist = oracle.weight_distribution(g, guard)
         dmin = min(w for w in dist.counts if w > 0)
         brute = dist.counts[dmin]
     return CountReport(
@@ -314,28 +310,15 @@ def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tup
     out = {}
     for coeffs in product(range(field.q), repeat=m + 1):
         out[coeffs] = tuple(
-            _dot(field, coeffs, p) for p in pts.points
+            linalg._dot(field, coeffs, p) for p in pts.points
         )
     return out
 
 
-def _dot(field: GF, u, v) -> int:
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
-def _independent_tuples(field: GF, m: int, count: int, guard: int):
+def _independent_tuples(field: GF, m: int, count: int):
     """All ordered tuples of `count` linearly independent coefficient
     vectors in q^(m+1)-space, generated with span-based pruning."""
     q = field.q
-    total = 1
-    for i in range(count):
-        total *= q ** (m + 1) - q ** i
-    if total > guard:
-        raise GuardExceeded(f"{total} form tuples exceed guard {guard}")
     nonzero = [c for c in product(range(q), repeat=m + 1) if any(c)]
 
     def extend(chosen, span):
@@ -374,12 +357,18 @@ def enumerate_witness_codewords(
     omega_sets = [()] if s == 0 else list(combinations(range(q), s))
     # the scalar subsets multiply the per-tuple work, so they count
     # against the same guard as the form tuples
-    tuple_guard = max(1, guard // len(omega_sets))
+    tuples = 1
+    for i in range(nforms):
+        tuples *= q ** (m + 1) - q ** i
+    if tuples * len(omega_sets) > guard:
+        raise GuardExceeded(
+            "witness", f"{tuples} form tuples x {len(omega_sets)} scalar sets", guard
+        )
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
     npts = len(pts)
     out: set[tuple[int, ...]] = set()
-    for forms in _independent_tuples(field, m, nforms, tuple_guard):
+    for forms in _independent_tuples(field, m, nforms):
         vt = vals[forms[t]]
         ind_t = tuple(1 if x else 0 for x in vt)
         lower = [tuple(1 if x else 0 for x in vals[f]) for f in forms[:t]]
@@ -514,7 +503,7 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     n_subspaces = gaussian_binomial(m + 1, m - t + 1, q)
     lam = n_subspaces * q ** (2 * (m + 1)) * binomial(q, s)
     if lam > guard:
-        raise GuardExceeded(f"{lam} incidence tuples exceed guard {guard}")
+        raise GuardExceeded("fiber", f"{lam} incidence tuples", guard)
     j_expected = (
         n_subspaces
         * (q ** (m + 1) - q ** t)
@@ -614,7 +603,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     k = m - t + 1
     pair_expected = gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q)
     if pair_expected > guard:
-        raise GuardExceeded(f"{pair_expected} flag pairs exceed guard {guard}")
+        raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
     pts = projective_points(field, m)
     pidx = pts.index()
     supports: set[frozenset[int]] = set()
@@ -622,12 +611,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     for ebasis in _rref_bases(field, m + 1, k):
         epts = _span_points(field, ebasis, pidx)
         for hcoeff in _rref_bases(field, k, k - 1):
-            hbasis = tuple(
-                tuple(
-                    _dot_rows(field, coeffs, ebasis, j) for j in range(m + 1)
-                )
-                for coeffs in hcoeff
-            )
+            hbasis = linalg.mat_mul(field, hcoeff, ebasis)
             hpts = _span_points(field, hbasis, pidx) if hbasis else frozenset()
             supports.add(epts - hpts)
             pair_count += 1
@@ -642,14 +626,6 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         implied_count=(q - 1) * pair_count,
         formula_count=prm_min_weight_count(q, d, m),
     )
-
-
-def _dot_rows(field: GF, coeffs, rows, j: int) -> int:
-    acc = 0
-    for c, row in zip(coeffs, rows):
-        if c and row[j]:
-            acc = field.add(acc, field.mul(c, row[j]))
-    return acc
 
 
 def random_prm_witness(field: GF, d: int, m: int, rng) -> MinWtWitness:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import Codeword, GeneratorMatrix
-from .errors import GuardExceeded
+from .errors import ORACLE_GUARD, GuardExceeded
 from .gf import GF
 from .linalg import vadd as _vadd
 
-DEFAULT_GUARD = 1 << 24
 _BLOCK = 4096
 
 
@@ -81,9 +80,7 @@ def _enumerate_blocks(g: GeneratorMatrix, guard: int):
     field, rows, n = g.field, g.rows, g.n
     q, k = field.q, g.k
     if q ** k > guard:
-        raise GuardExceeded(
-            f"{q}^{k} codewords exceed guard {guard}; raise it explicitly to proceed"
-        )
+        raise GuardExceeded("oracle", f"{q}^{k} codewords", guard)
     lo = 0
     while lo < k and q ** (lo + 1) <= _BLOCK:
         lo += 1
@@ -99,7 +96,7 @@ def _enumerate_blocks(g: GeneratorMatrix, guard: int):
         yield _vadd(field, block, prefix)
 
 
-def weight_distribution(g: GeneratorMatrix, guard: int = DEFAULT_GUARD) -> WeightDistribution:
+def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
     """Exact codeword count at every Hamming weight."""
     hist = np.zeros(g.n + 1, dtype=np.int64)
     for block in _enumerate_blocks(g, guard):
@@ -111,7 +108,7 @@ def weight_distribution(g: GeneratorMatrix, guard: int = DEFAULT_GUARD) -> Weigh
     )
 
 
-def brute_min_distance(g: GeneratorMatrix, guard: int = DEFAULT_GUARD) -> int:
+def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
     dist = weight_distribution(g, guard)
     nonzero = [w for w in dist.counts if w > 0]
     if not nonzero:
@@ -120,7 +117,7 @@ def brute_min_distance(g: GeneratorMatrix, guard: int = DEFAULT_GUARD) -> int:
 
 
 def brute_min_weight_words(
-    g: GeneratorMatrix, guard: int = DEFAULT_GUARD
+    g: GeneratorMatrix, guard: int = ORACLE_GUARD
 ) -> set[Codeword]:
     """The full set of codewords attaining the minimum nonzero weight."""
     dmin = brute_min_distance(g, guard)

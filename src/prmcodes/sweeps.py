@@ -2,22 +2,20 @@
 
 Everything here is a plain library function returning data, so the CLI
 stays a thin formatting layer and the fault-injection tests can drive the
-verifier directly.  Formula lookups go through the module objects on
-purpose (dimension.dim_alpha, not a from-import) so a corrupted formula is
-picked up by the verifier.
+verifier directly.  Library calls go through the module objects on
+purpose (dimension.dim_alpha, oracle.weight_distribution, not from-imports)
+so a corrupted or wrapped function is the one the verifier calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import codes, dimension, minwt, oracle
 from .combinat import p_k
-from .dimension import _factor_prime_power
-from .errors import GuardExceeded
+from .errors import ORACLE_GUARD, RANK_LEN_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
-
-RANK_LEN_GUARD = 400
 
 
 @dataclass(frozen=True)
@@ -27,11 +25,10 @@ class SweepConfig:
     m_hi: int = 2
     d_lo: int = 1
     d_hi: int | None = None        # None: up to m(q-1)+1 per (q, m)
-    guard: int = oracle.DEFAULT_GUARD
-    witness_guard: int = minwt.WITNESS_GUARD
+    guard: int = ORACLE_GUARD
+    witness_guard: int = WITNESS_GUARD
     rank_len_guard: int = RANK_LEN_GUARD
     with_rank: bool = False
-    seed: int = 0
 
     def validate(self) -> None:
         if not self.qs:
@@ -86,8 +83,7 @@ def table_rows(cfg: SweepConfig) -> list[dict]:
         agree = a == b == g == dl
         if cfg.with_rank:
             if p_k(q, m) <= cfg.rank_len_guard:
-                p, e = _factor_prime_power(q)
-                rank = codes.prm_generator_matrix(GF(p, e), d, m).rank()
+                rank = codes.prm_generator_matrix(GF.from_q(q), d, m).rank()
                 row["rank"] = rank
                 agree = agree and rank == g
             else:
@@ -101,6 +97,17 @@ TABLE_COLUMNS = (
     "q", "m", "d", "length", "alpha", "beta", "gamma", "delta",
     "distance", "minwt_count", "agree",
 )
+
+
+def table_csv(rows: list[dict], with_rank: bool) -> str:
+    """CSV of table_rows output; with ranks, the rank column sits before
+    the agreement flag."""
+    cols = list(TABLE_COLUMNS)
+    if with_rank:
+        cols.insert(cols.index("agree"), "rank")
+    lines = [",".join(cols)]
+    lines += [",".join(str(row.get(c, "")) for c in cols) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -160,154 +167,161 @@ class VerifyReport:
         }
 
 
-def _result(q, m, d, family, check):
-    def make(status, detail=""):
-        return CheckResult(q, m, d, family, check, status, detail)
+class Code:
+    """One code of a sweep: (family, q, m, order).
 
-    return make
+    Its generator matrix is built at most once and walked at most once,
+    both on first use.  When the rank-length guard (projective codes only)
+    or the oracle guard refuses, the access raises GuardExceeded instead.
+    """
+
+    def __init__(self, cfg: SweepConfig, field: GF, family: str, m: int, order: int):
+        self.cfg, self.field, self.family = cfg, field, family
+        self.q, self.m, self.order = field.q, m, order
+
+    def formula(self, name: str) -> int:
+        """minwt.<family>_<name>(q, order, m)."""
+        return getattr(minwt, f"{self.family}_{name}")(self.q, self.order, self.m)
+
+    @cached_property
+    def ts(self) -> tuple[int, int]:
+        ts = minwt.ts_decompose(self.order, self.q, self.family)
+        return ts.t, ts.s
+
+    @cached_property
+    def dims(self) -> tuple[int, int, int, int]:
+        args = (self.q, self.order, self.m)
+        return (dimension.dim_alpha(*args), dimension.dim_beta(*args),
+                dimension.dim_gamma(*args), dimension.dim_delta(*args))
+
+    @cached_property
+    def gm(self) -> codes.GeneratorMatrix:
+        n = p_k(self.q, self.m)
+        if self.family == "prm" and n > self.cfg.rank_len_guard:
+            raise GuardExceeded("rank", f"length {n}", self.cfg.rank_len_guard)
+        build = getattr(codes, f"{self.family}_generator_matrix")
+        return build(self.field, self.order, self.m)
+
+    @cached_property
+    def dist(self) -> oracle.WeightDistribution:
+        return oracle.weight_distribution(self.gm, self.cfg.guard)
+
+    @cached_property
+    def dmin(self) -> int:
+        return min(w for w in self.dist.counts if w > 0)
+
+
+# A runner returns None for PASS or the FAIL detail; GuardExceeded skips.
+
+
+def _dims(c: Code) -> str | None:
+    a, b, g, dl = c.dims
+    if a == b == g == dl:
+        return None
+    return f"alpha={a} beta={b} gamma={g} delta={dl}"
+
+
+def _rank(c: Code) -> str | None:
+    rank, gamma = c.gm.rank(), c.dims[2]
+    return None if rank == gamma else f"rank={rank} gamma={gamma}"
+
+
+def _distance(c: Code) -> str | None:
+    dmin = c.dmin
+    formula = c.formula("min_distance")
+    return None if dmin == formula else f"oracle={dmin} formula={formula}"
+
+
+_COUNT_FORMULAS = {
+    "prm": ("min_weight_count", "min_weight_count_alt"),
+    "rm": ("min_weight_count",),
+}
+
+
+def _count(c: Code) -> str | None:
+    brute = c.dist.counts[c.dmin]
+    main, *alt = (c.formula(name) for name in _COUNT_FORMULAS[c.family])
+    if brute == main and all(a == brute for a in alt):
+        return None
+    return f"oracle={brute} formula={main}" + "".join(f" alt={a}" for a in alt)
+
+
+def _witness_set(c: Code) -> str | None:
+    c.dist  # walk first: the oracle guard refuses before any enumeration
+    wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
+    words = oracle.brute_min_weight_words(c.gm, c.cfg.guard)
+    if wit == words:
+        return None
+    if wit - words:
+        side, word = "not minimum weight", min(wit - words)
+    else:
+        side, word = "no witness", min(words - wit)
+    return (f"witness set size {len(wit)}, oracle set size {len(words)}; "
+            f"{side}: {','.join(map(str, word))}")
+
+
+def _fibers(c: Code) -> str | None:
+    fib = minwt.support_fiber_check(c.field, c.order, c.m, c.cfg.witness_guard)
+    if fib.ok:
+        return None
+    return (f"|J|={fib.j_size}/{fib.j_expected} "
+            f"fibers={fib.fiber_sizes}/{fib.fiber_expected} "
+            f"count={fib.implied_count}/{fib.formula_count}")
+
+
+def _tau(c: Code) -> str | None:
+    tau = minwt.tau_bijection_check(c.field, c.order, c.m, c.cfg.witness_guard)
+    if tau.ok:
+        return None
+    return (f"pairs={tau.pair_count}/{tau.pair_expected} "
+            f"injective={tau.injective} "
+            f"count={tau.implied_count}/{tau.formula_count}")
+
+
+# (family, check, applies to (t, s) or None for every order, runner), in
+# row order within a code
+CHECKS = (
+    ("prm", "dims", None, _dims),
+    ("prm", "rank", None, _rank),
+    ("prm", "distance", None, _distance),
+    ("prm", "count", None, _count),
+    ("prm", "witness-set", None, _witness_set),
+    ("prm", "fibers", lambda t, s: s != 0, _fibers),
+    ("prm", "tau", lambda t, s: s == 0 and t >= 1, _tau),
+    ("rm", "distance", None, _distance),
+    ("rm", "count", None, _count),
+)
+
+
+def _codes(cfg: SweepConfig):
+    """(family, q, m, order) of every code the sweep checks, in row order:
+    the projective tuples, then every affine order of each (q, m)."""
+    for q, m, d in cfg.tuples():
+        yield "prm", q, m, d
+    for q in cfg.qs:
+        for m in range(cfg.m_lo, cfg.m_hi + 1):
+            for nu in range(m * (q - 1) + 1):
+                yield "rm", q, m, nu
 
 
 def run_verify(cfg: SweepConfig) -> VerifyReport:
     """Cross-verify formulas against matrices, oracles, witness sets and the
-    incidence checks over the configured sweep.  Guard overruns become
-    SKIPPED results, never silent passes."""
+    incidence checks over the configured sweep: one row for every check
+    that applies.  Guard overruns become SKIPPED rows naming the guard,
+    never silent passes."""
     cfg.validate()
+    fields = {q: GF.from_q(q) for q in cfg.qs}
     rep = VerifyReport()
-    res = rep.results
-    fields: dict[int, GF] = {}
-    for q in cfg.qs:
-        p, e = _factor_prime_power(q)
-        fields[q] = GF(p, e)
-    for q, m, d in cfg.tuples():
-        F = fields[q]
-        r = _result(q, m, d, "prm", "dims")
-        a = dimension.dim_alpha(q, d, m)
-        b = dimension.dim_beta(q, d, m)
-        g = dimension.dim_gamma(q, d, m)
-        dl = dimension.dim_delta(q, d, m)
-        if a == b == g == dl:
-            res.append(r("PASS"))
-        else:
-            res.append(r("FAIL", f"alpha={a} beta={b} gamma={g} delta={dl}"))
-
-        gm = None
-        r = _result(q, m, d, "prm", "rank")
-        if p_k(q, m) <= cfg.rank_len_guard:
-            gm = codes.prm_generator_matrix(F, d, m)
-            rank = gm.rank()
-            if rank == g:
-                res.append(r("PASS"))
-            else:
-                res.append(r("FAIL", f"rank={rank} gamma={g}"))
-        else:
-            res.append(r("SKIPPED", f"length {p_k(q, m)} over rank guard"))
-
-        dist_formula = minwt.prm_min_distance(q, d, m)
-        count_formula = minwt.prm_min_weight_count(q, d, m)
-        count_alt = minwt.prm_min_weight_count_alt(q, d, m)
-        words = None
-        r = _result(q, m, d, "prm", "distance")
-        rc = _result(q, m, d, "prm", "count")
-        if gm is None or q ** gm.k > cfg.guard:
-            res.append(r("SKIPPED", "oracle guard"))
-            res.append(rc("SKIPPED", "oracle guard"))
-        else:
-            dist = oracle.weight_distribution(gm, cfg.guard)
-            dmin = min(w for w in dist.counts if w > 0)
-            if dmin == dist_formula:
-                res.append(r("PASS"))
-            else:
-                res.append(r("FAIL", f"oracle={dmin} formula={dist_formula}"))
-            brute = dist.counts[dmin]
-            if brute == count_formula == count_alt:
-                res.append(rc("PASS"))
-            else:
-                res.append(
-                    rc(
-                        "FAIL",
-                        f"oracle={brute} formula={count_formula} alt={count_alt}",
-                    )
-                )
-            r = _result(q, m, d, "prm", "witness-set")
+    for family, q, m, order in _codes(cfg):
+        code = Code(cfg, fields[q], family, m, order)
+        for fam, check, applies, runner in CHECKS:
+            if fam != family or (applies and not applies(*code.ts)):
+                continue
             try:
-                wit = minwt.enumerate_witness_codewords(F, d, m, cfg.witness_guard)
-            except GuardExceeded:
-                res.append(r("SKIPPED", "witness guard"))
+                detail = runner(code)
+            except GuardExceeded as exc:
+                status, detail = "SKIPPED", str(exc)
             else:
-                words = oracle.brute_min_weight_words(gm, cfg.guard)
-                if wit == words:
-                    res.append(r("PASS"))
-                else:
-                    res.append(
-                        r(
-                            "FAIL",
-                            f"witness set size {len(wit)}, oracle set size {len(words)}, "
-                            f"equal={wit == words}",
-                        )
-                    )
-
-        ts = minwt.ts_decompose(d, q, "prm")
-        if ts.s != 0:
-            r = _result(q, m, d, "prm", "fibers")
-            try:
-                fib = minwt.support_fiber_check(F, d, m, cfg.witness_guard)
-            except GuardExceeded:
-                res.append(r("SKIPPED", "fiber guard"))
-            else:
-                if fib.ok:
-                    res.append(r("PASS"))
-                else:
-                    res.append(
-                        r(
-                            "FAIL",
-                            f"|J|={fib.j_size}/{fib.j_expected} "
-                            f"fibers={fib.fiber_sizes}/{fib.fiber_expected} "
-                            f"count={fib.implied_count}/{fib.formula_count}",
-                        )
-                    )
-        elif ts.t >= 1:
-            r = _result(q, m, d, "prm", "tau")
-            try:
-                tau = minwt.tau_bijection_check(F, d, m, cfg.witness_guard)
-            except GuardExceeded:
-                res.append(r("SKIPPED", "tau guard"))
-            else:
-                if tau.ok:
-                    res.append(r("PASS"))
-                else:
-                    res.append(
-                        r(
-                            "FAIL",
-                            f"pairs={tau.pair_count}/{tau.pair_expected} "
-                            f"injective={tau.injective} "
-                            f"count={tau.implied_count}/{tau.formula_count}",
-                        )
-                    )
-
-    # affine family: oracle distance and count against the closed forms
-    for q in cfg.qs:
-        F = fields[q]
-        for m in range(cfg.m_lo, cfg.m_hi + 1):
-            for nu in range(0, m * (q - 1) + 1):
-                gm = codes.rm_generator_matrix(F, nu, m)
-                r = _result(q, m, nu, "rm", "distance")
-                rc = _result(q, m, nu, "rm", "count")
-                if q ** gm.k > cfg.guard:
-                    res.append(r("SKIPPED", "oracle guard"))
-                    res.append(rc("SKIPPED", "oracle guard"))
-                    continue
-                dist = oracle.weight_distribution(gm, cfg.guard)
-                dmin = min(w for w in dist.counts if w > 0)
-                formula = minwt.rm_min_distance(q, nu, m)
-                if dmin == formula:
-                    res.append(r("PASS"))
-                else:
-                    res.append(r("FAIL", f"oracle={dmin} formula={formula}"))
-                cf = minwt.rm_min_weight_count(q, nu, m)
-                if dist.counts[dmin] == cf:
-                    res.append(rc("PASS"))
-                else:
-                    res.append(
-                        rc("FAIL", f"oracle={dist.counts[dmin]} formula={cf}")
-                    )
+                status = "PASS" if detail is None else "FAIL"
+            rep.results.append(CheckResult(q, m, order, family, check, status, detail or ""))
     return rep

@@ -177,6 +177,31 @@ def test_usage_error_exit_2(capsys):
     assert e.value.code == 2
 
 
+def test_guard_and_seed_only_where_read(capsys):
+    genmat = ["genmat", "--family", "prm", "--q", "2", "--d", "1", "--m", "2"]
+    for extra in (["--guard", "5"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main(genmat + extra)
+        assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--q", "2", "--m", "1", "--seed", "1"])
+    assert e.value.code == 2
+    code, _, err = run(
+        capsys, "distribution", "--family", "prm", "--q", "3", "--order", "2",
+        "--m", "2", "--guard", "5",
+    )
+    assert code == 2
+    assert "oracle guard: 3^6 codewords > 5" in err
+
+
+def test_table_csv_with_rank_column(capsys):
+    code, out, _ = run(capsys, "table", "--q", "2", "--m", "2", "--with-rank")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].endswith(",minwt_count,rank,agree")
+    assert lines[1] == "2,2,1,7,3,3,3,3,4,7,3,True"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "mat.csv"
     code, out, _ = run(

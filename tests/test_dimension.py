@@ -11,7 +11,6 @@ from prmcodes.dimension import (
     dim_gamma,
     dim_report,
     rho,
-    _factor_prime_power,
 )
 from prmcodes.errors import GuardExceeded
 
@@ -126,12 +125,3 @@ def test_dim_report_as_dict_serializes_counts_as_strings():
     d = dim_report(2, 2, 2, with_rank=True).as_dict()
     assert d["alpha"] == "6" and d["rank"] == "6" and d["agree"] is True
 
-
-def test_factor_prime_power():
-    assert _factor_prime_power(8) == (2, 3)
-    assert _factor_prime_power(9) == (3, 2)
-    assert _factor_prime_power(7) == (7, 1)
-    with pytest.raises(ValueError):
-        _factor_prime_power(6)
-    with pytest.raises(ValueError):
-        _factor_prime_power(12)

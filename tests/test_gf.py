@@ -37,6 +37,16 @@ def test_construction_errors():
         GF(2, 17)
 
 
+def test_from_q():
+    assert (GF.from_q(8).p, GF.from_q(8).e) == (2, 3)
+    assert (GF.from_q(9).p, GF.from_q(9).e) == (3, 2)
+    assert (GF.from_q(7).p, GF.from_q(7).e) == (7, 1)
+    with pytest.raises(ValueError):
+        GF.from_q(6)
+    with pytest.raises(ValueError):
+        GF.from_q(12)
+
+
 def test_elements_ordering():
     assert GF(2).elements() == [0, 1]
     assert GF(3).elements() == [0, 1, 2]
