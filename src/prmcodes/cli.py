@@ -141,7 +141,7 @@ def cmd_table(args) -> int:
     else:
         for row in rows:
             for key in ("alpha", "beta", "gamma", "delta", "minwt_count", "rank"):
-                if key in row and row[key] != "":
+                if key in row:
                     row[key] = str(row[key])
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     return 0

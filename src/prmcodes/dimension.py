@@ -143,6 +143,12 @@ class DimReport:
         return out
 
 
+def check_rank_length(q: int, m: int, limit: int) -> None:
+    """Refuse to build and rank a projective generator matrix longer than limit."""
+    if p_k(q, m) > limit:
+        raise GuardExceeded("rank", f"length {p_k(q, m)}", limit)
+
+
 def dim_report(
     q: int, d: int, m: int, with_rank: bool = False, rank_guard: int = POINT_GUARD
 ) -> DimReport:
@@ -155,8 +161,7 @@ def dim_report(
     dl = dim_delta(q, d, m)
     r: int | None = None
     if with_rank:
-        if p_k(q, m) > rank_guard:
-            raise GuardExceeded("rank", f"length {p_k(q, m)}", rank_guard)
+        check_rank_length(q, m, rank_guard)
         from .codes import prm_generator_matrix
         from .gf import GF
 

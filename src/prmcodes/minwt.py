@@ -14,9 +14,9 @@ constructs and validates witnesses, enumerates the full witness codeword
 set at desk scale, and runs the two incidence-counting consistency checks
 that the s = 0 and s != 0 counting arguments rest on.
 
-Enumerations generate witnesses redundantly (every independent form tuple,
-every scalar subset) and deduplicate by final codeword; that is provably
-complete and the redundancy is acceptable at desk scale.
+The witness enumeration takes one form tuple per class of tuples that give
+the same word (see enumerate_witness_codewords for why that is complete);
+the incidence checks stay exhaustive.
 """
 
 from __future__ import annotations
@@ -315,51 +315,28 @@ def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tup
     return out
 
 
-def _independent_tuples(field: GF, m: int, count: int):
-    """All ordered tuples of `count` linearly independent coefficient
-    vectors in q^(m+1)-space, generated with span-based pruning."""
-    q = field.q
-    nonzero = [c for c in product(range(q), repeat=m + 1) if any(c)]
-
-    def extend(chosen, span):
-        if len(chosen) == count:
-            yield tuple(chosen)
-            return
-        for cand in nonzero:
-            if cand in span:
-                continue
-            new_span = set(span)
-            for sc in range(1, q):
-                scaled = tuple(field.mul(sc, x) for x in cand)
-                for v in span:
-                    new_span.add(tuple(field.add(a, b) for a, b in zip(v, scaled)))
-            chosen.append(cand)
-            yield from extend(chosen, new_span)
-            chosen.pop()
-
-    zero = (0,) * (m + 1)
-    yield from extend([], {zero})
-
-
 def enumerate_witness_codewords(
     field: GF, d: int, m: int, guard: int = WITNESS_GUARD
 ) -> set[tuple[int, ...]]:
-    """The full set of witness codewords: every independent form tuple and
-    every distinct scalar set, deduplicated by evaluation vector.  By the
-    characterization this set must equal the set of minimum-weight
-    codewords of the projective code."""
+    """The full set of witness codewords, from one form tuple per class.
+
+    On points L_t * (L_t^(q-1) - L_i^(q-1)) = L_t * [L_i = 0], so a witness
+    word is L_t * [V(W)] * prod_j (L_{t+1} - w_j L_t) with W the span of
+    L_0..L_{t-1}: it depends only on W, on L_t and L_{t+1} modulo W, and on
+    the scalar set.  W runs over canonical RREF bases; L_t and L_{t+1} run
+    over the forms vanishing on W's pivot columns, which hold exactly one
+    representative of each coset.  By the characterization this set must
+    equal the set of minimum-weight codewords of the projective code."""
     q = field.q
     if not 1 <= d <= m * (q - 1) + 1:
         raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
     ts = ts_decompose(d, q, "prm")
     t, s = ts.t, ts.s
-    nforms = t + 1 if s == 0 else t + 2
     omega_sets = [()] if s == 0 else list(combinations(range(q), s))
     # the scalar subsets multiply the per-tuple work, so they count
     # against the same guard as the form tuples
-    tuples = 1
-    for i in range(nforms):
-        tuples *= q ** (m + 1) - q ** i
+    cosets = q ** (m + 1 - t)
+    tuples = gaussian_binomial(m + 1, t, q) * (cosets - 1) * (cosets - q if s else 1)
     if tuples * len(omega_sets) > guard:
         raise GuardExceeded(
             "witness", f"{tuples} form tuples x {len(omega_sets)} scalar sets", guard
@@ -367,30 +344,37 @@ def enumerate_witness_codewords(
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
     npts = len(pts)
+    # where L_t != 0 the word is L_t^(s+1) prod_j (r - w_j), r = L_{t+1}/L_t;
+    # prods[k][r] is that product for the k-th scalar set
+    prods = [[1] * q for _ in omega_sets]
+    for row, omegas in zip(prods, omega_sets):
+        for r in range(q):
+            for w in omegas:
+                row[r] = field.mul(row[r], field.sub(r, w))
     out: set[tuple[int, ...]] = set()
-    for forms in _independent_tuples(field, m, nforms):
-        vt = vals[forms[t]]
-        ind_t = tuple(1 if x else 0 for x in vt)
-        lower = [tuple(1 if x else 0 for x in vals[f]) for f in forms[:t]]
-        vt1 = vals[forms[t + 1]] if s else None
-        for omegas in omega_sets:
-            cw = []
-            for i in range(npts):
-                acc = vt[i]
-                if acc:
-                    for li in lower:
-                        acc = field.mul(acc, field.sub(ind_t[i], li[i]))
-                        if not acc:
-                            break
-                if acc and s:
-                    for om in omegas:
-                        acc = field.mul(
-                            acc, field.sub(vt1[i], field.mul(om, vt[i]))
-                        )
-                        if not acc:
-                            break
-                cw.append(acc)
-            out.add(tuple(cw))
+    for basis in _rref_bases(field, m + 1, t):
+        pivots = [row.index(1) for row in basis]
+        zeros = {i for i in range(npts) if not any(vals[row][i] for row in basis)}
+        comp = [c for c in vals if any(c) and not any(c[j] for j in pivots)]
+        for lt in comp:
+            vt = vals[lt]
+            if not s:
+                out.add(tuple(x if i in zeros else 0 for i, x in enumerate(vt)))
+                continue
+            on = [i for i in zeros if vt[i]]
+            lead = [field.pow(vt[i], s + 1) for i in on]
+            inv = [field.inv(vt[i]) for i in on]
+            line = {tuple(field.mul(a, x) for x in lt) for a in range(q)}
+            for lt1 in comp:
+                if lt1 in line:
+                    continue
+                vt1 = vals[lt1]
+                ratios = [field.mul(vt1[i], v) for i, v in zip(on, inv)]
+                for prod in prods:
+                    cw = [0] * npts
+                    for i, c, r in zip(on, lead, ratios):
+                        cw[i] = field.mul(c, prod[r])
+                    out.add(tuple(cw))
     return out
 
 

@@ -119,11 +119,19 @@ def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
 def brute_min_weight_words(
     g: GeneratorMatrix, guard: int = ORACLE_GUARD
 ) -> set[Codeword]:
-    """The full set of codewords attaining the minimum nonzero weight."""
-    dmin = brute_min_distance(g, guard)
-    out: set[Codeword] = set()
+    """The full set of codewords attaining the minimum nonzero weight, in
+    one walk: each block's rows at the running minimum are kept, and the
+    kept rows are dropped whenever a lower weight appears."""
+    dmin = g.n
+    kept: list[np.ndarray] = []
     for block in _enumerate_blocks(g, guard):
         w = np.count_nonzero(block, axis=1)
-        for row in block[w == dmin]:
-            out.add(tuple(int(x) for x in row))
-    return out
+        w[w == 0] = g.n + 1
+        low = int(w.min())
+        if low < dmin:
+            dmin, kept = low, []
+        if low == dmin:
+            kept.append(block[w == dmin])
+    if not kept:
+        raise ValueError("the zero code has no minimum distance")
+    return {tuple(row) for rows in kept for row in rows.tolist()}

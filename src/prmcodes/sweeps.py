@@ -82,12 +82,13 @@ def table_rows(cfg: SweepConfig) -> list[dict]:
         }
         agree = a == b == g == dl
         if cfg.with_rank:
-            if p_k(q, m) <= cfg.rank_len_guard:
-                rank = codes.prm_generator_matrix(GF.from_q(q), d, m).rank()
-                row["rank"] = rank
-                agree = agree and rank == g
+            try:
+                dimension.check_rank_length(q, m, cfg.rank_len_guard)
+            except GuardExceeded as exc:
+                row["rank"] = str(exc)
             else:
-                row["rank"] = ""
+                row["rank"] = codes.prm_generator_matrix(GF.from_q(q), d, m).rank()
+                agree = agree and row["rank"] == g
         row["agree"] = agree
         out.append(row)
     return out
@@ -196,9 +197,8 @@ class Code:
 
     @cached_property
     def gm(self) -> codes.GeneratorMatrix:
-        n = p_k(self.q, self.m)
-        if self.family == "prm" and n > self.cfg.rank_len_guard:
-            raise GuardExceeded("rank", f"length {n}", self.cfg.rank_len_guard)
+        if self.family == "prm":
+            dimension.check_rank_length(self.q, self.m, self.cfg.rank_len_guard)
         build = getattr(codes, f"{self.family}_generator_matrix")
         return build(self.field, self.order, self.m)
 

@@ -202,6 +202,14 @@ def test_table_csv_with_rank_column(capsys):
     assert lines[1] == "2,2,1,7,3,3,3,3,4,7,3,True"
 
 
+def test_table_with_rank_names_the_rank_guard(capsys):
+    code, out, _ = run(capsys, "table", "--q", "2", "--m", "9", "--d", "1:2", "--with-rank")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[1] == "2,9,1,1023,10,10,10,10,512,1023,rank guard: length 1023 > 400,True"
+    assert len(lines) == 3 and all("rank guard: length 1023 > 400" in l for l in lines[1:])
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "mat.csv"
     code, out, _ = run(

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +10,7 @@ from prmcodes.codes import (
     support,
     weight,
 )
-from prmcodes.combinat import p_k
+from prmcodes.combinat import binomial, p_k
 from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.minwt import (
@@ -274,6 +274,94 @@ def test_enumerate_equals_oracle_set():
 def test_enumerate_guard():
     with pytest.raises(GuardExceeded):
         enumerate_witness_codewords(F3, 3, 2, guard=100)
+    # t = 3: 15 subspaces W times one coset representative each
+    words = enumerate_witness_codewords(F2, 4, 3, guard=1000)
+    assert len(words) == 15 == prm_min_weight_count(2, 4, 3)
+
+
+# Reference for the quotiented enumeration: the redundant one, over every
+# ordered tuple of independent forms and every scalar set, deduplicated by
+# codeword.
+
+
+def independent_tuples(F, m, count):
+    """All ordered tuples of `count` linearly independent coefficient
+    vectors in q^(m+1)-space, generated with span-based pruning."""
+    nonzero = [c for c in product(range(F.q), repeat=m + 1) if any(c)]
+
+    def extend(chosen, span):
+        if len(chosen) == count:
+            yield tuple(chosen)
+            return
+        for cand in nonzero:
+            if cand in span:
+                continue
+            new_span = set(span)
+            for sc in range(1, F.q):
+                scaled = tuple(F.mul(sc, x) for x in cand)
+                for v in span:
+                    new_span.add(tuple(F.add(a, b) for a, b in zip(v, scaled)))
+            chosen.append(cand)
+            yield from extend(chosen, new_span)
+            chosen.pop()
+
+    yield from extend([], {(0,) * (m + 1)})
+
+
+def redundant_witness_codewords(F, d, m):
+    ts = ts_decompose(d, F.q, "prm")
+    t, s = ts.t, ts.s
+    pts = projective_points(F, m).points
+    vals = {}
+    for c in product(range(F.q), repeat=m + 1):
+        row = []
+        for p in pts:
+            acc = 0
+            for a, x in zip(c, p):
+                acc = F.add(acc, F.mul(a, x))
+            row.append(acc)
+        vals[c] = row
+    out = set()
+    for forms in independent_tuples(F, m, t + 1 if s == 0 else t + 2):
+        vt = vals[forms[t]]
+        lower = [vals[f] for f in forms[:t]]
+        vt1 = vals[forms[t + 1]] if s else None
+        for omegas in combinations(range(F.q), s):
+            cw = []
+            for i, x in enumerate(vt):
+                # L_t (L_t^(q-1) - L_i^(q-1)) at a point
+                acc = x
+                for li in lower:
+                    acc = F.mul(acc, F.sub(F.pow(x, F.q - 1), F.pow(li[i], F.q - 1)))
+                for om in omegas:
+                    acc = F.mul(acc, F.sub(vt1[i], F.mul(om, x)))
+                cw.append(acc)
+            out.add(tuple(cw))
+    return out
+
+
+def redundant_work(q, d, m):
+    """Ordered independent form tuples times scalar sets."""
+    t, s = divmod(d - 1, q - 1)
+    work = binomial(q, s)
+    for i in range(t + 1 if s == 0 else t + 2):
+        work *= q ** (m + 1) - q ** i
+    return work
+
+
+REFERENCE_CASES = [
+    (F, d, m)
+    for F, m in [(F2, 1), (F2, 2), (F3, 1), (F3, 2), (F4, 1), (F4, 2), (F2, 3), (F3, 3)]
+    for d in range(1, m * (F.q - 1) + 2)
+    if redundant_work(F.q, d, m) <= 2 * 10 ** 4
+]
+
+
+@pytest.mark.parametrize(
+    "F,d,m", REFERENCE_CASES, ids=[f"q{F.q}-d{d}-m{m}" for F, d, m in REFERENCE_CASES]
+)
+def test_quotiented_enumeration_equals_redundant(F, d, m):
+    assert enumerate_witness_codewords(F, d, m) == redundant_witness_codewords(F, d, m)
 
 
 # -- support structure ------------------------------------------------------------------

@@ -56,6 +56,8 @@ def test_zero_dimensional_code():
     assert dist.counts == {0: 1}
     with pytest.raises(ValueError):
         brute_min_distance(empty)
+    with pytest.raises(ValueError):
+        brute_min_weight_words(empty)
 
 
 def test_guard():
@@ -99,6 +101,19 @@ def test_min_words():
     grm = rm_generator_matrix(F2, 1, 2)
     assert brute_min_distance(grm) == 2
     assert len(brute_min_weight_words(grm)) == 6
+
+
+def test_min_words_walk_once(monkeypatch):
+    import prmcodes.oracle as oracle
+
+    def walked_twice(*args, **kwargs):
+        raise AssertionError("brute_min_weight_words walks the code a second time")
+
+    monkeypatch.setattr(oracle, "weight_distribution", walked_twice)
+    monkeypatch.setattr(oracle, "brute_min_distance", walked_twice)
+    words = brute_min_weight_words(prm_generator_matrix(F3, 2, 2))
+    assert len(words) == 156 == prm_min_weight_count(3, 2, 2)
+    assert all(sum(1 for x in w if x) == 6 for w in words)
 
 
 def test_matches_direct_python_enumeration():

@@ -87,12 +87,14 @@ def test_oracle_guard_skips_say_needed_and_limit():
          r"rank guard: length 7 > 3"),
         (lambda: minwt.enumerate_witness_codewords(F3, 2, 2, guard=100),
          r"witness guard: 624 form tuples x 3 scalar sets > 100"),
+        (lambda: minwt.enumerate_witness_codewords(F3, 3, 2, guard=100),
+         r"witness guard: 104 form tuples x 1 scalar sets > 100"),
         (lambda: minwt.support_fiber_check(F3, 2, 2, guard=5),
          r"fiber guard: \d+ incidence tuples > 5"),
         (lambda: minwt.tau_bijection_check(F2, 2, 2, guard=5),
          r"tau guard: 21 flag pairs > 5"),
     ],
-    ids=["affine", "projective", "oracle", "rank", "witness", "fiber", "tau"],
+    ids=["affine", "projective", "oracle", "rank", "witness", "witness-t1", "fiber", "tau"],
 )
 def test_guard_messages_name_guard_needed_and_limit(call, message):
     with pytest.raises(GuardExceeded) as exc:
