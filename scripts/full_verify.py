@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a wide verification sweep (about 25 s of exhaustive checking).
+"""Run a wide verification sweep (about 20 s of exhaustive checking).
 
 Two stages: small fields to m = 3 with default guards, then GF(4) and
 GF(5) to m = 2 with a tighter witness guard, which refuses the five

@@ -2,11 +2,12 @@
 
 Subcommands: table, verify, genmat, reduce, witness, count-minwt,
 check-fibers, distribution.  Common flags: --format {json,csv}, --out PATH.
---guard N (codewords an exhaustive walk may visit) is taken by verify,
-count-minwt and distribution, the commands that walk a code; --seed N only
-by witness.  Guard defaults live in errors.py.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  Every command is deterministic given
-its flags; the witness command derives its randomness from --seed (default 0).
+--guard N (codewords an exhaustive walk may visit, a positive int) is taken
+by verify, count-minwt and distribution, the commands that walk a code;
+--seed N only by witness.  Guard defaults live in errors.py.  Exit codes:
+0 success, 1 verification failure, 2 usage error.  Every command is
+deterministic given its flags; the witness command derives its randomness
+from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+    return value
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -53,7 +64,7 @@ def _common_flags(sp: argparse.ArgumentParser, fmt_default: str = "json") -> Non
 
 
 def _guard_flag(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--guard", type=int, default=ORACLE_GUARD,
+    sp.add_argument("--guard", type=_positive_int, default=ORACLE_GUARD,
                     help="max codewords an exhaustive enumeration may visit")
 
 
@@ -76,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_parse_ints, default=(2, 3))
     sp.add_argument("--m", type=_parse_range, default=(1, 2))
     sp.add_argument("--d", type=_parse_range, default=None)
-    sp.add_argument("--witness-guard", type=int, default=WITNESS_GUARD)
+    sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD)
     _guard_flag(sp)
     _common_flags(sp, fmt_default="csv")
 
@@ -113,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--witness-guard", type=int, default=WITNESS_GUARD)
+    sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD)
     _common_flags(sp)
 
     sp = sub.add_parser("distribution", help="exhaustive weight distribution")

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from . import linalg
 from .codes import PointList, prm_generator_matrix, projective_points
 from .combinat import binomial, gaussian_binomial, p_k
@@ -306,13 +308,24 @@ def count_report(
 
 
 def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Value vector over the point list for every coefficient tuple."""
-    out = {}
-    for coeffs in product(range(field.q), repeat=m + 1):
-        out[coeffs] = tuple(
-            linalg._dot(field, coeffs, p) for p in pts.points
-        )
-    return out
+    """Value vector over the point list for every coefficient tuple, keys
+    in `product` order, from one numpy evaluation of all forms."""
+    q = field.q
+    coeffs = list(product(range(q), repeat=m + 1))
+    points = np.array(pts.points, dtype=np.int64).reshape(len(pts), m + 1)
+    if field.e == 1:
+        vals = (np.array(coeffs, dtype=np.int64) @ points.T) % field.p
+    else:
+        # the last coordinate varies fastest in product order, so prepend
+        # each earlier coordinate's q multiples c * x_j as the slower axis
+        elems = range(q)
+        add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=np.int64)
+        mul = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=np.int64)
+        vals = np.zeros((1, len(pts)), dtype=np.int64)
+        for j in reversed(range(m + 1)):
+            terms = mul[:, points[:, j]]
+            vals = add[terms[:, None, :], vals[None, :, :]].reshape(-1, len(pts))
+    return {c: tuple(row.tolist()) for c, row in zip(coeffs, vals)}
 
 
 def enumerate_witness_codewords(

@@ -7,9 +7,16 @@ running codeword is updated by adding one pre-scaled generator row, O(n)
 per codeword instead of O(k*n).  On top of that, the trailing block of
 message symbols is expanded once into a dense table so the per-codeword
 work (field add, nonzero count, histogram) runs vectorized in numpy; the
-leading symbols are Gray-walked.  Partitioning the space differently would
-merge to the same distribution, so results are deterministic and
-independent of the split.
+leading symbols are Gray-walked.
+
+The walk is quotiented by scalars: the nonzero multiples lambda*c of a
+codeword all have its weight, and a message whose leading symbols are not
+all zero has exactly one multiple whose first nonzero leading symbol is 1.
+So only those messages are walked, each row standing for its q - 1
+multiples, and the trailing block (leading symbols all zero) is walked
+once in full: 1 + (q^(k-lo) - 1)/(q - 1) blocks instead of q^(k-lo).
+Partitioning the space differently would merge to the same distribution,
+so results are deterministic and independent of the split.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .codes import Codeword, GeneratorMatrix
 from .errors import ORACLE_GUARD, GuardExceeded
 from .gf import GF
-from .linalg import vadd as _vadd
+from .linalg import _scale_row, vadd as _vadd
 
 _BLOCK = 4096
 
@@ -76,7 +83,10 @@ def _scaled_rows(field: GF, rows) -> list[list[np.ndarray]]:
 
 
 def _enumerate_blocks(g: GeneratorMatrix, guard: int):
-    """Yield (q^lo, n) arrays jointly covering every codeword exactly once."""
+    """Yield (multiplier, block) pairs, each block a (q^lo, n) array.  A row
+    of a block with multiplier M stands for its multiples by the scalars
+    1..M: itself when M = 1, every nonzero multiple when M = q - 1.  So
+    covered, every codeword appears exactly once."""
     field, rows, n = g.field, g.rows, g.n
     q, k = field.q, g.k
     if q ** k > guard:
@@ -88,24 +98,27 @@ def _enumerate_blocks(g: GeneratorMatrix, guard: int):
     block = np.zeros((1, n), dtype=np.int64)
     for i in range(k - lo, k):
         block = np.concatenate([_vadd(field, block, scaled[i][s]) for s in range(q)])
-    yield block
-    prefix = np.zeros(n, dtype=np.int64)
-    for j, old, new in _gray_transitions(q, k - lo):
-        delta = field.sub(new, old)
-        prefix = _vadd(field, prefix, scaled[j][delta])
-        yield _vadd(field, block, prefix)
+    yield 1, block
+    # messages whose first nonzero leading symbol is a 1 at position i,
+    # one per scalar orbit, with the leading symbols after i Gray-walked
+    for i in range(k - lo):
+        prefix = scaled[i][1]
+        yield q - 1, _vadd(field, block, prefix)
+        for j, old, new in _gray_transitions(q, k - lo - 1 - i):
+            prefix = _vadd(field, prefix, scaled[i + 1 + j][field.sub(new, old)])
+            yield q - 1, _vadd(field, block, prefix)
 
 
 def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
     """Exact codeword count at every Hamming weight."""
     hist = np.zeros(g.n + 1, dtype=np.int64)
-    for block in _enumerate_blocks(g, guard):
+    for mult, block in _enumerate_blocks(g, guard):
         w = np.count_nonzero(block, axis=1)
-        hist += np.bincount(w, minlength=g.n + 1)
+        hist += mult * np.bincount(w, minlength=g.n + 1)
     counts = {w: int(c) for w, c in enumerate(hist) if c}
-    return WeightDistribution(
-        g.family, g.field.q, g.order, g.m, counts, g.field.q ** g.k
-    )
+    total = g.field.q ** g.k
+    assert sum(counts.values()) == total
+    return WeightDistribution(g.family, g.field.q, g.order, g.m, counts, total)
 
 
 def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
@@ -121,17 +134,23 @@ def brute_min_weight_words(
 ) -> set[Codeword]:
     """The full set of codewords attaining the minimum nonzero weight, in
     one walk: each block's rows at the running minimum are kept, and the
-    kept rows are dropped whenever a lower weight appears."""
+    kept rows are dropped whenever a lower weight appears.  Rows kept from
+    an orbit block are expanded into their scalar multiples at the end."""
     dmin = g.n
-    kept: list[np.ndarray] = []
-    for block in _enumerate_blocks(g, guard):
+    kept: list[tuple[int, np.ndarray]] = []
+    for mult, block in _enumerate_blocks(g, guard):
         w = np.count_nonzero(block, axis=1)
         w[w == 0] = g.n + 1
         low = int(w.min())
         if low < dmin:
             dmin, kept = low, []
         if low == dmin:
-            kept.append(block[w == dmin])
+            kept.append((mult, block[w == dmin]))
     if not kept:
         raise ValueError("the zero code has no minimum distance")
-    return {tuple(row) for rows in kept for row in rows.tolist()}
+    return {
+        tuple(row)
+        for mult, rows in kept
+        for lam in range(1, mult + 1)
+        for row in _scale_row(g.field, rows, lam).tolist()
+    }

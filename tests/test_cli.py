@@ -194,6 +194,21 @@ def test_guard_and_seed_only_where_read(capsys):
     assert "oracle guard: 3^6 codewords > 5" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--q", "2", "--m", "1", "--guard"],
+    ["count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle", "--guard"],
+    ["distribution", "--family", "prm", "--q", "3", "--order", "2", "--m", "2", "--guard"],
+    ["verify", "--q", "2", "--m", "1", "--witness-guard"],
+    ["check-fibers", "--q", "3", "--d", "2", "--m", "2", "--witness-guard"],
+], ids=lambda c: f"{c[0]}{c[-1]}")
+@pytest.mark.parametrize("guard", ["0", "-5", "x"])
+def test_non_positive_guard_is_usage_error(capsys, command, guard):
+    with pytest.raises(SystemExit) as e:
+        main(command + [guard])
+    assert e.value.code == 2
+    assert f"expected a positive int, got {guard!r}" in capsys.readouterr().err
+
+
 def test_table_csv_with_rank_column(capsys):
     code, out, _ = run(capsys, "table", "--q", "2", "--m", "2", "--with-rank")
     assert code == 0

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from prmcodes import linalg
 from prmcodes.codes import (
     ev_vector,
     prm_generator_matrix,
@@ -16,6 +17,7 @@ from prmcodes.gf import GF
 from prmcodes.minwt import (
     MinWtWitness,
     TSDecomp,
+    _form_values,
     canonical_min_poly,
     count_report,
     enumerate_witness_codewords,
@@ -362,6 +364,29 @@ REFERENCE_CASES = [
 )
 def test_quotiented_enumeration_equals_redundant(F, d, m):
     assert enumerate_witness_codewords(F, d, m) == redundant_witness_codewords(F, d, m)
+
+
+# Reference for the vectorized form table: the scalar evaluation, one
+# linalg._dot per (form, point).
+
+
+def scalar_form_values(F, m, pts, forms):
+    return {c: tuple(linalg._dot(F, c, p) for p in pts.points) for c in forms}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_form_values_equal_scalar(q, m):
+    F = GF.from_q(q)
+    pts = projective_points(F, m)
+    vals = _form_values(F, m, pts)
+    forms = list(product(range(q), repeat=m + 1))
+    assert list(vals) == forms
+    # every form where the scalar reference stays under 10^5 dot products,
+    # an evenly spaced sample of them beyond (q = 7, 8, 9 at m = 3)
+    stride = max(1, len(forms) * len(pts) // 10 ** 5)
+    sample = forms[::stride]
+    assert {c: vals[c] for c in sample} == scalar_form_values(F, m, pts, sample)
 
 
 # -- support structure ------------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from prmcodes import linalg
+from prmcodes import linalg, oracle
 from prmcodes.codes import prm_generator_matrix, rm_generator_matrix
 from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
@@ -116,16 +116,45 @@ def test_min_words_walk_once(monkeypatch):
     assert all(sum(1 for x in w if x) == 6 for w in words)
 
 
-def test_matches_direct_python_enumeration():
-    # cross-check the vectorized enumeration against a naive one
-    for F, d, m in [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2)]:
+def _naive_codewords(g):
+    F = g.field
+    for msg in product(range(F.q), repeat=g.k):
+        cw = [0] * g.n
+        for c, row in zip(msg, g.rows):
+            if c:
+                cw = [F.add(v, F.mul(c, x)) for v, x in zip(cw, row)]
+        yield tuple(cw)
+
+
+def test_matches_direct_python_enumeration(monkeypatch):
+    # cross-check the vectorized enumeration against a naive one, with the
+    # default block (the trailing block holds the whole code) and with a
+    # block of q rows, so the orbit walk and its Gray steps do the work;
+    # GF(9) takes vadd's digit-wise path for odd p and e > 1
+    cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1)]
+    default = oracle._BLOCK
+    for (F, d, m), small in product(cases, (False, True)):
+        monkeypatch.setattr(oracle, "_BLOCK", F.q if small else default)
         g = prm_generator_matrix(F, d, m)
         naive = {}
-        for msg in product(range(F.q), repeat=g.k):
-            cw = [0] * g.n
-            for c, row in zip(msg, g.rows):
-                if c:
-                    cw = [F.add(v, F.mul(c, x)) for v, x in zip(cw, row)]
-            w = sum(1 for x in cw if x)
-            naive[w] = naive.get(w, 0) + 1
-        assert weight_distribution(g).counts == naive
+        for cw in _naive_codewords(g):
+            naive.setdefault(sum(1 for x in cw if x), set()).add(cw)
+        case = (F.q, d, m, small)
+        counts = {w: len(words) for w, words in naive.items()}
+        assert weight_distribution(g).counts == counts, case
+        dmin = min(w for w in naive if w)
+        assert brute_min_weight_words(g) == naive[dmin], case
+
+
+@pytest.mark.parametrize("q,d,m", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 3, 1), (9, 3, 1)])
+@pytest.mark.parametrize("small", [False, True], ids=["default-block", "block-q"])
+def test_orbit_walk_work(monkeypatch, q, d, m, small):
+    # every codeword is covered once, but each scalar orbit is walked once
+    if small:
+        monkeypatch.setattr(oracle, "_BLOCK", q)
+    g = prm_generator_matrix(GF.from_q(q), d, m)
+    k = g.k
+    lo = max(i for i in range(k + 1) if q ** i <= oracle._BLOCK)
+    pairs = [(mult, len(b)) for mult, b in oracle._enumerate_blocks(g, q ** k)]
+    assert sum(mult * rows for mult, rows in pairs) == q ** k
+    assert sum(rows for _, rows in pairs) == q ** lo * (1 + (q ** (k - lo) - 1) // (q - 1))
