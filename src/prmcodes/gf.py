@@ -9,14 +9,28 @@ lexicographically least irreducible, comparing coefficient tuples
 low-degree-first.  For e = 1 the modulus is the degree-1 polynomial x and
 arithmetic is plain arithmetic mod p.
 
-GF instances are immutable after construction and all operations are pure
-functions of their integer arguments, so fields can be shared freely
-between threads.
+GF is the only code that does field arithmetic, on scalars and on arrays.
+Fields with q <= _TABLE_MAX build q x q addition and multiplication tables
+once, on first use: Python lists for the scalar ops `add` and `mul`, which
+check their arguments, and read-only int64 numpy arrays for the array ops
+`vadd` and `vmul`, which work elementwise on int64 arrays of canonical
+elements (or ints), broadcast, and do not check.  `vadd` is XOR whenever
+p = 2; otherwise both array ops are one gather from the table.  Negation
+is multiplication by the element p - 1, since -a = (p - 1) a in
+characteristic p.  Larger fields have no tables: the scalar ops compute
+each result from the digits, and the array ops apply the same scalar
+routines elementwise.
+
+GF instances are immutable after construction (the tables are a lazily
+built cache) and all operations are pure functions of their arguments, so
+fields can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 MAX_Q = 1 << 16      # construction guard; larger fields are out of scope
 _TABLE_MAX = 1 << 10  # build q*q lookup tables only for fields this small
@@ -35,6 +49,20 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; ValueError if q is not a prime power."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    e, n = 0, q
+    while n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def _poly_rem(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
@@ -68,6 +96,18 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
+def _frozen_square(tab: list[int], q: int) -> np.ndarray:
+    arr = np.array(tab, dtype=np.int64).reshape(q, q)
+    arr.flags.writeable = False
+    return arr
+
+
+def _elementwise(op, a, b) -> np.ndarray:
+    """op applied to every broadcast pair: the array ops of fields too large
+    for lookup tables."""
+    return np.asarray(np.frompyfunc(op, 2, 1)(a, b), dtype=np.int64)
+
+
 class GF:
     """The finite field with q = p^e elements.
 
@@ -76,7 +116,9 @@ class GF:
     3
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_add_tab", "_mul_tab")
+    __slots__ = (
+        "p", "e", "q", "modulus", "_add_tab", "_mul_tab", "_add_arr", "_mul_arr"
+    )
 
     def __init__(self, p: int, e: int = 1):
         if e < 1 or int(e) != e:
@@ -92,20 +134,13 @@ class GF:
         self.modulus = _least_irreducible(p, e)
         self._add_tab: list[int] | None = None
         self._mul_tab: list[int] | None = None
+        self._add_arr: np.ndarray | None = None
+        self._mul_arr: np.ndarray | None = None
 
     @classmethod
     def from_q(cls, q: int) -> GF:
         """The field with q elements; ValueError if q is not a prime power."""
-        if q < 2:
-            raise ValueError(f"{q} is not a prime power")
-        p = next(f for f in range(2, q + 1) if q % f == 0)
-        e, n = 0, q
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(p, e)
+        return cls(*prime_power(q))
 
     # -- encoding ----------------------------------------------------------
 
@@ -164,6 +199,8 @@ class GF:
         q = self.q
         self._add_tab = [self._add_raw(a, b) for a in range(q) for b in range(q)]
         self._mul_tab = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
+        self._add_arr = _frozen_square(self._add_tab, q)
+        self._mul_arr = _frozen_square(self._mul_tab, q)
 
     def add(self, a: int, b: int) -> int:
         self._chk(a)
@@ -174,15 +211,7 @@ class GF:
         return self._add_raw(a, b)
 
     def neg(self, a: int) -> int:
-        self._chk(a)
-        if self.p == 2:
-            return a
-        p, out, pk = self.p, 0, 1
-        for _ in range(self.e):
-            out += ((p - a % p) % p) * pk
-            a //= p
-            pk *= p
-        return out
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -194,6 +223,23 @@ class GF:
         if self._mul_tab is not None:
             return self._mul_tab[a * self.q + b]
         return self._mul_raw(a, b)
+
+    def vadd(self, a, b) -> np.ndarray:
+        """Elementwise a + b of int64 arrays of elements; broadcasts."""
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        self._ensure_tables()
+        if self._add_arr is None:
+            return _elementwise(self._add_raw, a, b)
+        return self._add_arr[a, b]
+
+    def vmul(self, a, b) -> np.ndarray:
+        """Elementwise a * b of int64 arrays of elements; broadcasts.
+        vmul(p - 1, a) is the array negation."""
+        self._ensure_tables()
+        if self._mul_arr is None:
+            return _elementwise(self._mul_raw, a, b)
+        return self._mul_arr[a, b]
 
     def inv(self, a: int) -> int:
         if a == 0:

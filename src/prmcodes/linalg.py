@@ -2,9 +2,9 @@
 
 Matrices are lists (or tuples) of equal-length rows of canonical element
 ints.  rref/inv_matrix are plain exact Gaussian elimination on Python
-lists; rank and the vector helpers run the same elimination on numpy
-arrays of canonical ints so that desk-scale sweeps (a few hundred rows)
-stay fast.
+lists with the scalar field ops; rank runs the same elimination on a numpy
+array of canonical ints, one row operation per field array op (`GF.vmul`,
+`GF.vadd`), so that desk-scale sweeps (a few hundred rows) stay fast.
 """
 
 from __future__ import annotations
@@ -14,41 +14,11 @@ import numpy as np
 from .gf import GF
 
 
-def vadd(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise field addition on arrays of canonical ints."""
-    if field.e == 1:
-        return (a + b) % field.p
-    if field.p == 2:
-        return np.bitwise_xor(a, b)
-    p = field.p
-    out = np.zeros_like(a)
-    pk = 1
-    for _ in range(field.e):
-        out += (((a // pk) % p + (b // pk) % p) % p) * pk
-        pk *= p
-    return out
-
-
-def _scale_row(field: GF, row: np.ndarray, s: int) -> np.ndarray:
-    if field.e == 1:
-        return (row * s) % field.p
-    lut = np.array([field.mul(s, x) for x in range(field.q)], dtype=row.dtype)
-    return lut[row]
-
-
 def rank(field: GF, rows) -> int:
     rows = [list(r) for r in rows]
     if not rows:
         return 0
     mat = np.array(rows, dtype=np.int64)
-    neg = np.array([field.neg(x) for x in range(field.q)], dtype=np.int64)
-    if field.e > 1:
-        field._ensure_tables()
-    mul_tab = (
-        np.array(field._mul_tab, dtype=np.int64).reshape(field.q, field.q)
-        if field._mul_tab is not None
-        else None
-    )
     nrows, ncols = mat.shape
     r = 0
     for c in range(ncols):
@@ -58,21 +28,12 @@ def rank(field: GF, rows) -> int:
         pr = r + int(pivots[0])
         if pr != r:
             mat[[r, pr]] = mat[[pr, r]]
-        inv = field.inv(int(mat[r, c]))
-        mat[r] = _scale_row(field, mat[r], inv)
+        mat[r] = field.vmul(field.inv(int(mat[r, c])), mat[r])
         below = r + 1 + np.nonzero(mat[r + 1 :, c])[0]
         if below.size:
-            factors = neg[mat[below, c]]
-            if field.e == 1:
-                prod = (factors[:, None] * mat[r][None, :]) % field.p
-            elif mul_tab is not None:
-                prod = mul_tab[factors[:, None], mat[r][None, :]]
-            else:
-                prod = np.array(
-                    [[field.mul(int(f), int(x)) for x in mat[r]] for f in factors],
-                    dtype=np.int64,
-                )
-            mat[below] = vadd(field, mat[below], prod)
+            factors = field.vmul(field.p - 1, mat[below, c])
+            prod = field.vmul(factors[:, None], mat[r][None, :])
+            mat[below] = field.vadd(mat[below], prod)
         r += 1
         if r == nrows:
             break

@@ -313,18 +313,13 @@ def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tup
     q = field.q
     coeffs = list(product(range(q), repeat=m + 1))
     points = np.array(pts.points, dtype=np.int64).reshape(len(pts), m + 1)
-    if field.e == 1:
-        vals = (np.array(coeffs, dtype=np.int64) @ points.T) % field.p
-    else:
-        # the last coordinate varies fastest in product order, so prepend
-        # each earlier coordinate's q multiples c * x_j as the slower axis
-        elems = range(q)
-        add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=np.int64)
-        mul = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=np.int64)
-        vals = np.zeros((1, len(pts)), dtype=np.int64)
-        for j in reversed(range(m + 1)):
-            terms = mul[:, points[:, j]]
-            vals = add[terms[:, None, :], vals[None, :, :]].reshape(-1, len(pts))
+    # the last coordinate varies fastest in product order, so prepend each
+    # earlier coordinate's q multiples c * x_j as the slower axis
+    scalars = np.arange(q)[:, None]
+    vals = np.zeros((1, len(pts)), dtype=np.int64)
+    for j in reversed(range(m + 1)):
+        terms = field.vmul(scalars, points[:, j])
+        vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, len(pts))
     return {c: tuple(row.tolist()) for c, row in zip(coeffs, vals)}
 
 

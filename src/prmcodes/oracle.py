@@ -28,7 +28,6 @@ import numpy as np
 from .codes import Codeword, GeneratorMatrix
 from .errors import ORACLE_GUARD, GuardExceeded
 from .gf import GF
-from .linalg import _scale_row, vadd as _vadd
 
 _BLOCK = 4096
 
@@ -69,19 +68,6 @@ def _gray_transitions(radix: int, length: int):
         yield j, old, new
 
 
-def _scaled_rows(field: GF, rows) -> list[list[np.ndarray]]:
-    """scaled[i][s] = s * rows[i] as a numpy vector, for every scalar s."""
-    out = []
-    for row in rows:
-        out.append(
-            [
-                np.array([field.mul(s, x) for x in row], dtype=np.int64)
-                for s in range(field.q)
-            ]
-        )
-    return out
-
-
 def _enumerate_blocks(g: GeneratorMatrix, guard: int):
     """Yield (multiplier, block) pairs, each block a (q^lo, n) array.  A row
     of a block with multiplier M stands for its multiples by the scalars
@@ -94,19 +80,21 @@ def _enumerate_blocks(g: GeneratorMatrix, guard: int):
     lo = 0
     while lo < k and q ** (lo + 1) <= _BLOCK:
         lo += 1
-    scaled = _scaled_rows(field, rows)
+    # scaled[i, s] = s * rows[i]
+    rows = np.array(rows, dtype=np.int64).reshape(k, n)
+    scaled = field.vmul(np.arange(q)[None, :, None], rows[:, None, :])
     block = np.zeros((1, n), dtype=np.int64)
     for i in range(k - lo, k):
-        block = np.concatenate([_vadd(field, block, scaled[i][s]) for s in range(q)])
+        block = field.vadd(scaled[i][:, None, :], block[None, :, :]).reshape(-1, n)
     yield 1, block
     # messages whose first nonzero leading symbol is a 1 at position i,
     # one per scalar orbit, with the leading symbols after i Gray-walked
     for i in range(k - lo):
-        prefix = scaled[i][1]
-        yield q - 1, _vadd(field, block, prefix)
+        prefix = scaled[i, 1]
+        yield q - 1, field.vadd(block, prefix)
         for j, old, new in _gray_transitions(q, k - lo - 1 - i):
-            prefix = _vadd(field, prefix, scaled[i + 1 + j][field.sub(new, old)])
-            yield q - 1, _vadd(field, block, prefix)
+            prefix = field.vadd(prefix, scaled[i + 1 + j, field.sub(new, old)])
+            yield q - 1, field.vadd(block, prefix)
 
 
 def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
@@ -152,5 +140,5 @@ def brute_min_weight_words(
         tuple(row)
         for mult, rows in kept
         for lam in range(1, mult + 1)
-        for row in _scale_row(g.field, rows, lam).tolist()
+        for row in g.field.vmul(lam, rows).tolist()
     }

@@ -15,7 +15,7 @@ from functools import cached_property
 from . import codes, dimension, minwt, oracle
 from .combinat import p_k
 from .errors import ORACLE_GUARD, RANK_LEN_GUARD, WITNESS_GUARD, GuardExceeded
-from .gf import GF
+from .gf import GF, prime_power
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class SweepConfig:
             raise ValueError("need at least one q")
         if any(q < 2 for q in self.qs):
             raise ValueError("every q must be at least 2")
+        for q in self.qs:
+            prime_power(q)
         if self.m_lo < 1:
             raise ValueError("m must be at least 1")
         if self.d_lo < 1:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,13 @@ def test_table_d_range_over_maximum_is_usage_error(capsys):
     assert "maximum" in err
 
 
+def test_table_rejects_q_not_a_prime_power(capsys):
+    code, out, err = run(capsys, "table", "--q", "6", "--m", "1:1")
+    assert code == 2
+    assert out == ""
+    assert "error: 6 is not a prime power" in err
+
+
 def test_witness_seeded_deterministic(capsys):
     code, out1, _ = run(capsys, "witness", "--q", "2", "--d", "2", "--m", "2", "--seed", "1")
     assert code == 0
@@ -130,6 +138,14 @@ def test_verify_passes_on_defaults(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "0 failed" in out
+
+
+def test_verify_text_matches_golden(capsys):
+    # every row of a default sweep, byte for byte
+    golden = Path(__file__).with_name("golden") / "verify_q2-3_m1-2.txt"
+    code, out, _ = run(capsys, "verify", "--q", "2,3", "--m", "1:2")
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_verify_exit_matches_report(capsys):

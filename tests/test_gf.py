@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prmcodes.gf import GF, is_prime
+from prmcodes import linalg
+from prmcodes.gf import _TABLE_MAX, GF, is_prime
 
 SMALL_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
 
@@ -150,3 +152,62 @@ def test_as_dict():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+# -- the array ops -----------------------------------------------------------------
+
+ARRAY_FIELDS = SMALL_FIELDS + [GF(11), GF(13), GF(2, 4), GF(5, 2)]
+
+
+@pytest.mark.parametrize("F", ARRAY_FIELDS, ids=repr)
+def test_array_ops_equal_scalar_ops_on_every_pair(F):
+    a = np.arange(F.q)[:, None]
+    b = np.arange(F.q)[None, :]
+    pairs = [(x, y) for x in range(F.q) for y in range(F.q)]
+    assert F.vadd(a, b).ravel().tolist() == [F.add(x, y) for x, y in pairs]
+    assert F.vmul(a, b).ravel().tolist() == [F.mul(x, y) for x, y in pairs]
+    assert F.vmul(F.p - 1, b).ravel().tolist() == [F.neg(y) for y in range(F.q)]
+    assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == np.int64
+
+
+def test_tables_are_read_only():
+    F = GF(3, 2)
+    F.mul(1, 1)
+    with pytest.raises(ValueError):
+        F._mul_arr[1, 1] = 0
+    with pytest.raises(ValueError):
+        F._add_arr[1, 1] = 0
+
+
+# fields above the table limit: the array ops take the scalar routines
+# elementwise, the one path they have there
+BIG_FIELDS = [GF(1031), GF(2, 11), GF(3, 7)]
+
+
+@pytest.mark.parametrize("F", BIG_FIELDS, ids=repr)
+def test_array_ops_without_tables(F):
+    assert F.q > _TABLE_MAX
+    rng = np.random.default_rng(F.q)
+    a = rng.integers(0, F.q, size=(4, 5))
+    b = rng.integers(0, F.q, size=(4, 5))
+    flat = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    assert F.vadd(a, b).ravel().tolist() == [F.add(x, y) for x, y in flat]
+    assert F.vmul(a, b).ravel().tolist() == [F.mul(x, y) for x, y in flat]
+    assert F.vmul(F.p - 1, a).ravel().tolist() == [F.neg(x) for x, _ in flat]
+    # broadcasting a row against a column, as the oracle and rank do
+    col, row = a[:, :1], b[0]
+    assert F.vmul(col, row).tolist() == [
+        [F.mul(x, y) for y in row.tolist()] for x in col.ravel().tolist()
+    ]
+    assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == np.int64
+    assert F.add(F.neg(7), 7) == 0
+
+
+@pytest.mark.parametrize("F", BIG_FIELDS, ids=repr)
+def test_rank_without_tables(F):
+    rng = np.random.default_rng(F.q + 1)
+    full = rng.integers(0, F.q, size=(3, 6)).tolist()
+    dependent = full + [[F.add(x, F.mul(5, y)) for x, y in zip(*full[:2])]]
+    zero_col = [[0] + r[1:] for r in dependent]
+    for rows in (full, dependent, zero_col, [[0] * 4, [0] * 4]):
+        assert linalg.rank(F, rows) == len(linalg.rref(F, rows)[1])

@@ -60,6 +60,14 @@ def test_zero_dimensional_code():
         brute_min_weight_words(empty)
 
 
+def test_field_without_tables():
+    # GF(1031) is above the lookup-table limit: the constant code of length
+    # 1031 has the zero word and 1030 nonzero constants of full weight
+    g = rm_generator_matrix(GF(1031), 0, 1)
+    assert weight_distribution(g).counts == {0: 1, 1031: 1030}
+    assert len(brute_min_weight_words(g)) == 1030
+
+
 def test_guard():
     g = prm_generator_matrix(F2, 2, 2)   # 64 codewords
     with pytest.raises(GuardExceeded):
@@ -130,7 +138,8 @@ def test_matches_direct_python_enumeration(monkeypatch):
     # cross-check the vectorized enumeration against a naive one, with the
     # default block (the trailing block holds the whole code) and with a
     # block of q rows, so the orbit walk and its Gray steps do the work;
-    # GF(9) takes vadd's digit-wise path for odd p and e > 1
+    # the fields sit on both sides of vadd: XOR for GF(2) and GF(4), table
+    # gathers for GF(3), GF(5) and GF(9)
     cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1)]
     default = oracle._BLOCK
     for (F, d, m), small in product(cases, (False, True)):

@@ -9,7 +9,7 @@ import pytest
 from prmcodes import codes, dimension, minwt, oracle
 from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
-from prmcodes.sweeps import SweepConfig, run_verify
+from prmcodes.sweeps import SweepConfig, run_verify, table_rows
 
 F2, F3 = GF(2), GF(3)
 
@@ -51,6 +51,16 @@ def test_one_row_per_planned_check(cfg):
     assert rows == Counter(want)
     assert any(r.status == "SKIPPED" for r in rep.results)
     assert rep.ok
+
+
+@pytest.mark.parametrize("qs,bad", [((6,), 6), ((2, 12), 12), ((1024, 10), 10)])
+def test_q_must_be_a_prime_power(qs, bad):
+    # the table needs no field, so the sweep itself must refuse
+    for cfg in (SweepConfig(qs=qs, m_hi=1), SweepConfig(qs=qs, m_hi=1, with_rank=True)):
+        with pytest.raises(ValueError, match=f"^{bad} is not a prime power$"):
+            table_rows(cfg)
+        with pytest.raises(ValueError, match=f"^{bad} is not a prime power$"):
+            run_verify(cfg)
 
 
 def test_rank_guard_skips_name_the_rank_guard():
