@@ -41,7 +41,7 @@ class SweepConfig:
             raise ValueError("m must be at least 1")
         if self.d_lo < 1:
             raise ValueError("d must be at least 1")
-        if self.guard < 1 or self.witness_guard < 1:
+        if min(self.guard, self.witness_guard, self.rank_len_guard) < 1:
             raise ValueError("guards must be positive")
         if self.d_hi is not None:
             for q in self.qs:

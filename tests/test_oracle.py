@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 
 from prmcodes import linalg, oracle
@@ -139,20 +140,44 @@ def test_matches_direct_python_enumeration(monkeypatch):
     # default block (the trailing block holds the whole code) and with a
     # block of q rows, so the orbit walk and its Gray steps do the work;
     # the fields sit on both sides of vadd: XOR for GF(2) and GF(4), table
-    # gathers for GF(3), GF(5) and GF(9)
-    cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1)]
+    # gathers for GF(3), GF(5) and GF(9), and span 1 to 4 bit planes; the
+    # last five codes have lengths 121, 511, 85, 91 and 156, so their planes
+    # span several 64-column words, and length 511 has weights past 255
+    cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1),
+             (F3, 1, 4), (F2, 1, 8), (F4, 1, 3), (GF(3, 2), 1, 2), (GF(5), 1, 3)]
     default = oracle._BLOCK
-    for (F, d, m), small in product(cases, (False, True)):
-        monkeypatch.setattr(oracle, "_BLOCK", F.q if small else default)
+    for F, d, m in cases:
         g = prm_generator_matrix(F, d, m)
         naive = {}
         for cw in _naive_codewords(g):
             naive.setdefault(sum(1 for x in cw if x), set()).add(cw)
-        case = (F.q, d, m, small)
         counts = {w: len(words) for w, words in naive.items()}
-        assert weight_distribution(g).counts == counts, case
         dmin = min(w for w in naive if w)
-        assert brute_min_weight_words(g) == naive[dmin], case
+        for small in (False, True):
+            monkeypatch.setattr(oracle, "_BLOCK", F.q if small else default)
+            case = (F.q, d, m, small)
+            assert weight_distribution(g).counts == counts, case
+            assert brute_min_weight_words(g) == naive[dmin], case
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 1031])
+def test_packed_weights_equal_nonzero_counts(q):
+    # the compare kernel against a field add and a nonzero count, on random
+    # blocks and prefixes, with lengths on both sides of a 64-column word
+    # and weights past 255
+    rng = np.random.default_rng(q)
+    F = GF.from_q(q)
+    bits = (q - 1).bit_length()
+    for n in (1, 63, 64, 65, 300):
+        block = rng.integers(0, q, size=(40, n)).astype(np.min_scalar_type(q - 1))
+        block[0] = 0
+        prefix = rng.integers(0, q, size=n)
+        prefix[: n // 2] = F.vmul(F.p - 1, block[1, : n // 2].astype(np.int64))
+        for pre in (prefix, np.zeros(n, dtype=np.int64)):
+            want = np.count_nonzero(F.vadd(block.astype(np.int64), pre), axis=1)
+            negp = oracle._pack(F.vmul(F.p - 1, pre), bits)
+            got = oracle._weights(oracle._pack(block, bits), negp)
+            assert got.tolist() == want.tolist(), (q, n)
 
 
 @pytest.mark.parametrize("q,d,m", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 3, 1), (9, 3, 1)])
@@ -164,6 +189,7 @@ def test_orbit_walk_work(monkeypatch, q, d, m, small):
     g = prm_generator_matrix(GF.from_q(q), d, m)
     k = g.k
     lo = max(i for i in range(k + 1) if q ** i <= oracle._BLOCK)
-    pairs = [(mult, len(b)) for mult, b in oracle._enumerate_blocks(g, q ** k)]
+    _, steps = oracle._walk(g, q ** k)
+    pairs = [(mult, len(w)) for mult, _, w in steps]
     assert sum(mult * rows for mult, rows in pairs) == q ** k
     assert sum(rows for _, rows in pairs) == q ** lo * (1 + (q ** (k - lo) - 1) // (q - 1))

@@ -63,6 +63,12 @@ def test_q_must_be_a_prime_power(qs, bad):
             run_verify(cfg)
 
 
+@pytest.mark.parametrize("guard", ["guard", "witness_guard", "rank_len_guard"])
+def test_guards_must_be_positive(guard):
+    with pytest.raises(ValueError, match="^guards must be positive$"):
+        run_verify(SweepConfig(qs=(2,), m_lo=1, m_hi=1, **{guard: 0}))
+
+
 def test_rank_guard_skips_name_the_rank_guard():
     cfg = SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=1, d_hi=1, rank_len_guard=10)
     rep = run_verify(cfg)
