@@ -3,15 +3,17 @@
 The whole message space is enumerated exhaustively under a guard on q^k.
 The performance commitment is the traversal: the trailing message symbols
 are expanded once into a dense block of q^lo codewords, and the leading
-symbols are walked in q-ary reflected Gray order, so consecutive prefixes
-differ in one symbol and the running prefix codeword is updated by adding
-one pre-scaled generator row.  Weighing a block then needs no field
-addition: block[r] + prefix is nonzero at column j exactly when
+symbols are walked in chunks of P prefixes, each chunk's prefix codewords
+built at once from the mixed-radix digits of a counter and pre-scaled
+generator rows.  Weighing then needs no field addition:
+block[r] + prefix is nonzero at column j exactly when
 block[r, j] != -prefix[j].  So the block is stored once as bit planes,
-bit b of every symbol, packed 64 columns to a uint64 word, and each prefix
-costs one packing of the n-vector -prefix; the weight of every row is the
-popcount of the OR over planes of block XOR -prefix.  The compare is the
-same for every field, since it tests symbol equality only.
+bit b of every symbol, packed 64 columns to a uint64 word, and each chunk
+costs one packing of its P negated prefixes; the (P, R) weights of every
+prefix against every row are the popcount of the OR over planes of
+block XOR -prefix, in one pass whose P is chosen so that a chunk compares
+about 2^16 words.  The compare is the same for every field, since it
+tests symbol equality only.
 
 The walk is quotiented by scalars: the nonzero multiples lambda*c of a
 codeword all have its weight, and a message whose leading symbols are not
@@ -20,7 +22,8 @@ So only those messages are walked, each row standing for its q - 1
 multiples, and the trailing block (leading symbols all zero) is walked
 once in full: 1 + (q^(k-lo) - 1)/(q - 1) blocks instead of q^(k-lo).
 Partitioning the space differently would merge to the same distribution,
-so results are deterministic and independent of the split.
+so results are deterministic and independent of the split.  Both walkers
+raise unless the multipliers times the rows walked add up to q^k.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import ORACLE_GUARD, GuardExceeded
 from .gf import GF
 
 _BLOCK = 4096
+_CHUNK_WORDS = 1 << 16     # P * W * R uint64 words compared in one chunk
 
 
 @dataclass(frozen=True)
@@ -49,44 +53,6 @@ class WeightDistribution:
         return {str(w): str(c) for w, c in sorted(self.counts.items())}
 
 
-def _gray_transitions(radix: int, length: int):
-    """Reflected mixed-radix Gray walk: yields (position, old, new) with a
-    single +-1 digit change per step, radix^length - 1 steps in all."""
-    if length == 0:
-        return
-    a = [0] * length
-    o = [1] * length
-    f = list(range(length + 1))
-    while True:
-        j = f[0]
-        f[0] = 0
-        if j == length:
-            return
-        old = a[j]
-        new = old + o[j]
-        a[j] = new
-        if new == 0 or new == radix - 1:
-            o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
-        yield j, old, new
-
-
-def _prefixes(field, scaled, lead: int):
-    """Yield (multiplier, prefix) pairs: the zero prefix with multiplier 1,
-    then, for each i < lead, the prefixes whose first nonzero leading
-    symbol is a 1 at position i, the leading symbols after i Gray-walked,
-    with multiplier q - 1.  scaled[i, s] is s times generator row i."""
-    q = field.q
-    yield 1, np.zeros(scaled.shape[-1], dtype=np.int64)
-    for i in range(lead):
-        prefix = scaled[i, 1]
-        yield q - 1, prefix
-        for j, old, new in _gray_transitions(q, lead - 1 - i):
-            prefix = field.vadd(prefix, scaled[i + 1 + j, field.sub(new, old)])
-            yield q - 1, prefix
-
-
 def _pack(vals: np.ndarray, bits: int) -> np.ndarray:
     """The bit planes of vals along its last axis, 64 columns a word, as
     uint64 laid out (bits, W, ...) with W = ceil(n / 64): plane b holds bit
@@ -98,22 +64,53 @@ def _pack(vals: np.ndarray, bits: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out.view(np.uint64), -1, 1))
 
 
+def _prefixes(field, scaled, lead: int, size: int):
+    """Yield (multiplier, prefixes) pairs, prefixes a (P, n) array of at
+    most size prefix codewords: the zero prefix with multiplier 1, then, for
+    each i < lead, the prefixes whose first nonzero leading symbol is a 1 at
+    position i, with multiplier q - 1.  The leading symbols after i are the
+    mixed-radix digits of a counter, so each group is cut into chunks of
+    consecutive counts.  scaled[i, s] is s times generator row i."""
+    q, n = field.q, scaled.shape[-1]
+    yield 1, np.zeros((1, n), dtype=np.int64)
+    for i in range(lead):
+        tail = lead - 1 - i
+        for start in range(0, q ** tail, size):
+            count = np.arange(start, min(start + size, q ** tail))
+            prefixes = np.broadcast_to(scaled[i, 1], (len(count), n))
+            for j in range(tail):
+                digit = count // q ** (tail - 1 - j) % q
+                prefixes = field.vadd(prefixes, scaled[i + 1 + j, digit])
+            yield q - 1, prefixes
+
+
 def _weights(planes: np.ndarray, negp: np.ndarray) -> np.ndarray:
-    """Hamming weight of every row of block + prefix, from the (bits, W, R)
-    planes of the block and the (bits, W) planes of -prefix: a column is
-    nonzero exactly where some bit of block and -prefix differs."""
-    differ = np.bitwise_or.reduce(planes ^ negp[..., None], axis=0)
+    """The (P, R) Hamming weights of block[r] + prefix[p], from the
+    (bits, W, R) planes of the block and the (bits, W, P) planes of
+    -prefix: a column is nonzero exactly where some bit of block and
+    -prefix differs."""
+    differ = planes[0][:, None, :] ^ negp[0][..., None]
+    for b in range(1, len(planes)):
+        differ |= planes[b][:, None, :] ^ negp[b][..., None]
     return np.bitwise_count(differ).sum(axis=0, dtype=np.intp)
+
+
+def _check_coverage(g: GeneratorMatrix, covered: int) -> None:
+    """Raise unless the walk's multipliers times its rows cover all q^k
+    codewords."""
+    q, k = g.field.q, g.k
+    if covered != q ** k:
+        raise RuntimeError(f"oracle walk covered {covered} of {q}^{k} codewords")
 
 
 def _walk(g: GeneratorMatrix, guard: int):
     """(block, steps): the trailing block of q^lo codewords, in the
     smallest unsigned dtype that holds a symbol, and a generator of
-    (multiplier, prefix, weights) triples, where weights[r] is the Hamming
-    weight of block[r] + prefix.  A row with multiplier M stands for its
-    multiples by the scalars 1..M: itself when M = 1, every nonzero
-    multiple when M = q - 1.  So covered, every codeword appears exactly
-    once."""
+    (multiplier, prefixes, weights) triples, one per chunk of P prefixes,
+    where weights[p, r] is the Hamming weight of block[r] + prefixes[p].
+    A row with multiplier M stands for its multiples by the scalars 1..M:
+    itself when M = 1, every nonzero multiple when M = q - 1.  So covered,
+    every codeword appears exactly once."""
     field, rows, n = g.field, g.rows, g.n
     q, k = field.q, g.k
     if q ** k > guard:
@@ -131,10 +128,11 @@ def _walk(g: GeneratorMatrix, guard: int):
         block = block.reshape(-1, n).astype(symbol)
     bits = (q - 1).bit_length()
     planes = _pack(block, bits)
+    size = max(1, _CHUNK_WORDS // planes[0].size)
     minus_one = field.p - 1
     steps = (
-        (mult, prefix, _weights(planes, _pack(field.vmul(minus_one, prefix), bits)))
-        for mult, prefix in _prefixes(field, scaled, k - lo)
+        (mult, prefixes, _weights(planes, _pack(field.vmul(minus_one, prefixes), bits)))
+        for mult, prefixes in _prefixes(field, scaled, k - lo, size)
     )
     return block, steps
 
@@ -144,10 +142,10 @@ def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> Weight
     hist = np.zeros(g.n + 1, dtype=np.int64)
     _, steps = _walk(g, guard)
     for mult, _, w in steps:
-        hist += mult * np.bincount(w, minlength=g.n + 1)
+        hist += mult * np.bincount(w.ravel(), minlength=g.n + 1)
+    total = int(hist.sum())        # the sum over chunks of multiplier * P * R
+    _check_coverage(g, total)
     counts = {w: int(c) for w, c in enumerate(hist) if c}
-    total = g.field.q ** g.k
-    assert sum(counts.values()) == total
     return WeightDistribution(g.family, g.field.q, g.order, g.m, counts, total)
 
 
@@ -163,20 +161,25 @@ def brute_min_weight_words(
     g: GeneratorMatrix, guard: int = ORACLE_GUARD
 ) -> set[Codeword]:
     """The full set of codewords attaining the minimum nonzero weight, in
-    one walk: each block's rows at the running minimum are kept, and the
-    kept rows are dropped whenever a lower weight appears.  Rows kept from
-    an orbit block are expanded into their scalar multiples at the end."""
+    one walk: each chunk's (prefix, row) pairs at the running minimum are
+    kept as codewords, and the kept words are dropped whenever a lower
+    weight appears.  Words kept from an orbit chunk are expanded into their
+    scalar multiples at the end."""
     dmin = g.n
+    covered = 0
     kept: list[tuple[int, np.ndarray]] = []
     block, steps = _walk(g, guard)
-    for mult, prefix, w in steps:
+    for mult, prefixes, w in steps:
+        covered += mult * w.size
         w[w == 0] = g.n + 1
         low = int(w.min())
         if low < dmin:
             dmin, kept = low, []
         if low == dmin:
-            words = g.field.vadd(block[w == dmin].astype(np.int64), prefix)
+            pi, ri = np.nonzero(w == dmin)
+            words = g.field.vadd(block[ri].astype(np.int64), prefixes[pi])
             kept.append((mult, words))
+    _check_coverage(g, covered)
     if not kept:
         raise ValueError("the zero code has no minimum distance")
     return {

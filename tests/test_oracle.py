@@ -11,7 +11,6 @@ from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.minwt import prm_min_distance, prm_min_weight_count
 from prmcodes.oracle import (
-    _gray_transitions,
     brute_min_distance,
     brute_min_weight_words,
     weight_distribution,
@@ -20,19 +19,25 @@ from prmcodes.oracle import (
 F2, F3, F4 = GF(2), GF(3), GF(2, 2)
 
 
-@pytest.mark.parametrize("radix,length", [(2, 5), (3, 4), (4, 3), (5, 2), (2, 1), (3, 0)])
-def test_gray_walk_visits_every_tuple_once(radix, length):
-    state = [0] * length
-    seen = {tuple(state)}
-    for pos, old, new in _gray_transitions(radix, length):
-        assert state[pos] == old
-        assert abs(new - old) == 1
-        assert 0 <= new < radix
-        state[pos] = new
-        t = tuple(state)
-        assert t not in seen
-        seen.add(t)
-    assert len(seen) == radix ** length
+@pytest.mark.parametrize("radix,length", list(product(range(2, 6), range(6))))
+def test_prefixes_are_orbit_representatives_once(radix, length):
+    # with unit generator rows a prefix codeword is its own leading tuple:
+    # the zero tuple once with multiplier 1, then every tuple whose first
+    # nonzero symbol is 1 exactly once with multiplier q - 1, in chunks of
+    # at most size prefixes
+    F = GF.from_q(radix)
+    eye = np.eye(length, dtype=np.int64)
+    scaled = F.vmul(np.arange(radix)[None, :, None], eye[:, None, :])
+    want = {t for t in product(range(radix), repeat=length)
+            if not any(t) or next(x for x in t if x) == 1}
+    for size in (1, 3, radix ** length):
+        seen = []
+        for mult, prefixes in oracle._prefixes(F, scaled, length, size):
+            assert 1 <= len(prefixes) <= size
+            for t in map(tuple, prefixes.tolist()):
+                assert mult == (1 if not any(t) else radix - 1), (t, mult)
+                seen.append(t)
+        assert len(seen) == len(set(seen)) and set(seen) == want, size
 
 
 def test_simplex_distribution():
@@ -138,14 +143,17 @@ def _naive_codewords(g):
 def test_matches_direct_python_enumeration(monkeypatch):
     # cross-check the vectorized enumeration against a naive one, with the
     # default block (the trailing block holds the whole code) and with a
-    # block of q rows, so the orbit walk and its Gray steps do the work;
-    # the fields sit on both sides of vadd: XOR for GF(2) and GF(4), table
-    # gathers for GF(3), GF(5) and GF(9), and span 1 to 4 bit planes; the
-    # last five codes have lengths 121, 511, 85, 91 and 156, so their planes
-    # span several 64-column words, and length 511 has weights past 255
+    # block of q rows, so the orbit walk and its chunks do the work; the
+    # chunks take the default size, one prefix, and seven prefixes, which
+    # divides no power of q here, so the last chunk of an orbit group is
+    # partial; the fields sit on both sides of vadd: XOR for GF(2) and
+    # GF(4), table gathers for GF(3), GF(5) and GF(9), and span 1 to 4 bit
+    # planes; the last five codes have lengths 121, 511, 85, 91 and 156, so
+    # their planes span several 64-column words, and length 511 has weights
+    # past 255
     cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1),
              (F3, 1, 4), (F2, 1, 8), (F4, 1, 3), (GF(3, 2), 1, 2), (GF(5), 1, 3)]
-    default = oracle._BLOCK
+    block, chunk = oracle._BLOCK, oracle._CHUNK_WORDS
     for F, d, m in cases:
         g = prm_generator_matrix(F, d, m)
         naive = {}
@@ -153,9 +161,11 @@ def test_matches_direct_python_enumeration(monkeypatch):
             naive.setdefault(sum(1 for x in cw if x), set()).add(cw)
         counts = {w: len(words) for w, words in naive.items()}
         dmin = min(w for w in naive if w)
-        for small in (False, True):
-            monkeypatch.setattr(oracle, "_BLOCK", F.q if small else default)
-            case = (F.q, d, m, small)
+        per_prefix = -(-g.n // 64) * F.q      # W * R words with a block of q rows
+        for small, per_chunk in [(False, chunk), (True, chunk), (True, 1), (True, 7 * per_prefix)]:
+            monkeypatch.setattr(oracle, "_BLOCK", F.q if small else block)
+            monkeypatch.setattr(oracle, "_CHUNK_WORDS", per_chunk)
+            case = (F.q, d, m, small, per_chunk)
             assert weight_distribution(g).counts == counts, case
             assert brute_min_weight_words(g) == naive[dmin], case
 
@@ -163,21 +173,24 @@ def test_matches_direct_python_enumeration(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 1031])
 def test_packed_weights_equal_nonzero_counts(q):
     # the compare kernel against a field add and a nonzero count, on random
-    # blocks and prefixes, with lengths on both sides of a 64-column word
-    # and weights past 255
+    # blocks and chunks of one or several prefixes, with lengths on both
+    # sides of a 64-column word and weights past 255
     rng = np.random.default_rng(q)
     F = GF.from_q(q)
     bits = (q - 1).bit_length()
     for n in (1, 63, 64, 65, 300):
         block = rng.integers(0, q, size=(40, n)).astype(np.min_scalar_type(q - 1))
         block[0] = 0
-        prefix = rng.integers(0, q, size=n)
-        prefix[: n // 2] = F.vmul(F.p - 1, block[1, : n // 2].astype(np.int64))
-        for pre in (prefix, np.zeros(n, dtype=np.int64)):
-            want = np.count_nonzero(F.vadd(block.astype(np.int64), pre), axis=1)
+        prefixes = rng.integers(0, q, size=(5, n))
+        prefixes[0, : n // 2] = F.vmul(F.p - 1, block[1, : n // 2].astype(np.int64))
+        prefixes[1] = 0
+        prefixes[2] = F.vmul(F.p - 1, block[2].astype(np.int64))
+        planes = oracle._pack(block, bits)
+        for pre in (prefixes, prefixes[:1], prefixes[1:2]):
+            want = np.count_nonzero(F.vadd(block[None].astype(np.int64), pre[:, None]), axis=2)
             negp = oracle._pack(F.vmul(F.p - 1, pre), bits)
-            got = oracle._weights(oracle._pack(block, bits), negp)
-            assert got.tolist() == want.tolist(), (q, n)
+            got = oracle._weights(planes, negp)
+            assert got.tolist() == want.tolist(), (q, n, len(pre))
 
 
 @pytest.mark.parametrize("q,d,m", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 3, 1), (9, 3, 1)])
@@ -190,6 +203,29 @@ def test_orbit_walk_work(monkeypatch, q, d, m, small):
     k = g.k
     lo = max(i for i in range(k + 1) if q ** i <= oracle._BLOCK)
     _, steps = oracle._walk(g, q ** k)
-    pairs = [(mult, len(w)) for mult, _, w in steps]
+    pairs = []
+    for mult, prefixes, w in steps:
+        assert w.shape == (len(prefixes), q ** lo)
+        pairs.append((mult, w.size))
     assert sum(mult * rows for mult, rows in pairs) == q ** k
     assert sum(rows for _, rows in pairs) == q ** lo * (1 + (q ** (k - lo) - 1) // (q - 1))
+
+
+@pytest.mark.parametrize("drop", [0, -1], ids=["first-chunk", "last-chunk"])
+def test_walk_that_drops_a_chunk_raises(monkeypatch, drop):
+    # the coverage checks are explicit raises, so they hold under python -O
+    walk = oracle._walk
+
+    def dropping(g, guard):
+        block, steps = walk(g, guard)
+        steps = list(steps)
+        del steps[drop]
+        return block, iter(steps)
+
+    monkeypatch.setattr(oracle, "_BLOCK", 3)
+    monkeypatch.setattr(oracle, "_walk", dropping)
+    g = prm_generator_matrix(F3, 2, 2)
+    with pytest.raises(RuntimeError, match=r"covered \d+ of 3\^6 codewords"):
+        weight_distribution(g)
+    with pytest.raises(RuntimeError, match=r"covered \d+ of 3\^6 codewords"):
+        brute_min_weight_words(g)
