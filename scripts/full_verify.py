@@ -7,8 +7,8 @@ largest fiber checks (reported as SKIPPED) instead of spending minutes on
 them.  Everything else (formula agreement, ranks, oracle distances and
 counts, witness sets, the other incidence checks) runs exhaustively.
 
-The rows go to stdout; each stage's wall seconds and PASS/FAIL/SKIPPED
-split go to stderr.
+The rows go to stdout, which is pinned in tests/golden/full_verify.txt;
+each stage's wall seconds and PASS/FAIL/SKIPPED split go to stderr.
 
     python scripts/full_verify.py
 """

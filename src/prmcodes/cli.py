@@ -1,13 +1,14 @@
 """Command-line surface.
 
 Subcommands: table, verify, genmat, reduce, witness, count-minwt,
-check-fibers, distribution.  Common flags: --format {json,csv}, --out PATH.
---guard N (codewords an exhaustive walk may visit, a positive int) is taken
-by verify, count-minwt and distribution, the commands that walk a code;
---seed N only by witness.  Guard defaults live in errors.py.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  Every command is
-deterministic given its flags; the witness command derives its randomness
-from --seed (default 0).
+check-fibers, distribution.  Every command takes --out PATH, and the five
+with a CSV or text form also take --format {json,csv}; count-minwt,
+check-fibers and distribution print JSON only.  --guard N (codewords an
+exhaustive walk may visit, a positive int) is taken by verify, count-minwt
+and distribution, the commands that walk a code; --seed N only by witness.
+Guard defaults live in errors.py.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  Every command is deterministic given its flags;
+the witness command derives its randomness from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _common_flags(sp: argparse.ArgumentParser, fmt_default: str = "json") -> None:
-    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+def _common_flags(sp: argparse.ArgumentParser, with_format: bool = True) -> None:
+    if with_format:
+        sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--out", default=None, help="write output to a file")
 
 
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_parse_range, default=(1, 2))
     sp.add_argument("--d", type=_parse_range, default=None)
     sp.add_argument("--with-rank", action="store_true")
-    _common_flags(sp, fmt_default="csv")
+    _common_flags(sp)
 
     sp = sub.add_parser("verify", help="full cross-verification sweep")
     sp.add_argument("--q", type=_parse_ints, default=(2, 3))
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=_parse_range, default=None)
     sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD)
     _guard_flag(sp)
-    _common_flags(sp, fmt_default="csv")
+    _common_flags(sp)
 
     sp = sub.add_parser("genmat", help="emit a generator matrix")
     sp.add_argument("--family", choices=("rm", "prm"), required=True)
@@ -97,20 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--d", type=int, default=None, help="order (projective family)")
     sp.add_argument("--order", type=int, default=None, help="order (either family)")
-    _common_flags(sp, fmt_default="csv")
+    _common_flags(sp)
 
     sp = sub.add_parser("reduce", help="projectively reduce a polynomial")
     sp.add_argument("poly")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    _common_flags(sp, fmt_default="csv")
+    _common_flags(sp)
 
     sp = sub.add_parser("witness", help="a random minimum-weight witness")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    _common_flags(sp, fmt_default="csv")
+    _common_flags(sp)
 
     sp = sub.add_parser("count-minwt", help="minimum-weight codeword counts")
     sp.add_argument("--q", type=int, required=True)
@@ -118,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--oracle", action="store_true", help="also brute force")
     _guard_flag(sp)
-    _common_flags(sp)
+    _common_flags(sp, with_format=False)
 
     sp = sub.add_parser("check-fibers", help="incidence consistency report")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD)
-    _common_flags(sp)
+    _common_flags(sp, with_format=False)
 
     sp = sub.add_parser("distribution", help="exhaustive weight distribution")
     sp.add_argument("--family", choices=("rm", "prm"), required=True)
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     _guard_flag(sp)
-    _common_flags(sp)
+    _common_flags(sp, with_format=False)
 
     return ap
 

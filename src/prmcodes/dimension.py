@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import codes
 from .combinat import binomial, p_k
 from .errors import POINT_GUARD, GuardExceeded
+from .gf import GF
 
 
 def _check_range(q: int, d: int, m: int) -> None:
@@ -162,10 +164,7 @@ def dim_report(
     r: int | None = None
     if with_rank:
         check_rank_length(q, m, rank_guard)
-        from .codes import prm_generator_matrix
-        from .gf import GF
-
-        r = prm_generator_matrix(GF.from_q(q), d, m).rank()
+        r = codes.prm_generator_matrix(GF.from_q(q), d, m).rank()
     agree = a == b == g == dl and (r is None or r == g)
     return DimReport(q, d, m, a, b, g, dl, r, agree)
 

@@ -14,9 +14,11 @@ constructs and validates witnesses, enumerates the full witness codeword
 set at desk scale, and runs the two incidence-counting consistency checks
 that the s = 0 and s != 0 counting arguments rest on.
 
-The witness enumeration takes one form tuple per class of tuples that give
-the same word (see enumerate_witness_codewords for why that is complete);
-the incidence checks stay exhaustive.
+The witness enumeration and the fiber check read E = V(W), the zeros of a
+canonical RREF basis W, off the form-value table (tau still spans E).  The
+witness enumeration takes one form tuple per class of tuples that give the
+same word (see enumerate_witness_codewords for why that is complete); the
+incidence checks stay exhaustive.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import linalg
-from .codes import PointList, prm_generator_matrix, projective_points
+from . import linalg, oracle
+from .codes import PointList, normalize_point, prm_generator_matrix, projective_points
 from .combinat import binomial, gaussian_binomial, p_k
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
@@ -293,8 +295,6 @@ def count_report(
     q = field.q
     brute = None
     if with_oracle:
-        from . import oracle
-
         g = prm_generator_matrix(field, d, m)
         dist = oracle.weight_distribution(g, guard)
         dmin = min(w for w in dist.counts if w > 0)
@@ -321,6 +321,11 @@ def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tup
         terms = field.vmul(scalars, points[:, j])
         vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, len(pts))
     return {c: tuple(row.tolist()) for c, row in zip(coeffs, vals)}
+
+
+def _zeros(vals: dict, basis, npts: int) -> frozenset[int]:
+    """Indices of the points of V(W): where every form of the basis vanishes."""
+    return frozenset(i for i in range(npts) if not any(vals[row][i] for row in basis))
 
 
 def enumerate_witness_codewords(
@@ -362,7 +367,7 @@ def enumerate_witness_codewords(
     out: set[tuple[int, ...]] = set()
     for basis in _rref_bases(field, m + 1, t):
         pivots = [row.index(1) for row in basis]
-        zeros = {i for i in range(npts) if not any(vals[row][i] for row in basis)}
+        zeros = _zeros(vals, basis, npts)
         comp = [c for c in vals if any(c) and not any(c[j] for j in pivots)]
         for lt in comp:
             vt = vals[lt]
@@ -413,8 +418,6 @@ def _rref_bases(field: GF, ambient: int, k: int):
 
 def _span_points(field: GF, basis, point_index: dict) -> frozenset[int]:
     """Projective point indices of the span of the basis rows."""
-    from .codes import normalize_point
-
     q = field.q
     n = len(basis[0]) if basis else 0
     out = set()
@@ -476,10 +479,11 @@ class FiberReport:
 def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> FiberReport:
     """Exhaustive verification of the s != 0 counting argument.
 
-    Enumerates every tuple (E, L_t, L_{t+1}, S) with E a projective
-    (m-t)-subspace, L_t and L_{t+1} arbitrary forms, |S| = s, subject to
-    E not contained in V(L_t) and E intersect V(L_t) not contained in
-    V(L_{t+1}); zero forms are excluded by those conditions on their own.
+    Enumerates every tuple (E, L_t, L_{t+1}, S) with E = V(W) a projective
+    (m-t)-subspace for W a t-dimensional span of forms, L_t and L_{t+1}
+    arbitrary forms, |S| = s, subject to E not contained in V(L_t) and E
+    intersect V(L_t) not contained in V(L_{t+1}); zero forms are excluded
+    by those conditions on their own.
     Groups tuples by the support they induce and reports: the tuple count
     against its closed-form product, the fiber sizes against
     (s+1)(q-1)^2 q^(2t+1), and (q-1) * #supports against the count formula.
@@ -492,7 +496,7 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     t, s = ts.t, ts.s
     if s == 0:
         raise ValueError("s = 0 has no scalar set; use tau_bijection_check")
-    n_subspaces = gaussian_binomial(m + 1, m - t + 1, q)
+    n_subspaces = gaussian_binomial(m + 1, t, q)
     lam = n_subspaces * q ** (2 * (m + 1)) * binomial(q, s)
     if lam > guard:
         raise GuardExceeded("fiber", f"{lam} incidence tuples", guard)
@@ -503,14 +507,14 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         * binomial(q, s)
     )
     pts = projective_points(field, m)
-    pidx = pts.index()
     vals = _form_values(field, m, pts)
+    npts = len(pts)
     all_forms = list(vals)
     scalar_sets = list(combinations(range(q), s))
     fibers: dict[frozenset[int], int] = {}
     j_size = 0
-    for basis in _rref_bases(field, m + 1, m - t + 1):
-        epts = sorted(_span_points(field, basis, pidx))
+    for basis in _rref_bases(field, m + 1, t):
+        epts = _zeros(vals, basis, npts)
         for lt in all_forms:
             vt = vals[lt]
             on = [i for i in epts if vt[i]]

@@ -211,6 +211,22 @@ def test_guard_and_seed_only_where_read(capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["count-minwt", "--q", "3", "--d", "2", "--m", "2"],
+    ["check-fibers", "--q", "3", "--d", "2", "--m", "2"],
+    ["distribution", "--family", "prm", "--q", "2", "--order", "2", "--m", "2"],
+], ids=lambda c: c[0])
+def test_format_only_where_read(capsys, tmp_path, command):
+    # these three print JSON only: --format is a usage error, --out is kept
+    with pytest.raises(SystemExit) as e:
+        main(command + ["--format", "json"])
+    assert e.value.code == 2
+    path = tmp_path / "out.json"
+    code, out, _ = run(capsys, *command, "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", [
     ["verify", "--q", "2", "--m", "1", "--guard"],
     ["count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle", "--guard"],
     ["distribution", "--family", "prm", "--q", "3", "--order", "2", "--m", "2", "--guard"],

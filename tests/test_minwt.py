@@ -11,13 +11,16 @@ from prmcodes.codes import (
     support,
     weight,
 )
-from prmcodes.combinat import binomial, p_k
+from prmcodes.combinat import binomial, gaussian_binomial, p_k
 from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.minwt import (
+    FiberReport,
     MinWtWitness,
     TSDecomp,
     _form_values,
+    _rref_bases,
+    _span_points,
     canonical_min_poly,
     count_report,
     enumerate_witness_codewords,
@@ -502,3 +505,70 @@ def test_tau_check_rejects_wrong_shape():
         tau_bijection_check(F3, 1, 2)       # t = 0
     with pytest.raises(GuardExceeded):
         tau_bijection_check(F2, 2, 2, guard=5)
+
+
+# Reference for the fiber check: E as the span of an RREF basis, its points
+# rebuilt from every coefficient vector by the flag check's _span_points.
+
+
+def span_fiber_check(F, d, m):
+    q = F.q
+    t, s = divmod(d - 1, q - 1)
+    pts = projective_points(F, m)
+    pidx = pts.index()
+    vals = _form_values(F, m, pts)
+    fibers = {}
+    j_size = 0
+    for basis in _rref_bases(F, m + 1, m - t + 1):
+        epts = sorted(_span_points(F, basis, pidx))
+        for lt in vals:
+            vt = vals[lt]
+            on = [i for i in epts if vt[i]]
+            if not on:
+                continue
+            off = [i for i in epts if not vt[i]]
+            inv_t = {i: F.inv(vt[i]) for i in on}
+            for lt1 in vals:
+                vt1 = vals[lt1]
+                if all(vt1[i] == 0 for i in off):
+                    continue
+                ratios = {i: F.mul(vt1[i], inv_t[i]) for i in on}
+                for sset in combinations(range(q), s):
+                    supp = frozenset(i for i in on if ratios[i] not in sset)
+                    fibers[supp] = fibers.get(supp, 0) + 1
+                    j_size += 1
+    return FiberReport(
+        q=q, d=d, m=m, t=t, s=s,
+        j_size=j_size,
+        j_expected=gaussian_binomial(m + 1, m - t + 1, q)
+        * (q ** (m + 1) - q ** t) * (q ** (m + 1) - q ** (t + 1)) * binomial(q, s),
+        fiber_sizes=tuple(sorted(set(fibers.values()))),
+        fiber_expected=(s + 1) * (q - 1) ** 2 * q ** (2 * t + 1),
+        support_count=len(fibers),
+        implied_count=(q - 1) * len(fibers),
+        formula_count=prm_min_weight_count(q, d, m),
+    )
+
+
+def fiber_tuples(q, d, m):
+    """Incidence tuples the fiber check enumerates."""
+    t, s = divmod(d - 1, q - 1)
+    return gaussian_binomial(m + 1, t, q) * q ** (2 * (m + 1)) * binomial(q, s)
+
+
+# every s != 0 tuple within budget; q = 3, d = 4, m = 2 is the one with t >= 1
+FIBER_CASES = [
+    (q, d, m)
+    for q in (3, 4, 5, 7, 8, 9)
+    for m in (1, 2, 3)
+    for d in range(2, m * (q - 1) + 2)
+    if (d - 1) % (q - 1) and fiber_tuples(q, d, m) <= 3 * 10 ** 4
+]
+
+
+@pytest.mark.parametrize(
+    "q,d,m", FIBER_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in FIBER_CASES]
+)
+def test_fiber_check_equals_span_reference(q, d, m):
+    F = GF.from_q(q)
+    assert support_fiber_check(F, d, m) == span_fiber_check(F, d, m)

@@ -139,3 +139,25 @@ def test_witness_set_fail_names_a_codeword(monkeypatch, side):
     (bad,) = [r for r in rep.results if r.status == "FAIL"]
     assert bad.check == "witness-set"
     assert f"{side}: {','.join(map(str, changed[0]))}" in bad.detail
+
+
+def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
+    real = minwt._rref_bases
+
+    def dropped(field, ambient, k):
+        bases = real(field, ambient, k)
+        next(bases)
+        yield from bases
+
+    monkeypatch.setattr(minwt, "_rref_bases", dropped)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    rows = {(r.d, r.check): r for r in rep.results if r.check in ("fibers", "tau")}
+    assert {key: r.status for key, r in rows.items()} == {
+        (2, "fibers"): "FAIL", (3, "tau"): "FAIL", (4, "fibers"): "FAIL", (5, "tau"): "FAIL",
+    }
+    # the fiber check at t = 0 has the one subspace E = V(0), at t = 1 thirteen
+    assert rows[2, "fibers"].detail.startswith("|J|=0/1872 ")
+    assert rows[4, "fibers"].detail.startswith("|J|=15552/16848 ")
+    for d, expected in ((3, 52), (5, 13)):
+        found, want = re.match(r"pairs=(\d+)/(\d+) ", rows[d, "tau"].detail).groups()
+        assert int(want) == expected and int(found) < expected
