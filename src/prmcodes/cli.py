@@ -5,10 +5,11 @@ check-fibers, distribution.  Every command takes --out PATH, and the five
 with a CSV or text form also take --format {json,csv}; count-minwt,
 check-fibers and distribution print JSON only.  --guard N (codewords an
 exhaustive walk may visit, a positive int) is taken by verify, count-minwt
-and distribution, the commands that walk a code; --seed N only by witness.
-Guard defaults live in errors.py.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Every command is deterministic given its flags;
-the witness command derives its randomness from --seed (default 0).
+and distribution, the commands that walk a code or its dual code; --seed N
+only by witness.  Guard defaults live in errors.py.  Exit codes: 0
+success, 1 verification failure, 2 usage error.  Every command is
+deterministic given its flags; the witness command derives its randomness
+from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def cmd_distribution(args) -> int:
         g = codes.prm_generator_matrix(F, args.order, args.m)
     else:
         g = codes.rm_generator_matrix(F, args.order, args.m)
-    dist = oracle.weight_distribution(g, args.guard)
+    dist = oracle.distribution(g, args.guard)
     _emit(json.dumps(dist.as_dict(), indent=2) + "\n", args.out)
     return 0
 

@@ -34,9 +34,6 @@ class PointList:
     def __len__(self) -> int:
         return len(self.points)
 
-    def index(self) -> dict[Point, int]:
-        return {pt: i for i, pt in enumerate(self.points)}
-
 
 def affine_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
     if m < 0:

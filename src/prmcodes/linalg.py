@@ -1,10 +1,11 @@
 """Dense exact linear algebra over GF(q).
 
 Matrices are lists (or tuples) of equal-length rows of canonical element
-ints.  rref/inv_matrix are plain exact Gaussian elimination on Python
-lists with the scalar field ops; rank runs the same elimination on a numpy
-array of canonical ints, one row operation per field array op (`GF.vmul`,
-`GF.vadd`), so that desk-scale sweeps (a few hundred rows) stay fast.
+ints, or int64 arrays of them.  rank and rref run one Gaussian elimination
+on a numpy array, one row operation per field array op (`GF.vmul`,
+`GF.vadd`): rank clears each pivot column below the pivot, rref above it
+too.  mat_mul is one broadcast multiply-add per inner index.  So
+desk-scale sweeps (a few hundred rows) stay fast.
 """
 
 from __future__ import annotations
@@ -14,56 +15,45 @@ import numpy as np
 from .gf import GF
 
 
-def rank(field: GF, rows) -> int:
+def _eliminate(field: GF, rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """(echelon form, pivot columns) of rows; with reduced, every pivot is
+    the only nonzero entry of its column (reduced row echelon form)."""
     rows = [list(r) for r in rows]
     if not rows:
-        return 0
+        return np.zeros((0, 0), dtype=np.int64), []
     mat = np.array(rows, dtype=np.int64)
     nrows, ncols = mat.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
-        pivots = np.nonzero(mat[r:, c])[0]
-        if pivots.size == 0:
+        r = len(pivots)
+        found = np.nonzero(mat[r:, c])[0]
+        if found.size == 0:
             continue
-        pr = r + int(pivots[0])
+        pr = r + int(found[0])
         if pr != r:
             mat[[r, pr]] = mat[[pr, r]]
         mat[r] = field.vmul(field.inv(int(mat[r, c])), mat[r])
-        below = r + 1 + np.nonzero(mat[r + 1 :, c])[0]
-        if below.size:
-            factors = field.vmul(field.p - 1, mat[below, c])
+        top = 0 if reduced else r + 1
+        clear = top + np.nonzero(mat[top:, c])[0]
+        clear = clear[clear != r]
+        if clear.size:
+            factors = field.vmul(field.p - 1, mat[clear, c])
             prod = field.vmul(factors[:, None], mat[r][None, :])
-            mat[below] = field.vadd(mat[below], prod)
-        r += 1
-        if r == nrows:
+            mat[clear] = field.vadd(mat[clear], prod)
+        pivots.append(c)
+        if len(pivots) == nrows:
             break
-    return r
+    return mat, pivots
+
+
+def rank(field: GF, rows) -> int:
+    return len(_eliminate(field, rows, reduced=False)[1])
 
 
 def rref(field: GF, rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    mat, pivots = _eliminate(field, rows, reduced=True)
+    return mat.tolist(), pivots
 
 
 def is_independent(field: GF, rows) -> bool:
@@ -81,14 +71,11 @@ def inv_matrix(field: GF, rows) -> list[list[int]]:
     return [row[n:] for row in red]
 
 
-def mat_mul(field: GF, a, b) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[_dot(field, row, col) for col in bt] for row in a]
-
-
-def _dot(field: GF, u, v) -> int:
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+def mat_mul(field: GF, a, b) -> np.ndarray:
+    """The product a b as an int64 array; a is (r, n), b is (n, c)."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(a.shape[1]):
+        out = field.vadd(out, field.vmul(a[:, j, None], b[None, j, :]))
+    return out

@@ -14,8 +14,10 @@ constructs and validates witnesses, enumerates the full witness codeword
 set at desk scale, and runs the two incidence-counting consistency checks
 that the s = 0 and s != 0 counting arguments rest on.
 
-The witness enumeration and the fiber check read E = V(W), the zeros of a
-canonical RREF basis W, off the form-value table (tau still spans E).  The
+Every subspace is described by the forms that vanish on it: the witness
+enumeration and both incidence checks read E = V(W), the zeros of a
+canonical RREF basis W, off the form-value table, and take the forms
+modulo W from the nonzero forms that vanish on W's pivot columns.  The
 witness enumeration takes one form tuple per class of tuples that give the
 same word (see enumerate_witness_codewords for why that is complete); the
 incidence checks stay exhaustive.
@@ -29,7 +31,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import linalg, oracle
-from .codes import PointList, normalize_point, prm_generator_matrix, projective_points
+from .codes import PointList, prm_generator_matrix, projective_points
 from .combinat import binomial, gaussian_binomial, p_k
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
@@ -296,7 +298,7 @@ def count_report(
     brute = None
     if with_oracle:
         g = prm_generator_matrix(field, d, m)
-        dist = oracle.weight_distribution(g, guard)
+        dist = oracle.distribution(g, guard)
         dmin = min(w for w in dist.counts if w > 0)
         brute = dist.counts[dmin]
     return CountReport(
@@ -326,6 +328,13 @@ def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tup
 def _zeros(vals: dict, basis, npts: int) -> frozenset[int]:
     """Indices of the points of V(W): where every form of the basis vanishes."""
     return frozenset(i for i in range(npts) if not any(vals[row][i] for row in basis))
+
+
+def _cosets(vals: dict, basis) -> list[tuple[int, ...]]:
+    """The nonzero forms that vanish on the pivot columns of the RREF basis
+    W: one representative of each nonzero coset modulo W."""
+    pivots = [row.index(1) for row in basis]
+    return [c for c in vals if any(c) and not any(c[j] for j in pivots)]
 
 
 def enumerate_witness_codewords(
@@ -366,9 +375,8 @@ def enumerate_witness_codewords(
                 row[r] = field.mul(row[r], field.sub(r, w))
     out: set[tuple[int, ...]] = set()
     for basis in _rref_bases(field, m + 1, t):
-        pivots = [row.index(1) for row in basis]
         zeros = _zeros(vals, basis, npts)
-        comp = [c for c in vals if any(c) and not any(c[j] for j in pivots)]
+        comp = _cosets(vals, basis)
         for lt in comp:
             vt = vals[lt]
             if not s:
@@ -414,25 +422,6 @@ def _rref_bases(field: GF, ambient: int, k: int):
             for (r, c), v in zip(free, fill):
                 rows[r][c] = v
             yield tuple(tuple(r) for r in rows)
-
-
-def _span_points(field: GF, basis, point_index: dict) -> frozenset[int]:
-    """Projective point indices of the span of the basis rows."""
-    q = field.q
-    n = len(basis[0]) if basis else 0
-    out = set()
-    for coeffs in product(range(q), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = [0] * n
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        vec[j] = field.add(vec[j], field.mul(c, x))
-        if any(vec):
-            out.add(point_index[normalize_point(field, vec)])
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -586,7 +575,13 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     """Exhaustive verification of the s = 0 counting argument: flag pairs
     (E, H) with H a hyperplane of the (m-t)-subspace E map injectively to
     supports E minus H, and (q-1) times the pair count is the codeword
-    count."""
+    count.
+
+    E runs over V(W) for the t-dimensional spans W of forms.  The
+    hyperplanes of E are its intersections E cap V(L) with one form L per
+    hyperplane: a nonzero coset of W (a form vanishing on W's pivot
+    columns) whose first nonzero coefficient is 1.  Then E minus H is
+    {x in E : L(x) != 0}."""
     q = field.q
     if not 1 <= d <= m * (q - 1) + 1:
         raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
@@ -601,15 +596,17 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     if pair_expected > guard:
         raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
     pts = projective_points(field, m)
-    pidx = pts.index()
+    vals = _form_values(field, m, pts)
+    npts = len(pts)
     supports: set[frozenset[int]] = set()
     pair_count = 0
-    for ebasis in _rref_bases(field, m + 1, k):
-        epts = _span_points(field, ebasis, pidx)
-        for hcoeff in _rref_bases(field, k, k - 1):
-            hbasis = linalg.mat_mul(field, hcoeff, ebasis)
-            hpts = _span_points(field, hbasis, pidx) if hbasis else frozenset()
-            supports.add(epts - hpts)
+    for basis in _rref_bases(field, m + 1, t):
+        epts = _zeros(vals, basis, npts)
+        for form in _cosets(vals, basis):
+            if next(x for x in form if x) != 1:
+                continue
+            vl = vals[form]
+            supports.add(frozenset(i for i in epts if vl[i]))
             pair_count += 1
     return TauReport(
         q=q,

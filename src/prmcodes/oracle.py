@@ -1,6 +1,7 @@
 """Independent brute-force ground truth for any generator matrix.
 
-The whole message space is enumerated exhaustively under a guard on q^k.
+The whole message space of a code, or of its dual code (see below), is
+enumerated exhaustively under a guard on the number of words walked.
 The performance commitment is the traversal: the trailing message symbols
 are expanded once into a dense block of q^lo codewords, and the leading
 symbols are walked in chunks of P prefixes, each chunk's prefix codewords
@@ -24,14 +25,29 @@ once in full: 1 + (q^(k-lo) - 1)/(q - 1) blocks instead of q^(k-lo).
 Partitioning the space differently would merge to the same distribution,
 so results are deterministic and independent of the split.  Both walkers
 raise unless the multipliers times the rows walked add up to q^k.
+
+`distribution` is what the verifier calls.  A code C whose q^k words are
+over the guard, but whose dual code has q^(n-k) words within it, is not
+walked itself (`route` decides).  The dual code, spanned by the rows of a
+parity-check matrix H, is walked instead, and the MacWilliams identity
+(MacWilliams & Sloane, ch. 5) turns its distribution B into C's:
+A_i = q^-(n-k) sum_j B_j K_i(j), with the Krawtchouk numbers K_i(j), in
+integers.  H comes from exact elimination on G, not from a duality
+theorem about the codes, so the route stays independent of the formulas
+it checks.  It raises, under python -O too, unless G H^T = 0, every
+division is exact and the counts add up to q^k.  `weight_distribution`
+stays the primal walk and the reference in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
+from . import linalg
 from .codes import Codeword, GeneratorMatrix
 from .errors import ORACLE_GUARD, GuardExceeded
 from .gf import GF
@@ -138,7 +154,8 @@ def _walk(g: GeneratorMatrix, guard: int):
 
 
 def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
-    """Exact codeword count at every Hamming weight."""
+    """Exact codeword count at every Hamming weight, from a walk of all q^k
+    codewords."""
     hist = np.zeros(g.n + 1, dtype=np.int64)
     _, steps = _walk(g, guard)
     for mult, _, w in steps:
@@ -147,6 +164,83 @@ def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> Weight
     _check_coverage(g, total)
     counts = {w: int(c) for w, c in enumerate(hist) if c}
     return WeightDistribution(g.family, g.field.q, g.order, g.m, counts, total)
+
+
+def route(q: int, k: int, n: int, guard: int) -> str:
+    """The walk `distribution` takes for a code of dimension k and length
+    n: "primal" when its q^k codewords fit the guard, else "dual" when the
+    q^(n-k) words of its dual code do.  GuardExceeded names the smaller
+    walk when neither fits."""
+    if q ** k <= guard:
+        return "primal"
+    if q ** (n - k) <= guard:
+        return "dual"
+    raise GuardExceeded("oracle", f"{q}^{min(k, n - k)} codewords", guard)
+
+
+def parity_check(g: GeneratorMatrix) -> np.ndarray:
+    """H, an (n - r) x n int64 array whose rows span the dual code, r the
+    rank of G: with G in reduced row echelon form [I | A] on its pivot
+    columns, H = [-A^T | I] on the pivot and the free columns.  Its rows
+    are independent by the identity block, so it raises unless G H^T = 0,
+    which then makes span H the whole dual code."""
+    field, n = g.field, g.n
+    red, pivots = linalg.rref(field, g.rows)
+    red = np.array(red[: len(pivots)], dtype=np.int64).reshape(len(pivots), n)
+    free = sorted(set(range(n)) - set(pivots))
+    h = np.zeros((len(free), n), dtype=np.int64)
+    h[:, pivots] = field.vmul(field.p - 1, red[:, free].T)
+    h[np.arange(len(free)), free] = 1
+    rows = np.array(g.rows, dtype=np.int64).reshape(g.k, n)
+    if linalg.mat_mul(field, rows, h.T).any():
+        raise RuntimeError("parity-check rows are not orthogonal to the generator rows")
+    return h
+
+
+@functools.cache
+def _krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """table[j][i] = K_i(j), the coefficient of z^i in
+    (1 + (q-1) z)^(n-j) (1 - z)^j: column 0 is C(n, i) (q-1)^i, and each
+    next column follows from (1 + (q-1) z) P_(j+1) = (1 - z) P_j."""
+    col = [comb(n, i) * (q - 1) ** i for i in range(n + 1)]
+    table = [tuple(col)]
+    for _ in range(n):
+        nxt = [1]
+        for i in range(1, n + 1):
+            nxt.append(col[i] - col[i - 1] - (q - 1) * nxt[i - 1])
+        col = nxt
+        table.append(tuple(col))
+    return tuple(table)
+
+
+def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
+    """C's weight distribution from an exhaustive walk of its dual code:
+    A_i = (sum_j B_j K_i(j)) / |dual|.  Raises unless every division is exact
+    with a nonnegative quotient and the counts add up to q^k."""
+    q, n = g.field.q, g.n
+    h = parity_check(g)
+    dual = weight_distribution(replace(g, basis=(), rows=tuple(map(tuple, h.tolist()))), guard)
+    table = _krawtchouk(n, q)
+    counts = {}
+    for i in range(n + 1):
+        num = sum(b * table[j][i] for j, b in dual.counts.items())
+        a, rem = divmod(num, dual.total)
+        if rem or a < 0:
+            raise RuntimeError(f"MacWilliams transform: A_{i} = {num}/{dual.total} is not a count")
+        if a:
+            counts[i] = a
+    total = sum(counts.values())
+    if total != q ** g.k:
+        raise RuntimeError(f"MacWilliams transform gives {total} codewords, not {q}^{g.k}")
+    return WeightDistribution(g.family, q, g.order, g.m, counts, total)
+
+
+def distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
+    """Exact codeword count at every Hamming weight, from a walk of the
+    code itself or, when only the dual code fits the guard, of the dual."""
+    if route(g.field.q, g.k, g.n, guard) == "primal":
+        return weight_distribution(g, guard)
+    return _dual_distribution(g, guard)
 
 
 def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:

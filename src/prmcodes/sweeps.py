@@ -3,8 +3,15 @@
 Everything here is a plain library function returning data, so the CLI
 stays a thin formatting layer and the fault-injection tests can drive the
 verifier directly.  Library calls go through the module objects on
-purpose (dimension.dim_alpha, oracle.weight_distribution, not from-imports)
-so a corrupted or wrapped function is the one the verifier calls.
+purpose (dimension.dim_alpha, oracle.distribution, not from-imports) so a
+corrupted or wrapped function is the one the verifier calls.
+
+The distance, count and witness-set rows rest on `oracle.distribution`.
+On a code walked through its dual (`oracle.route` gives "dual") there are
+no oracle words, so the witness-set row checks membership and count
+instead: every witness word has H c^T = 0 and weight d_min, and there are
+A_dmin of them, which together make the witness set the minimum-weight
+set.
 """
 
 from __future__ import annotations
@@ -12,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from . import codes, dimension, minwt, oracle
+import numpy as np
+
+from . import codes, dimension, linalg, minwt, oracle
 from .combinat import p_k
 from .errors import ORACLE_GUARD, RANK_LEN_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF, prime_power
+from .poly import reduced_monomials_affine
 
 
 @dataclass(frozen=True)
@@ -173,9 +183,11 @@ class VerifyReport:
 class Code:
     """One code of a sweep: (family, q, m, order).
 
-    Its generator matrix is built at most once and walked at most once,
-    both on first use.  When the rank-length guard (projective codes only)
-    or the oracle guard refuses, the access raises GuardExceeded instead.
+    Its generator matrix is built at most once and its distribution taken
+    at most once, both on first use.  When the rank-length guard
+    (projective codes only) or the oracle guard refuses, the access raises
+    GuardExceeded instead; an affine code is refused before its matrix is
+    evaluated.
     """
 
     def __init__(self, cfg: SweepConfig, field: GF, family: str, m: int, order: int):
@@ -205,8 +217,20 @@ class Code:
         return build(self.field, self.order, self.m)
 
     @cached_property
+    def route(self) -> str:
+        """oracle.route of the code: from G for a projective code, whose
+        rank row builds G anyway, and for an affine code from its
+        monomial-basis size and point count."""
+        if self.family == "prm":
+            k, n = self.gm.k, self.gm.n
+        else:
+            k, n = len(reduced_monomials_affine(self.q, self.order, self.m)), self.q ** self.m
+        return oracle.route(self.q, k, n, self.cfg.guard)
+
+    @cached_property
     def dist(self) -> oracle.WeightDistribution:
-        return oracle.weight_distribution(self.gm, self.cfg.guard)
+        self.route  # an affine code is refused before G is built
+        return oracle.distribution(self.gm, self.cfg.guard)
 
     @cached_property
     def dmin(self) -> int:
@@ -251,6 +275,8 @@ def _count(c: Code) -> str | None:
 def _witness_set(c: Code) -> str | None:
     c.dist  # walk first: the oracle guard refuses before any enumeration
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
+    if c.route == "dual":
+        return _witness_members(c, wit)
     words = oracle.brute_min_weight_words(c.gm, c.cfg.guard)
     if wit == words:
         return None
@@ -260,6 +286,21 @@ def _witness_set(c: Code) -> str | None:
         side, word = "no witness", min(words - wit)
     return (f"witness set size {len(wit)}, oracle set size {len(words)}; "
             f"{side}: {','.join(map(str, word))}")
+
+
+def _witness_members(c: Code, wit: set) -> str | None:
+    """The witness-set row of a dual-route code: every witness word is a
+    codeword (H c^T = 0) of weight d_min, and there are A_dmin of them."""
+    count = c.dist.counts[c.dmin]
+    words = list(wit)
+    arr = np.array(words, dtype=np.int64).reshape(len(words), c.gm.n)
+    syndromes = linalg.mat_mul(c.field, arr, oracle.parity_check(c.gm).T)
+    bad = np.nonzero(syndromes.any(axis=1) | (np.count_nonzero(arr, axis=1) != c.dmin))[0]
+    sizes = f"witness set size {len(wit)}, oracle count {count}"
+    if bad.size:
+        word = min(words[i] for i in bad)
+        return f"{sizes}; not minimum weight: {','.join(map(str, word))}"
+    return None if len(wit) == count else sizes
 
 
 def _fibers(c: Code) -> str | None:

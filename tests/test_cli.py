@@ -113,6 +113,12 @@ def test_count_minwt(capsys):
     payload = json.loads(out)
     assert payload["formula_count"] == payload["brute_count"] == "156"
     assert payload["agree"] is True
+    # prm(3,3,5) is over the guard, so the oracle count comes from its dual
+    code, out, _ = run(
+        capsys, "count-minwt", "--q", "3", "--d", "5", "--m", "3", "--oracle"
+    )
+    assert code == 0
+    assert json.loads(out)["brute_count"] == "1040"
 
 
 def test_check_fibers_dispatch(capsys):
@@ -131,6 +137,18 @@ def test_distribution(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"0": "1", "2": "21", "4": "35", "6": "7"}
+
+
+def test_distribution_through_the_dual_code(capsys):
+    # prm(3,3,5) has 3^36 codewords, over the default guard; its dual has 3^4
+    code, out, _ = run(
+        capsys, "distribution", "--family", "prm", "--q", "3", "--order", "5", "--m", "3"
+    )
+    assert code == 0
+    counts = {int(w): int(c) for w, c in json.loads(out).items()}
+    assert counts[0] == 1 and min(w for w in counts if w) == 3
+    assert counts[3] == 1040
+    assert sum(counts.values()) == 3 ** 36
 
 
 def test_verify_passes_on_defaults(capsys):

@@ -219,7 +219,7 @@ def test_rebased_matrix_same_code():
         A = [[rng.randrange(3) for _ in range(k)] for _ in range(k)]
         if linalg.rank(F3, A) == k:
             break
-    new_rows = tuple(tuple(r) for r in linalg.mat_mul(F3, A, g.rows))
+    new_rows = tuple(tuple(r) for r in linalg.mat_mul(F3, A, g.rows).tolist())
     g2 = replace(g, rows=new_rows)
     assert g2.rank() == g.rank()
     assert linalg.rank(F3, list(g.rows) + list(new_rows)) == k

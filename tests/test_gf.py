@@ -211,3 +211,50 @@ def test_rank_without_tables(F):
     zero_col = [[0] + r[1:] for r in dependent]
     for rows in (full, dependent, zero_col, [[0] * 4, [0] * 4]):
         assert linalg.rank(F, rows) == len(linalg.rref(F, rows)[1])
+
+
+def python_rref(field, rows):
+    """The list-based Gaussian elimination that linalg.rref replaced, kept
+    as its reference."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 1031])
+def test_rref_equals_python_elimination(q):
+    # random shapes, sparse and dense, with dependent rows and zero columns
+    F = GF.from_q(q)
+    rng = np.random.default_rng(q)
+    cases = [[], [[]], [[0, 0, 0]]]
+    for _ in range(30):
+        nrows, ncols = rng.integers(1, 9, size=2)
+        mat = rng.integers(0, q, size=(nrows, ncols))
+        mat[rng.random(mat.shape) < rng.random()] = 0
+        if nrows > 2:
+            mat[-1] = F.vadd(mat[0], F.vmul(int(rng.integers(q)), mat[1]))
+        cases.append(mat.tolist())
+    for rows in cases:
+        red, pivots = linalg.rref(F, rows)
+        assert (red, pivots) == python_rref(F, rows), rows
+        assert all(type(x) is int for row in red for x in row)
+        assert linalg.rank(F, rows) == len(pivots)

@@ -6,6 +6,7 @@ import pytest
 from prmcodes import linalg
 from prmcodes.codes import (
     ev_vector,
+    normalize_point,
     prm_generator_matrix,
     projective_points,
     support,
@@ -17,10 +18,10 @@ from prmcodes.gf import GF
 from prmcodes.minwt import (
     FiberReport,
     MinWtWitness,
+    TauReport,
     TSDecomp,
     _form_values,
     _rref_bases,
-    _span_points,
     canonical_min_poly,
     count_report,
     enumerate_witness_codewords,
@@ -374,7 +375,7 @@ def test_quotiented_enumeration_equals_redundant(F, d, m):
 
 
 def scalar_form_values(F, m, pts, forms):
-    return {c: tuple(linalg._dot(F, c, p) for p in pts.points) for c in forms}
+    return {c: tuple(_dot(F, c, p) for p in pts.points) for c in forms}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -507,15 +508,32 @@ def test_tau_check_rejects_wrong_shape():
         tau_bijection_check(F2, 2, 2, guard=5)
 
 
-# Reference for the fiber check: E as the span of an RREF basis, its points
-# rebuilt from every coefficient vector by the flag check's _span_points.
+# References for the incidence checks: E as the span of an RREF basis, its
+# points rebuilt from every coefficient vector.
+
+
+def _span_points(F, basis, point_index):
+    """Projective point indices of the span of the basis rows."""
+    n = len(basis[0]) if basis else 0
+    out = set()
+    for coeffs in product(range(F.q), repeat=len(basis)):
+        vec = [0] * n
+        for c, row in zip(coeffs, basis):
+            vec = [F.add(v, F.mul(c, x)) for v, x in zip(vec, row)]
+        if any(vec):
+            out.add(point_index[normalize_point(F, vec)])
+    return frozenset(out)
+
+
+def _point_index(pts):
+    return {pt: i for i, pt in enumerate(pts.points)}
 
 
 def span_fiber_check(F, d, m):
     q = F.q
     t, s = divmod(d - 1, q - 1)
     pts = projective_points(F, m)
-    pidx = pts.index()
+    pidx = _point_index(pts)
     vals = _form_values(F, m, pts)
     fibers = {}
     j_size = 0
@@ -572,3 +590,46 @@ FIBER_CASES = [
 def test_fiber_check_equals_span_reference(q, d, m):
     F = GF.from_q(q)
     assert support_fiber_check(F, d, m) == span_fiber_check(F, d, m)
+
+
+def span_tau_check(F, d, m):
+    """Flag pairs (E, H) with E the span of a k-dimensional RREF basis and H
+    the span of each (k-1)-dimensional subspace of its coefficient space."""
+    q = F.q
+    t = (d - 1) // (q - 1)
+    k = m - t + 1
+    pidx = _point_index(projective_points(F, m))
+    supports = set()
+    pair_count = 0
+    for ebasis in _rref_bases(F, m + 1, k):
+        epts = _span_points(F, ebasis, pidx)
+        for hcoeff in _rref_bases(F, k, k - 1):
+            hbasis = linalg.mat_mul(F, hcoeff, ebasis).tolist() if hcoeff else []
+            supports.add(epts - _span_points(F, hbasis, pidx))
+            pair_count += 1
+    return TauReport(
+        q=q, d=d, m=m, t=t,
+        pair_count=pair_count,
+        pair_expected=gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q),
+        injective=len(supports) == pair_count,
+        implied_count=(q - 1) * pair_count,
+        formula_count=prm_min_weight_count(q, d, m),
+    )
+
+
+# every s = 0, t >= 1 tuple within budget, t = m included
+TAU_CASES = [
+    (q, d, m)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for m in (1, 2, 3)
+    for d in range(q, m * (q - 1) + 2, q - 1)
+    if gaussian_binomial(m + 1, m - (d - 1) // (q - 1) + 1, q) * q ** m <= 10 ** 4
+]
+
+
+@pytest.mark.parametrize(
+    "q,d,m", TAU_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in TAU_CASES]
+)
+def test_tau_check_equals_span_reference(q, d, m):
+    F = GF.from_q(q)
+    assert tau_bijection_check(F, d, m) == span_tau_check(F, d, m)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from prmcodes.minwt import prm_min_distance, prm_min_weight_count
 from prmcodes.oracle import (
     brute_min_distance,
     brute_min_weight_words,
+    distribution,
     weight_distribution,
 )
 
@@ -93,7 +95,7 @@ def test_distribution_invariant_under_row_operations():
                 if linalg.rank(F, A) == k:
                     break
             rebased = replace(
-                g, rows=tuple(tuple(r) for r in linalg.mat_mul(F, A, g.rows))
+                g, rows=tuple(tuple(r) for r in linalg.mat_mul(F, A, g.rows).tolist())
             )
             assert weight_distribution(rebased).counts == base.counts
 
@@ -229,3 +231,103 @@ def test_walk_that_drops_a_chunk_raises(monkeypatch, drop):
         weight_distribution(g)
     with pytest.raises(RuntimeError, match=r"covered \d+ of 3\^6 codewords"):
         brute_min_weight_words(g)
+
+
+# -- the MacWilliams dual route ---------------------------------------------------
+
+
+def _small_codes(limit):
+    """(g, case) of every prm and rm code with q <= 5 and m <= 3 whose q^k
+    and q^(n-k) both stay within the limit."""
+    for q in (2, 3, 4, 5):
+        F = GF.from_q(q)
+        for m in (1, 2, 3):
+            for family, orders in (("prm", range(1, m * (q - 1) + 2)),
+                                   ("rm", range(m * (q - 1) + 1))):
+                for order in orders:
+                    make = prm_generator_matrix if family == "prm" else rm_generator_matrix
+                    g = make(F, order, m)
+                    if max(q ** g.k, q ** (g.n - g.k)) <= limit:
+                        yield g, (family, q, m, order)
+
+
+def test_dual_route_equals_primal_walk():
+    cases = 0
+    for g, case in _small_codes(1 << 18):
+        assert oracle._dual_distribution(g).counts == weight_distribution(g).counts, case
+        cases += 1
+    assert cases == 50
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_krawtchouk_table_equals_the_sum(q):
+    for n in (0, 1, 7, 13):
+        table = oracle._krawtchouk(n, q)
+        for j in range(n + 1):
+            for i in range(n + 1):
+                want = sum((-1) ** l * (q - 1) ** (i - l) * comb(j, l) * comb(n - j, i - l)
+                           for l in range(i + 1))
+                assert table[j][i] == want, (n, q, i, j)
+
+
+def test_parity_check_spans_the_dual():
+    for g, case in _small_codes(1 << 12):
+        h = oracle.parity_check(g)
+        assert h.shape == (g.n - g.k, g.n), case
+        assert linalg.rank(g.field, h.tolist()) == g.n - g.k, case
+        assert not linalg.mat_mul(g.field, g.rows, h.T).any(), case
+
+
+def test_distribution_routes_and_refusal():
+    # prm(3,3,5) has 3^36 codewords and a dual of 3^4; the full space
+    # prm(3,3,7) has a dual with one word
+    g = prm_generator_matrix(F3, 5, 3)
+    assert oracle.route(3, g.k, g.n, 1 << 24) == "dual"
+    dist = distribution(g)
+    assert dist.counts[3] == 1040 and dist.total == 3 ** 36
+    full = distribution(prm_generator_matrix(F3, 7, 3))
+    assert full.counts == {i: comb(40, i) * 2 ** i for i in range(41)}
+    small = prm_generator_matrix(F2, 2, 2)
+    assert oracle.route(2, small.k, small.n, 64) == "primal"
+    assert distribution(small, 64) == weight_distribution(small, 64)
+    # neither walk fits: the refusal names the smaller one
+    with pytest.raises(GuardExceeded, match=r"^oracle guard: 3\^20 codewords > 16777216$"):
+        distribution(prm_generator_matrix(F3, 3, 3))
+    with pytest.raises(GuardExceeded, match=r"^oracle guard: 2\^3 codewords > 7$"):
+        distribution(prm_generator_matrix(F2, 1, 2), 7)     # 2^3 words, dual 2^4
+
+
+def test_corrupted_parity_check_row_raises(monkeypatch):
+    # one wrong entry in the echelon form G is reduced to puts a row of H
+    # outside the dual code; the check is an explicit raise, so it holds
+    # under python -O too
+    real = linalg.rref
+
+    def corrupted(field, rows):
+        red, pivots = real(field, rows)
+        free = next(j for j in range(len(red[0])) if j not in pivots)
+        red[0][free] = field.add(red[0][free], 1)
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "rref", corrupted)
+    g = prm_generator_matrix(F3, 5, 3)
+    with pytest.raises(RuntimeError, match="not orthogonal"):
+        oracle._dual_distribution(g)
+    with pytest.raises(RuntimeError, match="not orthogonal"):
+        distribution(g)
+
+
+@pytest.mark.parametrize("j,i", [(0, 1), (0, 0), (27, 5)], ids=["K1(0)", "K0(0)", "K5(27)"])
+def test_wrong_krawtchouk_entry_raises(monkeypatch, j, i):
+    # prm(3,3,5): the dual walk gives B_0 = 1 and B_27 = 80, so an entry off
+    # by one in column 0 or 27 breaks a division or the total
+    real = oracle._krawtchouk
+
+    def wrong(n, q):
+        table = [list(col) for col in real(n, q)]
+        table[j][i] += 1
+        return table
+
+    monkeypatch.setattr(oracle, "_krawtchouk", wrong)
+    with pytest.raises(RuntimeError, match="MacWilliams transform"):
+        oracle._dual_distribution(prm_generator_matrix(F3, 5, 3))

@@ -3,6 +3,7 @@ details that name their guard, and FAIL details with a counterexample."""
 
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -118,8 +119,9 @@ def test_guard_messages_name_guard_needed_and_limit(call, message):
     assert re.fullmatch(message, str(exc.value)), str(exc.value)
 
 
-@pytest.mark.parametrize("side", ["no witness", "not minimum weight"])
-def test_witness_set_fail_names_a_codeword(monkeypatch, side):
+def _corrupt_witness_set(monkeypatch, side):
+    """Make the witness enumeration drop its least word or add a full-weight
+    one; returns the list that will hold the changed word."""
     real = minwt.enumerate_witness_codewords
     changed = []
 
@@ -135,10 +137,80 @@ def test_witness_set_fail_names_a_codeword(monkeypatch, side):
         return words
 
     monkeypatch.setattr(minwt, "enumerate_witness_codewords", corrupted)
+    return changed
+
+
+@pytest.mark.parametrize("side", ["no witness", "not minimum weight"])
+def test_witness_set_fail_names_a_codeword(monkeypatch, side):
+    changed = _corrupt_witness_set(monkeypatch, side)
     rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2))
     (bad,) = [r for r in rep.results if r.status == "FAIL"]
     assert bad.check == "witness-set"
     assert f"{side}: {','.join(map(str, changed[0]))}" in bad.detail
+
+
+@pytest.mark.parametrize("side", ["no witness", "not minimum weight"])
+def test_witness_set_fail_on_the_dual_route(monkeypatch, side):
+    # with the guard below 2^6 the code prm(2,2,2) is walked through its
+    # dual (2^1 words), so the row checks membership and count: an added
+    # word is named, a dropped one shows in the two sizes
+    changed = _corrupt_witness_set(monkeypatch, side)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=8))
+    assert [r.check for r in rep.results if r.status == "SKIPPED"] == []
+    (bad,) = [r for r in rep.results if r.status == "FAIL"]
+    assert bad.check == "witness-set"
+    if side == "no witness":
+        assert bad.detail == "witness set size 20, oracle count 21"
+    else:
+        assert bad.detail == ("witness set size 22, oracle count 21; "
+                              f"not minimum weight: {','.join(map(str, changed[0]))}")
+
+
+def test_witness_set_on_the_dual_route_rejects_a_non_codeword(monkeypatch):
+    # a word of weight d_min outside the code fails H c^T = 0 even though
+    # the count is kept: prm(2,3,2) (2^10 words, dual 2^5, guard 32) has 105
+    # words of weight 4 among the 1365 vectors of that weight, so swap one
+    # for a weight-4 vector that is not a codeword
+    real = minwt.enumerate_witness_codewords
+    swapped = []
+
+    def corrupted(field, d, m, guard):
+        words = set(real(field, d, m, guard))
+        outside = next(w for w in product((0, 1), repeat=15)
+                       if sum(w) == 4 and w not in words)
+        words.discard(min(words))
+        words.add(outside)
+        swapped.append(outside)
+        return words
+
+    monkeypatch.setattr(minwt, "enumerate_witness_codewords", corrupted)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=2, d_hi=2, guard=32))
+    (bad,) = [r for r in rep.results if r.status == "FAIL"]
+    assert bad.check == "witness-set"
+    assert bad.detail == ("witness set size 105, oracle count 105; "
+                          f"not minimum weight: {','.join(map(str, swapped[0]))}")
+
+
+def test_affine_codes_over_both_walks_are_refused_before_g_is_built(monkeypatch):
+    # rm(2,8,nu) for nu = 2..5 has 2^37..2^219 words and a dual of
+    # 2^219..2^37: neither walk fits, so its matrix is never evaluated
+    built = []
+    real = codes.rm_generator_matrix
+
+    def recording(field, nu, m):
+        built.append(nu)
+        return real(field, nu, m)
+
+    monkeypatch.setattr(codes, "rm_generator_matrix", recording)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=8, m_hi=8, d_lo=1, d_hi=1))
+    rm = {(r.d, r.check): r for r in rep.results if r.family == "rm"}
+    assert sorted(built) == [0, 1, 6, 7, 8]
+    for nu, k in ((2, 37), (3, 93), (4, 163), (5, 219)):
+        for check in ("distance", "count"):
+            assert rm[nu, check].status == "SKIPPED"
+            assert rm[nu, check].detail == f"oracle guard: 2^{min(k, 256 - k)} codewords > 16777216"
+    assert all(rm[nu, check].status == "PASS" for nu in (0, 1, 6, 7, 8)
+               for check in ("distance", "count"))
 
 
 def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
