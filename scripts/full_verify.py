@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Run a wide verification sweep (about 20 s of exhaustive checking).
+"""Run a wide verification sweep (about 5 s of exhaustive checking).
 
-Two stages: small fields to m = 3 with default guards (about 9 s on one
+Two stages: small fields to m = 3 with default guards (about 3 s on one
 core of a shared 2-vCPU x86-64 host), then GF(4) and GF(5) to m = 2 with a
-tighter witness guard (about 10 s there), which refuses the five largest
+tighter witness guard (about 2 s there), which refuses the five largest
 fiber checks instead of spending minutes on them.  The oracle rows of a
 code over the guard walk its dual code instead (see oracle.distribution),
 so the only oracle rows refused are the six of prm(3,3,3) and prm(5,2,4),

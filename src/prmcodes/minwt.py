@@ -14,17 +14,23 @@ constructs and validates witnesses, enumerates the full witness codeword
 set at desk scale, and runs the two incidence-counting consistency checks
 that the s = 0 and s != 0 counting arguments rest on.
 
-Every subspace is described by the forms that vanish on it: the witness
-enumeration and both incidence checks read E = V(W), the zeros of a
-canonical RREF basis W, off the form-value table, and take the forms
-modulo W from the nonzero forms that vanish on W's pivot columns.  The
-witness enumeration takes one form tuple per class of tuples that give the
-same word (see enumerate_witness_codewords for why that is complete); the
-incidence checks stay exhaustive.
+The form-value table is one (q^(m+1), npts) numpy array indexed by form:
+row i holds the values over the point list of the form whose coefficients
+are the base-q digits of i (`product` order).  So a form is a row index,
+and every subspace is described by the forms that vanish on it: the
+witness enumeration and both incidence checks read E = V(W), the zeros of
+a canonical RREF basis W, as a boolean mask over the points, and take the
+forms modulo W from the nonzero forms that vanish on W's pivot columns, a
+mask over the rows.  The words or supports of every L_{t+1} for one
+(W, L_t) are built at once; a support is a packed bit row, compared by its
+bytes.  The witness enumeration takes one form tuple per class of tuples
+that give the same word (see enumerate_witness_codewords for why that is
+complete); the incidence checks stay exhaustive.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -309,32 +315,55 @@ def count_report(
 # -- witness enumeration ----------------------------------------------------------
 
 
-def _form_values(field: GF, m: int, pts: PointList) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Value vector over the point list for every coefficient tuple, keys
-    in `product` order, from one numpy evaluation of all forms."""
-    q = field.q
-    coeffs = list(product(range(q), repeat=m + 1))
-    points = np.array(pts.points, dtype=np.int64).reshape(len(pts), m + 1)
+def _form_coeffs(q: int, m: int) -> np.ndarray:
+    """The (q^(m+1), m+1) coefficients of every form in `product` order:
+    row i holds the base-q digits of i, most significant first."""
+    return np.arange(q ** (m + 1))[:, None] // q ** np.arange(m, -1, -1) % q
+
+
+def _rows(q: int, forms) -> list[int]:
+    """Table rows of the given forms: each coefficient tuple read as a
+    base-q number."""
+    out = []
+    for form in forms:
+        i = 0
+        for c in form:
+            i = i * q + c
+        out.append(i)
+    return out
+
+
+def _form_values(field: GF, m: int, pts: PointList) -> np.ndarray:
+    """The (q^(m+1), npts) value table of every form over the point list,
+    forms in `product` order, in the smallest unsigned dtype that holds a
+    symbol."""
+    q, npts = field.q, len(pts)
+    points = np.array(pts.points, dtype=np.int64).reshape(npts, m + 1)
     # the last coordinate varies fastest in product order, so prepend each
     # earlier coordinate's q multiples c * x_j as the slower axis
     scalars = np.arange(q)[:, None]
-    vals = np.zeros((1, len(pts)), dtype=np.int64)
+    vals = np.zeros((1, npts), dtype=np.int64)
     for j in reversed(range(m + 1)):
         terms = field.vmul(scalars, points[:, j])
-        vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, len(pts))
-    return {c: tuple(row.tolist()) for c, row in zip(coeffs, vals)}
+        vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, npts)
+    return vals.astype(np.min_scalar_type(q - 1))
 
 
-def _zeros(vals: dict, basis, npts: int) -> frozenset[int]:
-    """Indices of the points of V(W): where every form of the basis vanishes."""
-    return frozenset(i for i in range(npts) if not any(vals[row][i] for row in basis))
+def _zeros(vals: np.ndarray, q: int, basis) -> np.ndarray:
+    """Mask of the points of V(W): where every form of the basis vanishes."""
+    return ~vals[_rows(q, basis)].any(axis=0)
 
 
-def _cosets(vals: dict, basis) -> list[tuple[int, ...]]:
-    """The nonzero forms that vanish on the pivot columns of the RREF basis
-    W: one representative of each nonzero coset modulo W."""
+def _cosets(coeffs: np.ndarray, basis) -> np.ndarray:
+    """Mask of the nonzero forms that vanish on the pivot columns of the
+    RREF basis W: one representative of each nonzero coset modulo W."""
     pivots = [row.index(1) for row in basis]
-    return [c for c in vals if any(c) and not any(c[j] for j in pivots)]
+    return coeffs.any(axis=1) & ~coeffs[:, pivots].any(axis=1)
+
+
+def _inverses(field: GF) -> np.ndarray:
+    """inv[a] = 1/a for a != 0, and inv[0] = 0."""
+    return np.array([0] + [field.inv(a) for a in range(1, field.q)], dtype=np.int64)
 
 
 def enumerate_witness_codewords(
@@ -347,8 +376,10 @@ def enumerate_witness_codewords(
     L_0..L_{t-1}: it depends only on W, on L_t and L_{t+1} modulo W, and on
     the scalar set.  W runs over canonical RREF bases; L_t and L_{t+1} run
     over the forms vanishing on W's pivot columns, which hold exactly one
-    representative of each coset.  By the characterization this set must
-    equal the set of minimum-weight codewords of the projective code."""
+    representative of each coset.  For each (W, L_t) the words of every
+    L_{t+1} and every scalar set are built at once.  By the
+    characterization this set must equal the set of minimum-weight
+    codewords of the projective code."""
     q = field.q
     if not 1 <= d <= m * (q - 1) + 1:
         raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
@@ -365,37 +396,36 @@ def enumerate_witness_codewords(
         )
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
+    coeffs = _form_coeffs(q, m)
     npts = len(pts)
-    # where L_t != 0 the word is L_t^(s+1) prod_j (r - w_j), r = L_{t+1}/L_t;
-    # prods[k][r] is that product for the k-th scalar set
-    prods = [[1] * q for _ in omega_sets]
-    for row, omegas in zip(prods, omega_sets):
-        for r in range(q):
-            for w in omegas:
-                row[r] = field.mul(row[r], field.sub(r, w))
     out: set[tuple[int, ...]] = set()
+    if not s:
+        # the word is L_t on V(W) and 0 elsewhere
+        for basis in _rref_bases(field, m + 1, t):
+            words = vals[_cosets(coeffs, basis)] * _zeros(vals, q, basis)
+            out.update(map(tuple, words.tolist()))
+        return out
+    # where L_t != 0 the word is L_t^(s+1) prod_j (r - w_j), r = L_{t+1}/L_t;
+    # prods[k, r] is that product for the k-th scalar set
+    prods = np.ones((len(omega_sets), q), dtype=np.int64)
+    for k, omegas in enumerate(omega_sets):
+        for w in omegas:
+            prods[k] = field.vmul(prods[k], field.vadd(np.arange(q), field.neg(w)))
+    lead = np.array([field.pow(a, s + 1) for a in range(q)], dtype=np.int64)
+    inv = _inverses(field)
+    scalars = np.arange(1, q)[:, None]
     for basis in _rref_bases(field, m + 1, t):
-        zeros = _zeros(vals, basis, npts)
-        comp = _cosets(vals, basis)
-        for lt in comp:
+        zeros = _zeros(vals, q, basis)
+        comp = _cosets(coeffs, basis)
+        for lt in np.flatnonzero(comp):
             vt = vals[lt]
-            if not s:
-                out.add(tuple(x if i in zeros else 0 for i, x in enumerate(vt)))
-                continue
-            on = [i for i in zeros if vt[i]]
-            lead = [field.pow(vt[i], s + 1) for i in on]
-            inv = [field.inv(vt[i]) for i in on]
-            line = {tuple(field.mul(a, x) for x in lt) for a in range(q)}
-            for lt1 in comp:
-                if lt1 in line:
-                    continue
-                vt1 = vals[lt1]
-                ratios = [field.mul(vt1[i], v) for i, v in zip(on, inv)]
-                for prod in prods:
-                    cw = [0] * npts
-                    for i, c, r in zip(on, lead, ratios):
-                        cw[i] = field.mul(c, prod[r])
-                    out.add(tuple(cw))
+            on = np.flatnonzero(zeros & (vt != 0))
+            others = comp.copy()
+            others[_rows(q, field.vmul(scalars, coeffs[lt]).tolist())] = False
+            ratios = field.vmul(vals[others][:, on], inv[vt[on]])
+            words = np.zeros((len(prods), len(ratios), npts), dtype=vals.dtype)
+            words[..., on] = field.vmul(lead[vt[on]], prods[:, ratios])
+            out.update(map(tuple, words.reshape(-1, npts).tolist()))
     return out
 
 
@@ -498,28 +528,28 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
     npts = len(pts)
-    all_forms = list(vals)
-    scalar_sets = list(combinations(range(q), s))
-    fibers: dict[frozenset[int], int] = {}
+    inv = _inverses(field)
+    # outside[k, r]: r is not in the k-th scalar set
+    outside = np.ones((binomial(q, s), q), dtype=bool)
+    for k, sset in enumerate(combinations(range(q), s)):
+        outside[k, list(sset)] = False
+    # each support is a packed bit row over all points, counted by its bytes
+    fibers: Counter[bytes] = Counter()
     j_size = 0
     for basis in _rref_bases(field, m + 1, t):
-        epts = _zeros(vals, basis, npts)
-        for lt in all_forms:
-            vt = vals[lt]
-            on = [i for i in epts if vt[i]]
-            if not on:                     # E inside V(L_t)
+        epts = np.flatnonzero(_zeros(vals, q, basis))
+        on_e = vals[:, epts]               # every form on E
+        for vt in on_e:
+            on = vt != 0
+            if not on.any():               # E inside V(L_t)
                 continue
-            off = [i for i in epts if not vt[i]]
-            inv_t = {i: field.inv(vt[i]) for i in on}
-            for lt1 in all_forms:
-                vt1 = vals[lt1]
-                if all(vt1[i] == 0 for i in off):   # E cap V(L_t) inside V(L_{t+1})
-                    continue
-                ratios = {i: field.mul(vt1[i], inv_t[i]) for i in on}
-                for sset in scalar_sets:
-                    supp = frozenset(i for i in on if ratios[i] not in sset)
-                    fibers[supp] = fibers.get(supp, 0) + 1
-                    j_size += 1
+            # E cap V(L_t) not inside V(L_{t+1})
+            ratios = field.vmul(on_e[on_e[:, ~on].any(axis=1)][:, on], inv[vt[on]])
+            cols = epts[on]
+            supp = np.zeros((len(outside) * len(ratios), npts), dtype=bool)
+            supp[:, cols] = outside[:, ratios].reshape(len(supp), len(cols))
+            fibers.update(map(bytes, np.packbits(supp, axis=1)))
+            j_size += len(supp)
     return FiberReport(
         q=q,
         d=d,
@@ -597,17 +627,19 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
-    npts = len(pts)
-    supports: set[frozenset[int]] = set()
+    coeffs = _form_coeffs(q, m)
+    # the forms whose first nonzero coefficient is 1 are rows q^j .. 2q^j - 1
+    leading_one = np.zeros(len(coeffs), dtype=bool)
+    for j in range(m + 1):
+        leading_one[q ** j : 2 * q ** j] = True
+    # each support E minus H is a packed bit row over all points
+    supports: set[bytes] = set()
     pair_count = 0
     for basis in _rref_bases(field, m + 1, t):
-        epts = _zeros(vals, basis, npts)
-        for form in _cosets(vals, basis):
-            if next(x for x in form if x) != 1:
-                continue
-            vl = vals[form]
-            supports.add(frozenset(i for i in epts if vl[i]))
-            pair_count += 1
+        hyper = vals[_cosets(coeffs, basis) & leading_one]
+        supp = np.packbits((hyper != 0) & _zeros(vals, q, basis), axis=1)
+        supports.update(map(bytes, supp))
+        pair_count += len(hyper)
     return TauReport(
         q=q,
         d=d,

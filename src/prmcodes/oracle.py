@@ -213,12 +213,16 @@ def _krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
-    """C's weight distribution from an exhaustive walk of its dual code:
+def _dual_distribution(
+    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
+) -> WeightDistribution:
+    """C's weight distribution from an exhaustive walk of its dual code,
+    spanned by h (parity_check(g) when not given):
     A_i = (sum_j B_j K_i(j)) / |dual|.  Raises unless every division is exact
     with a nonnegative quotient and the counts add up to q^k."""
     q, n = g.field.q, g.n
-    h = parity_check(g)
+    if h is None:
+        h = parity_check(g)
     dual = weight_distribution(replace(g, basis=(), rows=tuple(map(tuple, h.tolist()))), guard)
     table = _krawtchouk(n, q)
     counts = {}
@@ -235,12 +239,15 @@ def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightD
     return WeightDistribution(g.family, q, g.order, g.m, counts, total)
 
 
-def distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
+def distribution(
+    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
+) -> WeightDistribution:
     """Exact codeword count at every Hamming weight, from a walk of the
-    code itself or, when only the dual code fits the guard, of the dual."""
+    code itself or, when only the dual code fits the guard, of the dual,
+    spanned by h when a caller already holds parity_check(g)."""
     if route(g.field.q, g.k, g.n, guard) == "primal":
         return weight_distribution(g, guard)
-    return _dual_distribution(g, guard)
+    return _dual_distribution(g, guard, h)
 
 
 def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:

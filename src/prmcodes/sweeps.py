@@ -183,8 +183,8 @@ class VerifyReport:
 class Code:
     """One code of a sweep: (family, q, m, order).
 
-    Its generator matrix is built at most once and its distribution taken
-    at most once, both on first use.  When the rank-length guard
+    Its generator matrix, parity-check matrix and distribution are each
+    built at most once, on first use.  When the rank-length guard
     (projective codes only) or the oracle guard refuses, the access raises
     GuardExceeded instead; an affine code is refused before its matrix is
     evaluated.
@@ -228,9 +228,16 @@ class Code:
         return oracle.route(self.q, k, n, self.cfg.guard)
 
     @cached_property
+    def h(self) -> np.ndarray:
+        """The parity-check matrix of G, shared by the dual walk and the
+        witness membership check."""
+        return oracle.parity_check(self.gm)
+
+    @cached_property
     def dist(self) -> oracle.WeightDistribution:
-        self.route  # an affine code is refused before G is built
-        return oracle.distribution(self.gm, self.cfg.guard)
+        # route first: an affine code is refused before G is built
+        h = self.h if self.route == "dual" else None
+        return oracle.distribution(self.gm, self.cfg.guard, h)
 
     @cached_property
     def dmin(self) -> int:
@@ -294,7 +301,7 @@ def _witness_members(c: Code, wit: set) -> str | None:
     count = c.dist.counts[c.dmin]
     words = list(wit)
     arr = np.array(words, dtype=np.int64).reshape(len(words), c.gm.n)
-    syndromes = linalg.mat_mul(c.field, arr, oracle.parity_check(c.gm).T)
+    syndromes = linalg.mat_mul(c.field, arr, c.h.T)
     bad = np.nonzero(syndromes.any(axis=1) | (np.count_nonzero(arr, axis=1) != c.dmin))[0]
     sizes = f"witness set size {len(wit)}, oracle count {count}"
     if bad.size:

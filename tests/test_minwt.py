@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from prmcodes import linalg
@@ -20,6 +21,7 @@ from prmcodes.minwt import (
     MinWtWitness,
     TauReport,
     TSDecomp,
+    _form_coeffs,
     _form_values,
     _rref_bases,
     canonical_min_poly,
@@ -385,12 +387,90 @@ def test_form_values_equal_scalar(q, m):
     pts = projective_points(F, m)
     vals = _form_values(F, m, pts)
     forms = list(product(range(q), repeat=m + 1))
-    assert list(vals) == forms
-    # every form where the scalar reference stays under 10^5 dot products,
-    # an evenly spaced sample of them beyond (q = 7, 8, 9 at m = 3)
+    assert vals.shape == (len(forms), len(pts))
+    assert vals.dtype == np.min_scalar_type(q - 1)
+    assert _form_coeffs(q, m).tolist() == [list(c) for c in forms]
+    # row i is the i-th form in product order: every form where the scalar
+    # reference stays under 10^5 dot products, an evenly spaced sample of
+    # them beyond (q = 7, 8, 9 at m = 3)
     stride = max(1, len(forms) * len(pts) // 10 ** 5)
-    sample = forms[::stride]
-    assert {c: vals[c] for c in sample} == scalar_form_values(F, m, pts, sample)
+    rows = range(0, len(forms), stride)
+    sample = [forms[i] for i in rows]
+    assert {forms[i]: tuple(vals[i].tolist()) for i in rows} == scalar_form_values(
+        F, m, pts, sample
+    )
+
+
+# References for the array table: the bodies it replaced, over a dict from
+# each coefficient tuple to its value tuple, one symbol at a time.
+
+
+def dict_form_values(F, m, pts):
+    """Value tuple over the point list for every coefficient tuple, keys in
+    `product` order, from one int64 evaluation of all forms."""
+    q = F.q
+    coeffs = list(product(range(q), repeat=m + 1))
+    points = np.array(pts.points, dtype=np.int64).reshape(len(pts), m + 1)
+    scalars = np.arange(q)[:, None]
+    vals = np.zeros((1, len(pts)), dtype=np.int64)
+    for j in reversed(range(m + 1)):
+        terms = F.vmul(scalars, points[:, j])
+        vals = F.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, len(pts))
+    return {c: tuple(row.tolist()) for c, row in zip(coeffs, vals)}
+
+
+def dict_zeros(vals, basis, npts):
+    return frozenset(i for i in range(npts) if not any(vals[row][i] for row in basis))
+
+
+def dict_cosets(vals, basis):
+    pivots = [row.index(1) for row in basis]
+    return [c for c in vals if any(c) and not any(c[j] for j in pivots)]
+
+
+def scalar_witness_codewords(F, d, m):
+    q = F.q
+    t, s = divmod(d - 1, q - 1)
+    omega_sets = [()] if s == 0 else list(combinations(range(q), s))
+    pts = projective_points(F, m)
+    vals = dict_form_values(F, m, pts)
+    npts = len(pts)
+    prods = [[1] * q for _ in omega_sets]
+    for row, omegas in zip(prods, omega_sets):
+        for r in range(q):
+            for w in omegas:
+                row[r] = F.mul(row[r], F.sub(r, w))
+    out = set()
+    for basis in _rref_bases(F, m + 1, t):
+        zeros = dict_zeros(vals, basis, npts)
+        comp = dict_cosets(vals, basis)
+        for lt in comp:
+            vt = vals[lt]
+            if not s:
+                out.add(tuple(x if i in zeros else 0 for i, x in enumerate(vt)))
+                continue
+            on = [i for i in zeros if vt[i]]
+            lead = [F.pow(vt[i], s + 1) for i in on]
+            inv = [F.inv(vt[i]) for i in on]
+            line = {tuple(F.mul(a, x) for x in lt) for a in range(q)}
+            for lt1 in comp:
+                if lt1 in line:
+                    continue
+                vt1 = vals[lt1]
+                ratios = [F.mul(vt1[i], v) for i, v in zip(on, inv)]
+                for prod in prods:
+                    cw = [0] * npts
+                    for i, c, r in zip(on, lead, ratios):
+                        cw[i] = F.mul(c, prod[r])
+                    out.add(tuple(cw))
+    return out
+
+
+@pytest.mark.parametrize(
+    "F,d,m", REFERENCE_CASES, ids=[f"q{F.q}-d{d}-m{m}" for F, d, m in REFERENCE_CASES]
+)
+def test_witness_enumeration_equals_scalar_reference(F, d, m):
+    assert enumerate_witness_codewords(F, d, m) == scalar_witness_codewords(F, d, m)
 
 
 # -- support structure ------------------------------------------------------------------
@@ -534,7 +614,7 @@ def span_fiber_check(F, d, m):
     t, s = divmod(d - 1, q - 1)
     pts = projective_points(F, m)
     pidx = _point_index(pts)
-    vals = _form_values(F, m, pts)
+    vals = dict_form_values(F, m, pts)
     fibers = {}
     j_size = 0
     for basis in _rref_bases(F, m + 1, m - t + 1):
@@ -633,3 +713,85 @@ TAU_CASES = [
 def test_tau_check_equals_span_reference(q, d, m):
     F = GF.from_q(q)
     assert tau_bijection_check(F, d, m) == span_tau_check(F, d, m)
+
+
+def scalar_fiber_check(F, d, m):
+    q = F.q
+    t, s = divmod(d - 1, q - 1)
+    pts = projective_points(F, m)
+    vals = dict_form_values(F, m, pts)
+    npts = len(pts)
+    fibers = {}
+    j_size = 0
+    for basis in _rref_bases(F, m + 1, t):
+        epts = dict_zeros(vals, basis, npts)
+        for lt in vals:
+            vt = vals[lt]
+            on = [i for i in epts if vt[i]]
+            if not on:
+                continue
+            off = [i for i in epts if not vt[i]]
+            inv_t = {i: F.inv(vt[i]) for i in on}
+            for lt1 in vals:
+                vt1 = vals[lt1]
+                if all(vt1[i] == 0 for i in off):
+                    continue
+                ratios = {i: F.mul(vt1[i], inv_t[i]) for i in on}
+                for sset in combinations(range(q), s):
+                    supp = frozenset(i for i in on if ratios[i] not in sset)
+                    fibers[supp] = fibers.get(supp, 0) + 1
+                    j_size += 1
+    return FiberReport(
+        q=q, d=d, m=m, t=t, s=s,
+        j_size=j_size,
+        j_expected=gaussian_binomial(m + 1, t, q)
+        * (q ** (m + 1) - q ** t) * (q ** (m + 1) - q ** (t + 1)) * binomial(q, s),
+        fiber_sizes=tuple(sorted(set(fibers.values()))),
+        fiber_expected=(s + 1) * (q - 1) ** 2 * q ** (2 * t + 1),
+        support_count=len(fibers),
+        implied_count=(q - 1) * len(fibers),
+        formula_count=prm_min_weight_count(q, d, m),
+    )
+
+
+@pytest.mark.parametrize(
+    "q,d,m", FIBER_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in FIBER_CASES]
+)
+def test_fiber_check_equals_scalar_reference(q, d, m):
+    F = GF.from_q(q)
+    assert support_fiber_check(F, d, m) == scalar_fiber_check(F, d, m)
+
+
+def scalar_tau_check(F, d, m):
+    q = F.q
+    t = (d - 1) // (q - 1)
+    k = m - t + 1
+    pts = projective_points(F, m)
+    vals = dict_form_values(F, m, pts)
+    npts = len(pts)
+    supports = set()
+    pair_count = 0
+    for basis in _rref_bases(F, m + 1, t):
+        epts = dict_zeros(vals, basis, npts)
+        for form in dict_cosets(vals, basis):
+            if next(x for x in form if x) != 1:
+                continue
+            vl = vals[form]
+            supports.add(frozenset(i for i in epts if vl[i]))
+            pair_count += 1
+    return TauReport(
+        q=q, d=d, m=m, t=t,
+        pair_count=pair_count,
+        pair_expected=gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q),
+        injective=len(supports) == pair_count,
+        implied_count=(q - 1) * pair_count,
+        formula_count=prm_min_weight_count(q, d, m),
+    )
+
+
+@pytest.mark.parametrize(
+    "q,d,m", TAU_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in TAU_CASES]
+)
+def test_tau_check_equals_scalar_reference(q, d, m):
+    F = GF.from_q(q)
+    assert tau_bijection_check(F, d, m) == scalar_tau_check(F, d, m)

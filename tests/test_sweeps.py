@@ -233,3 +233,66 @@ def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
     for d, expected in ((3, 52), (5, 13)):
         found, want = re.match(r"pairs=(\d+)/(\d+) ", rows[d, "tau"].detail).groups()
         assert int(want) == expected and int(found) < expected
+
+
+def _corrupt_form_table(monkeypatch, change):
+    real = minwt._form_values
+
+    def corrupted(field, m, pts):
+        vals = real(field, m, pts).copy()
+        change(vals, field.q)
+        return vals
+
+    monkeypatch.setattr(minwt, "_form_values", corrupted)
+
+
+def test_verify_fails_on_a_wrong_form_value(monkeypatch):
+    # q=3, m=2: the value of the form X2 (table row 1) at the first point
+    # (0,0,1) reads 2 instead of 1.  The witness-set row of prm(3,2,2)
+    # (t=0, s=1) and both fiber rows read that row and FAIL.  The tau rows
+    # stay PASS: their verdict is the pair count, which no value changes,
+    # and the distinctness of the supports E minus H, which one wrong
+    # symbol only moves by one point and never makes two of them coincide
+    # (checked over every single-symbol change at q=2, m<=3 and q=3,4, m=2).
+    def change(vals, q):
+        vals[1, 0] = (vals[1, 0] + 1) % q
+
+    _corrupt_form_table(monkeypatch, change)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    rows = {(r.d, r.check): r for r in rep.results if r.family == "prm"}
+    assert rows[2, "witness-set"].status == "FAIL"
+    assert rows[2, "witness-set"].detail.startswith("witness set size 228, oracle set size 156; ")
+    assert rows[2, "fibers"].status == rows[4, "fibers"].status == "FAIL"
+    assert rows[2, "fibers"].detail.startswith("|J|=1872/1872 fibers=(2, 4, 20, 22, 24)/24 ")
+    assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
+    assert rep.counts()["SKIPPED"] == 0
+
+
+def test_tau_rows_fail_on_a_copied_form_row(monkeypatch):
+    # q=3, m=2: the row of X1 + X2 (row 4) holds the values of X1 (row 3),
+    # so two hyperplanes of some E give the same support E minus H
+    def change(vals, q):
+        vals[4] = vals[3]
+
+    _corrupt_form_table(monkeypatch, change)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    rows = {(r.d, r.check): r for r in rep.results if r.check == "tau"}
+    assert rows[3, "tau"].detail == "pairs=52/52 injective=False count=104/104"
+    assert rows[5, "tau"].detail == "pairs=13/13 injective=False count=26/26"
+    assert {r.status for r in rows.values()} == {"FAIL"}
+
+
+def test_dual_route_builds_the_parity_check_once(monkeypatch):
+    # prm(2,2,2) and rm(2,2,2) under guard 8 are walked through their duals:
+    # the walk and the witness membership check of prm(2,2,2) read one H
+    calls = []
+    real = oracle.parity_check
+
+    def counting(g):
+        calls.append((g.family, g.order))
+        return real(g)
+
+    monkeypatch.setattr(oracle, "parity_check", counting)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=8))
+    assert rep.ok and rep.counts()["SKIPPED"] == 0
+    assert calls == [("prm", 2), ("rm", 2)]
