@@ -575,14 +575,20 @@ class TauReport:
     pair_count: int
     pair_expected: int
     injective: bool
+    wrong_size: int | None      # the first support size that is not q^(m-t)
     implied_count: int
     formula_count: int
+
+    @property
+    def sizes_ok(self) -> bool:
+        return self.wrong_size is None
 
     @property
     def ok(self) -> bool:
         return (
             self.pair_count == self.pair_expected
             and self.injective
+            and self.sizes_ok
             and self.implied_count == self.formula_count
         )
 
@@ -595,6 +601,8 @@ class TauReport:
             "pair_count": self.pair_count,
             "pair_expected": self.pair_expected,
             "injective": self.injective,
+            "sizes_ok": self.sizes_ok,
+            "wrong_size": self.wrong_size,
             "implied_count": str(self.implied_count),
             "formula_count": str(self.formula_count),
             "ok": self.ok,
@@ -604,8 +612,8 @@ class TauReport:
 def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> TauReport:
     """Exhaustive verification of the s = 0 counting argument: flag pairs
     (E, H) with H a hyperplane of the (m-t)-subspace E map injectively to
-    supports E minus H, and (q-1) times the pair count is the codeword
-    count.
+    supports E minus H, each of q^(m-t) points, and (q-1) times the pair
+    count is the codeword count.
 
     E runs over V(W) for the t-dimensional spans W of forms.  The
     hyperplanes of E are its intersections E cap V(L) with one form L per
@@ -635,11 +643,16 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     # each support E minus H is a packed bit row over all points
     supports: set[bytes] = set()
     pair_count = 0
+    wrong_size = None
     for basis in _rref_bases(field, m + 1, t):
         hyper = vals[_cosets(coeffs, basis) & leading_one]
         supp = np.packbits((hyper != 0) & _zeros(vals, q, basis), axis=1)
         supports.update(map(bytes, supp))
         pair_count += len(hyper)
+        sizes = np.bitwise_count(supp).sum(axis=1)
+        wrong = sizes[sizes != q ** (m - t)]
+        if wrong_size is None and wrong.size:
+            wrong_size = int(wrong[0])
     return TauReport(
         q=q,
         d=d,
@@ -648,6 +661,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         pair_count=pair_count,
         pair_expected=pair_expected,
         injective=len(supports) == pair_count,
+        wrong_size=wrong_size,
         implied_count=(q - 1) * pair_count,
         formula_count=prm_min_weight_count(q, d, m),
     )

@@ -4,17 +4,20 @@ The whole message space of a code, or of its dual code (see below), is
 enumerated exhaustively under a guard on the number of words walked.
 The performance commitment is the traversal: the trailing message symbols
 are expanded once into a dense block of q^lo codewords, and the leading
-symbols are walked in chunks of P prefixes, each chunk's prefix codewords
+symbols are walked in batches of prefixes, each batch's prefix codewords
 built at once from the mixed-radix digits of a counter and pre-scaled
 generator rows.  Weighing then needs no field addition:
 block[r] + prefix is nonzero at column j exactly when
 block[r, j] != -prefix[j].  So the block is stored once as bit planes,
-bit b of every symbol, packed 64 columns to a uint64 word, and each chunk
-costs one packing of its P negated prefixes; the (P, R) weights of every
-prefix against every row are the popcount of the OR over planes of
-block XOR -prefix, in one pass whose P is chosen so that a chunk compares
-about 2^16 words.  The compare is the same for every field, since it
-tests symbol equality only.
+bit b of every symbol, its n columns packed into the narrowest unsigned
+word that holds them (uint8, uint16 or uint32 for n <= 32) or into
+ceil(n / 64) uint64 words.  A batch of at most 2^16 int64 prefix symbols
+(or one chunk, if that is more) is negated and packed once, and each
+chunk of P of its prefixes is weighed in one pass: the (P, R) weights of
+every prefix against every row are the popcount of the OR over planes of
+block XOR -prefix, with P chosen so that a chunk compares at most 2^16
+(prefix, row, word) triples, or P = 1.  The compare is the same for
+every field, since it tests symbol equality only.
 
 The walk is quotiented by scalars: the nonzero multiples lambda*c of a
 codeword all have its weight, and a message whose leading symbols are not
@@ -53,7 +56,9 @@ from .errors import ORACLE_GUARD, GuardExceeded
 from .gf import GF
 
 _BLOCK = 4096
-_CHUNK_WORDS = 1 << 16     # P * W * R uint64 words compared in one chunk
+# at most P * W * R (prefix, row, word) triples compared in one chunk, and
+# P * n prefix symbols packed in one batch
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,14 +75,17 @@ class WeightDistribution:
 
 
 def _pack(vals: np.ndarray, bits: int) -> np.ndarray:
-    """The bit planes of vals along its last axis, 64 columns a word, as
-    uint64 laid out (bits, W, ...) with W = ceil(n / 64): plane b holds bit
-    b of each element, and the words are zero past column n."""
+    """The bit planes of vals along its last axis, laid out (bits, W, ...):
+    plane b holds bit b of each element, the n columns packed into the
+    narrowest unsigned word that holds them (uint8, uint16 or uint32, with
+    W = 1), or into W = ceil(n / 64) uint64 words for n > 32.  The words
+    are zero past column n."""
     n = vals.shape[-1]
-    out = np.zeros((bits, *vals.shape[:-1], -(-n // 64) * 8), dtype=np.uint8)
+    word = next((w for w in (1, 2, 4) if 8 * w >= n), 8)      # bytes a word
+    out = np.zeros((bits, *vals.shape[:-1], -(-n // (8 * word)) * word), dtype=np.uint8)
     for b in range(bits):
         out[b, ..., : -(-n // 8)] = np.packbits((vals >> b) & 1, axis=-1)
-    return np.ascontiguousarray(np.moveaxis(out.view(np.uint64), -1, 1))
+    return np.ascontiguousarray(np.moveaxis(out.view(f"u{word}"), -1, 1))
 
 
 def _prefixes(field, scaled, lead: int, size: int):
@@ -85,7 +93,7 @@ def _prefixes(field, scaled, lead: int, size: int):
     most size prefix codewords: the zero prefix with multiplier 1, then, for
     each i < lead, the prefixes whose first nonzero leading symbol is a 1 at
     position i, with multiplier q - 1.  The leading symbols after i are the
-    mixed-radix digits of a counter, so each group is cut into chunks of
+    mixed-radix digits of a counter, so each group is cut into batches of
     consecutive counts.  scaled[i, s] is s times generator row i."""
     q, n = field.q, scaled.shape[-1]
     yield 1, np.zeros((1, n), dtype=np.int64)
@@ -104,11 +112,15 @@ def _weights(planes: np.ndarray, negp: np.ndarray) -> np.ndarray:
     """The (P, R) Hamming weights of block[r] + prefix[p], from the
     (bits, W, R) planes of the block and the (bits, W, P) planes of
     -prefix: a column is nonzero exactly where some bit of block and
-    -prefix differs."""
+    -prefix differs.  With one word a weight is its popcount, at most 64,
+    as uint8; over several words the counts are summed in intp."""
     differ = planes[0][:, None, :] ^ negp[0][..., None]
     for b in range(1, len(planes)):
         differ |= planes[b][:, None, :] ^ negp[b][..., None]
-    return np.bitwise_count(differ).sum(axis=0, dtype=np.intp)
+    counts = np.bitwise_count(differ)
+    if len(counts) == 1:
+        return counts[0]
+    return counts.sum(axis=0, dtype=np.intp)
 
 
 def _check_coverage(g: GeneratorMatrix, covered: int) -> None:
@@ -144,13 +156,18 @@ def _walk(g: GeneratorMatrix, guard: int):
         block = block.reshape(-1, n).astype(symbol)
     bits = (q - 1).bit_length()
     planes = _pack(block, bits)
-    size = max(1, _CHUNK_WORDS // planes[0].size)
+    size = max(1, _CHUNK_WORDS // planes[0].size)          # prefixes per chunk
+    batch = size * max(1, _CHUNK_WORDS // (size * n))      # prefixes per packing
     minus_one = field.p - 1
-    steps = (
-        (mult, prefixes, _weights(planes, _pack(field.vmul(minus_one, prefixes), bits)))
-        for mult, prefixes in _prefixes(field, scaled, k - lo, size)
-    )
-    return block, steps
+
+    def steps():
+        for mult, prefixes in _prefixes(field, scaled, k - lo, batch):
+            negp = _pack(field.vmul(minus_one, prefixes), bits)
+            for start in range(0, len(prefixes), size):
+                stop = start + size
+                yield mult, prefixes[start:stop], _weights(planes, negp[..., start:stop])
+
+    return block, steps()
 
 
 def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:

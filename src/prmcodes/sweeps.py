@@ -323,9 +323,12 @@ def _tau(c: Code) -> str | None:
     tau = minwt.tau_bijection_check(c.field, c.order, c.m, c.cfg.witness_guard)
     if tau.ok:
         return None
-    return (f"pairs={tau.pair_count}/{tau.pair_expected} "
-            f"injective={tau.injective} "
-            f"count={tau.implied_count}/{tau.formula_count}")
+    detail = (f"pairs={tau.pair_count}/{tau.pair_expected} "
+              f"injective={tau.injective} "
+              f"count={tau.implied_count}/{tau.formula_count}")
+    if not tau.sizes_ok:
+        detail += f" size={tau.wrong_size}/{c.field.q ** (c.m - tau.t)}"
+    return detail
 
 
 # (family, check, applies to (t, s) or None for every order, runner), in

@@ -572,7 +572,7 @@ def test_fiber_check_rejects_s_zero():
 def test_tau_check_frozen_values():
     rep = tau_bijection_check(F2, 2, 2)
     assert rep.pair_count == rep.pair_expected == 21
-    assert rep.injective
+    assert rep.injective and rep.sizes_ok
     assert rep.implied_count == rep.formula_count == 21
     assert rep.ok
     rep3 = tau_bijection_check(F3, 3, 2)
@@ -680,18 +680,22 @@ def span_tau_check(F, d, m):
     k = m - t + 1
     pidx = _point_index(projective_points(F, m))
     supports = set()
+    sizes = []
     pair_count = 0
     for ebasis in _rref_bases(F, m + 1, k):
         epts = _span_points(F, ebasis, pidx)
         for hcoeff in _rref_bases(F, k, k - 1):
             hbasis = linalg.mat_mul(F, hcoeff, ebasis).tolist() if hcoeff else []
-            supports.add(epts - _span_points(F, hbasis, pidx))
+            supp = epts - _span_points(F, hbasis, pidx)
+            supports.add(supp)
+            sizes.append(len(supp))
             pair_count += 1
     return TauReport(
         q=q, d=d, m=m, t=t,
         pair_count=pair_count,
         pair_expected=gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q),
         injective=len(supports) == pair_count,
+        wrong_size=next((x for x in sizes if x != q ** (m - t)), None),
         implied_count=(q - 1) * pair_count,
         formula_count=prm_min_weight_count(q, d, m),
     )
@@ -770,6 +774,7 @@ def scalar_tau_check(F, d, m):
     vals = dict_form_values(F, m, pts)
     npts = len(pts)
     supports = set()
+    sizes = []
     pair_count = 0
     for basis in _rref_bases(F, m + 1, t):
         epts = dict_zeros(vals, basis, npts)
@@ -777,13 +782,16 @@ def scalar_tau_check(F, d, m):
             if next(x for x in form if x) != 1:
                 continue
             vl = vals[form]
-            supports.add(frozenset(i for i in epts if vl[i]))
+            supp = frozenset(i for i in epts if vl[i])
+            supports.add(supp)
+            sizes.append(len(supp))
             pair_count += 1
     return TauReport(
         q=q, d=d, m=m, t=t,
         pair_count=pair_count,
         pair_expected=gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q),
         injective=len(supports) == pair_count,
+        wrong_size=next((x for x in sizes if x != q ** (m - t)), None),
         implied_count=(q - 1) * pair_count,
         formula_count=prm_min_weight_count(q, d, m),
     )

@@ -150,9 +150,10 @@ def test_matches_direct_python_enumeration(monkeypatch):
     # divides no power of q here, so the last chunk of an orbit group is
     # partial; the fields sit on both sides of vadd: XOR for GF(2) and
     # GF(4), table gathers for GF(3), GF(5) and GF(9), and span 1 to 4 bit
-    # planes; the last five codes have lengths 121, 511, 85, 91 and 156, so
-    # their planes span several 64-column words, and length 511 has weights
-    # past 255
+    # planes; the first five codes have lengths 7, 13, 21, 6 and 10, so
+    # their planes are one uint8, uint16 or uint32 word, and the last five
+    # have lengths 121, 511, 85, 91 and 156, so their planes span several
+    # uint64 words, and length 511 has weights past 255
     cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1),
              (F3, 1, 4), (F2, 1, 8), (F4, 1, 3), (GF(3, 2), 1, 2), (GF(5), 1, 3)]
     block, chunk = oracle._BLOCK, oracle._CHUNK_WORDS
@@ -163,7 +164,8 @@ def test_matches_direct_python_enumeration(monkeypatch):
             naive.setdefault(sum(1 for x in cw if x), set()).add(cw)
         counts = {w: len(words) for w, words in naive.items()}
         dmin = min(w for w in naive if w)
-        per_prefix = -(-g.n // 64) * F.q      # W * R words with a block of q rows
+        words = 1 if g.n <= 32 else -(-g.n // 64)
+        per_prefix = words * F.q               # W * R words with a block of q rows
         for small, per_chunk in [(False, chunk), (True, chunk), (True, 1), (True, 7 * per_prefix)]:
             monkeypatch.setattr(oracle, "_BLOCK", F.q if small else block)
             monkeypatch.setattr(oracle, "_CHUNK_WORDS", per_chunk)
@@ -176,11 +178,11 @@ def test_matches_direct_python_enumeration(monkeypatch):
 def test_packed_weights_equal_nonzero_counts(q):
     # the compare kernel against a field add and a nonzero count, on random
     # blocks and chunks of one or several prefixes, with lengths on both
-    # sides of a 64-column word and weights past 255
+    # sides of every word width and weights past 255
     rng = np.random.default_rng(q)
     F = GF.from_q(q)
     bits = (q - 1).bit_length()
-    for n in (1, 63, 64, 65, 300):
+    for n in (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 300):
         block = rng.integers(0, q, size=(40, n)).astype(np.min_scalar_type(q - 1))
         block[0] = 0
         prefixes = rng.integers(0, q, size=(5, n))
@@ -188,6 +190,9 @@ def test_packed_weights_equal_nonzero_counts(q):
         prefixes[1] = 0
         prefixes[2] = F.vmul(F.p - 1, block[2].astype(np.int64))
         planes = oracle._pack(block, bits)
+        width = next((w for w in (8, 16, 32) if n <= w), 64)
+        assert planes.dtype == np.dtype(f"uint{width}"), (q, n)
+        assert planes.shape == (bits, -(-n // width), len(block)), (q, n)
         for pre in (prefixes, prefixes[:1], prefixes[1:2]):
             want = np.count_nonzero(F.vadd(block[None].astype(np.int64), pre[:, None]), axis=2)
             negp = oracle._pack(F.vmul(F.p - 1, pre), bits)
@@ -211,6 +216,61 @@ def test_orbit_walk_work(monkeypatch, q, d, m, small):
         pairs.append((mult, w.size))
     assert sum(mult * rows for mult, rows in pairs) == q ** k
     assert sum(rows for _, rows in pairs) == q ** lo * (1 + (q ** (k - lo) - 1) // (q - 1))
+
+
+# (q, d, m, block, chunk words): a block of R = q^lo rows, at least twice
+# the length n, so that one packed batch of prefixes holds several compare
+# chunks and the last chunk of a batch is partial
+BATCH_CASES = [(2, 2, 3, 32, 96), (3, 2, 2, 27, 54), (4, 2, 2, 64, 200)]
+
+
+@pytest.mark.parametrize("q,d,m,block,chunk", BATCH_CASES)
+def test_batches_of_several_chunks_match_naive_enumeration(monkeypatch, q, d, m, block, chunk):
+    g = prm_generator_matrix(GF.from_q(q), d, m)
+    naive = {}
+    for cw in _naive_codewords(g):
+        naive.setdefault(sum(1 for x in cw if x), set()).add(cw)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "_CHUNK_WORDS", chunk)
+    _, steps = oracle._walk(g, q ** g.k)
+    sizes = [len(prefixes) for _, prefixes, _ in steps]
+    assert len(set(sizes)) > 1, sizes           # some chunk is partial
+    assert weight_distribution(g).counts == {w: len(c) for w, c in naive.items()}
+    assert brute_min_weight_words(g) == naive[min(w for w in naive if w)]
+
+
+@pytest.mark.parametrize("q,d,m,block,chunk",
+                         BATCH_CASES + [(2, 1, 6, 16, 64), (2, 1, 8, 4096, 1 << 16), (5, 2, 2, 25, 7)])
+def test_no_step_weighs_more_than_a_chunk(monkeypatch, q, d, m, block, chunk):
+    # a step's weights count (prefix, row) pairs: at most _CHUNK_WORDS of
+    # them, or one prefix against the R rows when R alone is wider
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "_CHUNK_WORDS", chunk)
+    g = prm_generator_matrix(GF.from_q(q), d, m)
+    block_rows, steps = oracle._walk(g, q ** g.k)
+    for _, prefixes, w in steps:
+        assert w.shape == (len(prefixes), len(block_rows))
+        assert w.size <= max(len(block_rows), chunk), (w.shape, chunk)
+
+
+@pytest.mark.parametrize("q,d,m,block,chunk", BATCH_CASES)
+def test_steps_do_not_share_buffers(monkeypatch, q, d, m, block, chunk):
+    # the steps hold on to nothing a later step overwrites: a list of them
+    # gives the histogram of consuming them one at a time
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "_CHUNK_WORDS", chunk)
+    g = prm_generator_matrix(GF.from_q(q), d, m)
+
+    def histogram(steps):
+        hist = np.zeros(g.n + 1, dtype=np.int64)
+        for mult, _, w in steps:
+            hist += mult * np.bincount(w.ravel(), minlength=g.n + 1)
+        return hist.tolist()
+
+    one_at_a_time = histogram(oracle._walk(g, q ** g.k)[1])
+    listed = list(oracle._walk(g, q ** g.k)[1])
+    assert histogram(listed) == one_at_a_time
+    assert sum(one_at_a_time) == q ** g.k
 
 
 @pytest.mark.parametrize("drop", [0, -1], ids=["first-chunk", "last-chunk"])

@@ -250,10 +250,8 @@ def test_verify_fails_on_a_wrong_form_value(monkeypatch):
     # q=3, m=2: the value of the form X2 (table row 1) at the first point
     # (0,0,1) reads 2 instead of 1.  The witness-set row of prm(3,2,2)
     # (t=0, s=1) and both fiber rows read that row and FAIL.  The tau rows
-    # stay PASS: their verdict is the pair count, which no value changes,
-    # and the distinctness of the supports E minus H, which one wrong
-    # symbol only moves by one point and never makes two of them coincide
-    # (checked over every single-symbol change at q=2, m<=3 and q=3,4, m=2).
+    # stay PASS: they read only whether a value is zero, and 2 is as
+    # nonzero as 1 (a flip to zero is the next test).
     def change(vals, q):
         vals[1, 0] = (vals[1, 0] + 1) % q
 
@@ -279,6 +277,22 @@ def test_tau_rows_fail_on_a_copied_form_row(monkeypatch):
     rows = {(r.d, r.check): r for r in rep.results if r.check == "tau"}
     assert rows[3, "tau"].detail == "pairs=52/52 injective=False count=104/104"
     assert rows[5, "tau"].detail == "pairs=13/13 injective=False count=26/26"
+    assert {r.status for r in rows.values()} == {"FAIL"}
+
+
+def test_tau_rows_fail_on_a_value_flipped_to_zero(monkeypatch):
+    # q=3, m=2: the form X2 (row 1) reads 0 instead of 1 at the first point
+    # (0,0,1).  No two supports E minus H coincide, so injectivity holds,
+    # but the supports that hold or lose that point are the wrong size:
+    # prm(3,2,3) (t=1) needs q^(m-t) = 3 points and prm(3,2,5) (t=2) needs 1
+    def change(vals, q):
+        vals[1, 0] = 0
+
+    _corrupt_form_table(monkeypatch, change)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    rows = {(r.d, r.check): r for r in rep.results if r.check == "tau"}
+    assert rows[3, "tau"].detail == "pairs=52/52 injective=True count=104/104 size=2/3"
+    assert rows[5, "tau"].detail == "pairs=13/13 injective=True count=26/26 size=0/1"
     assert {r.status for r in rows.values()} == {"FAIL"}
 
 
