@@ -6,12 +6,18 @@ standard representatives (unique scalar multiple whose last nonzero
 coordinate is 1) in lexicographic order.  Any fixed order gives a
 permutation-equivalent code, so weights, distances and counts do not depend
 on this choice; only codeword indexing does.  Point indices are 0-based.
+
+A generator matrix is evaluated in one array pass: a table of every power
+x^a of every field element, gathered at the (row, point) pairs of each
+variable's exponents and coordinates, and the gathers multiplied together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from . import linalg
 from .combinat import p_k
@@ -66,19 +72,9 @@ def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
         for pt in product(range(field.q), repeat=m + 1)
         if any(pt) and pt[max(i for i, x in enumerate(pt) if x)] == 1
     )
-    assert len(pts) == n
+    if len(pts) != n:
+        raise RuntimeError(f"{len(pts)} standard representatives, not p_{m} = {n}")
     return PointList("projective", field, m, pts)
-
-
-def evaluate_monomial(field: GF, exps, point) -> int:
-    """Value of a monomial at a point, with the 0^0 = 1 convention."""
-    v = 1
-    for x, a in zip(point, exps):
-        if a:
-            v = field.mul(v, field.pow(x, a))
-            if v == 0:
-                return 0
-    return v
 
 
 def ev_vector(f: Poly, pts: PointList) -> Codeword:
@@ -108,6 +104,23 @@ class GeneratorMatrix:
         return linalg.rank(self.field, self.rows)
 
 
+def _evaluate(field: GF, basis, pts: PointList) -> tuple[Codeword, ...]:
+    """The rows of G, one per exponent vector of basis, evaluated at every
+    point: powers[a, x] = x^a with 0^0 = 1, up to the largest exponent,
+    which for a projective basis can exceed q - 1."""
+    nvars = len(pts.points[0])
+    exps = np.array(basis, dtype=np.intp).reshape(len(basis), nvars)
+    x = np.array(pts.points, dtype=np.intp).reshape(len(pts), nvars)
+    powers = np.ones((int(exps.max(initial=0)) + 1, field.q), dtype=np.int64)
+    elements = np.arange(field.q)
+    for a in range(1, len(powers)):
+        powers[a] = field.vmul(powers[a - 1], elements)
+    vals = np.ones((len(basis), len(pts)), dtype=np.int64)
+    for i in range(nvars):
+        vals = field.vmul(vals, powers[exps[:, i, None], x[None, :, i]])
+    return tuple(map(tuple, vals.tolist()))
+
+
 def rm_generator_matrix(field: GF, nu: int, m: int) -> GeneratorMatrix:
     """Rows are the evaluations of the reduced monomials of degree <= nu at
     all affine points; the rows are independent and span the code."""
@@ -117,9 +130,7 @@ def rm_generator_matrix(field: GF, nu: int, m: int) -> GeneratorMatrix:
         raise ValueError(f"order {nu} outside [0, {m * (field.q - 1)}]")
     pts = affine_points(field, m)
     basis = tuple(reduced_monomials_affine(field.q, nu, m))
-    rows = tuple(
-        tuple(evaluate_monomial(field, exps, p) for p in pts.points) for exps in basis
-    )
+    rows = _evaluate(field, basis, pts)
     return GeneratorMatrix("rm", field, nu, m, pts, basis, rows)
 
 
@@ -132,9 +143,7 @@ def prm_generator_matrix(field: GF, d: int, m: int) -> GeneratorMatrix:
         raise ValueError(f"order {d} outside [1, {m * (field.q - 1) + 1}]")
     pts = projective_points(field, m)
     basis = tuple(reduced_monomials_projective(field.q, d, m))
-    rows = tuple(
-        tuple(evaluate_monomial(field, exps, p) for p in pts.points) for exps in basis
-    )
+    rows = _evaluate(field, basis, pts)
     return GeneratorMatrix("prm", field, d, m, pts, basis, rows)
 
 

@@ -6,12 +6,15 @@ verifier directly.  Library calls go through the module objects on
 purpose (dimension.dim_alpha, oracle.distribution, not from-imports) so a
 corrupted or wrapped function is the one the verifier calls.
 
-The distance, count and witness-set rows rest on `oracle.distribution`.
-On a code walked through its dual (`oracle.route` gives "dual") there are
-no oracle words, so the witness-set row checks membership and count
-instead: every witness word has H c^T = 0 and weight d_min, and there are
-A_dmin of them, which together make the witness set the minimum-weight
-set.
+The distance, count and witness-set rows rest on one oracle walk per
+code.  A projective code on the primal route is walked once by
+`oracle.min_words`, which gives both the distribution and the
+minimum-weight words that the witness-set row compares with the witness
+set.  Other codes go through `oracle.distribution`.  On a code walked
+through its dual (`oracle.route` gives "dual") there are no oracle words,
+so the witness-set row checks membership and count instead: every witness
+word has H c^T = 0 and weight d_min, and there are A_dmin of them, which
+together make the witness set the minimum-weight set.
 """
 
 from __future__ import annotations
@@ -183,8 +186,8 @@ class VerifyReport:
 class Code:
     """One code of a sweep: (family, q, m, order).
 
-    Its generator matrix, parity-check matrix and distribution are each
-    built at most once, on first use.  When the rank-length guard
+    Its generator matrix, parity-check matrix and oracle walk are each
+    made at most once, on first use.  When the rank-length guard
     (projective codes only) or the oracle guard refuses, the access raises
     GuardExceeded instead; an affine code is refused before its matrix is
     evaluated.
@@ -234,10 +237,18 @@ class Code:
         return oracle.parity_check(self.gm)
 
     @cached_property
-    def dist(self) -> oracle.WeightDistribution:
+    def walked(self) -> tuple[oracle.WeightDistribution, set[codes.Codeword] | None]:
+        """The distribution and, for a projective code on the primal route,
+        its minimum-weight words from the same walk (None otherwise)."""
         # route first: an affine code is refused before G is built
+        if self.route == "primal" and self.family == "prm":
+            return oracle.min_words(self.gm, self.cfg.guard)
         h = self.h if self.route == "dual" else None
-        return oracle.distribution(self.gm, self.cfg.guard, h)
+        return oracle.distribution(self.gm, self.cfg.guard, h), None
+
+    @property
+    def dist(self) -> oracle.WeightDistribution:
+        return self.walked[0]
 
     @cached_property
     def dmin(self) -> int:
@@ -280,11 +291,10 @@ def _count(c: Code) -> str | None:
 
 
 def _witness_set(c: Code) -> str | None:
-    c.dist  # walk first: the oracle guard refuses before any enumeration
+    words = c.walked[1]  # walk first: the oracle guard refuses before any enumeration
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
     if c.route == "dual":
         return _witness_members(c, wit)
-    words = oracle.brute_min_weight_words(c.gm, c.cfg.guard)
     if wit == words:
         return None
     if wit - words:

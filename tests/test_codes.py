@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from prmcodes import linalg
+from prmcodes import codes, linalg
 from prmcodes.codes import (
     affine_points,
     ev_vector,
@@ -26,6 +26,67 @@ from prmcodes.gf import GF
 from prmcodes.poly import Poly
 
 F2, F3, F4 = GF(2), GF(3), GF(2, 2)
+
+
+def evaluate_monomial(field: GF, exps, point) -> int:
+    """Value of a monomial at a point, with the 0^0 = 1 convention: the
+    scalar reference for the generator matrices."""
+    v = 1
+    for x, a in zip(point, exps):
+        if a:
+            v = field.mul(v, field.pow(x, a))
+            if v == 0:
+                return 0
+    return v
+
+
+def _scalar_rows(g):
+    return tuple(
+        tuple(evaluate_monomial(g.field, exps, p) for p in g.points.points) for exps in g.basis
+    )
+
+
+def _reference_cases():
+    """(field, m, orders) for q in {2,3,4,5,7,8,9} with q^(m+1) <= 2000,
+    every order, and GF(1031), which has no lookup tables, at m = 1 with
+    orders 1 to 3."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q ** (m + 1) <= 2000:
+            yield GF.from_q(q), m, range(m * (q - 1) + 2)
+            m += 1
+    yield GF(1031), 1, range(1, 4)
+
+
+@pytest.mark.parametrize("F,m,orders", list(_reference_cases()),
+                         ids=lambda v: repr(v) if isinstance(v, GF) else None)
+def test_generator_matrices_equal_scalar_evaluation(F, m, orders):
+    for order in orders:
+        if order <= m * (F.q - 1):
+            g = rm_generator_matrix(F, order, m)
+            assert g.rows == _scalar_rows(g), ("rm", F.q, m, order)
+        if order >= 1:
+            g = prm_generator_matrix(F, order, m)
+            assert g.rows == _scalar_rows(g), ("prm", F.q, m, order)
+
+
+def test_prm_exponent_above_q_minus_one():
+    # x0^3 is a basis monomial of prm(3,3,1), and x^3 = x on GF(3): its row
+    # is x0 at (0,1), (1,0), (1,1), (2,1)
+    g = prm_generator_matrix(F3, 3, 1)
+    i = g.basis.index((3, 0))
+    assert g.rows[i] == (0, 1, 1, 2) == _scalar_rows(g)[i]
+
+
+def test_zero_to_the_zero_is_one():
+    # x0^2 of prm(3,2,2) is 1 at (1, 0, 0), where x1^0 = x2^0 = 0^0 = 1,
+    # and the constant monomial of rm(3,0,2) is 1 at (0, 0)
+    g = prm_generator_matrix(F3, 2, 2)
+    i = g.basis.index((2, 0, 0))
+    assert g.rows[i][g.points.points.index((1, 0, 0))] == 1
+    assert g.rows[i] == _scalar_rows(g)[i]
+    g = rm_generator_matrix(F3, 0, 2)
+    assert g.points.points[0] == (0, 0) and g.rows == ((1,) * 9,)
 
 
 def test_projective_points_small():
@@ -63,6 +124,13 @@ def test_normalize_point():
 def test_affine_points():
     pts = affine_points(F2, 2).points
     assert pts == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_wrong_point_count_raises(monkeypatch):
+    # the count check is an explicit raise, so it holds under python -O too
+    monkeypatch.setattr(codes, "p_k", lambda q, m: 8)
+    with pytest.raises(RuntimeError, match=r"^7 standard representatives, not p_2 = 8$"):
+        projective_points(F2, 2)
 
 
 def test_point_guard():

@@ -142,6 +142,12 @@ def _naive_codewords(g):
         yield tuple(cw)
 
 
+# (field, d, m) of the prm codes whose walks are checked against other
+# enumerations
+WALK_CASES = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1),
+              (F3, 1, 4), (F2, 1, 8), (F4, 1, 3), (GF(3, 2), 1, 2), (GF(5), 1, 3)]
+
+
 def test_matches_direct_python_enumeration(monkeypatch):
     # cross-check the vectorized enumeration against a naive one, with the
     # default block (the trailing block holds the whole code) and with a
@@ -154,10 +160,8 @@ def test_matches_direct_python_enumeration(monkeypatch):
     # their planes are one uint8, uint16 or uint32 word, and the last five
     # have lengths 121, 511, 85, 91 and 156, so their planes span several
     # uint64 words, and length 511 has weights past 255
-    cases = [(F2, 2, 2), (F3, 2, 2), (F4, 2, 2), (GF(5), 3, 1), (GF(3, 2), 3, 1),
-             (F3, 1, 4), (F2, 1, 8), (F4, 1, 3), (GF(3, 2), 1, 2), (GF(5), 1, 3)]
     block, chunk = oracle._BLOCK, oracle._CHUNK_WORDS
-    for F, d, m in cases:
+    for F, d, m in WALK_CASES:
         g = prm_generator_matrix(F, d, m)
         naive = {}
         for cw in _naive_codewords(g):
@@ -172,6 +176,36 @@ def test_matches_direct_python_enumeration(monkeypatch):
             case = (F.q, d, m, small, per_chunk)
             assert weight_distribution(g).counts == counts, case
             assert brute_min_weight_words(g) == naive[dmin], case
+
+
+def _two_walk_min_words(g):
+    """The minimum-weight words of g from two walks: d_min from
+    weight_distribution, then every row of a second walk at that weight,
+    expanded into the multiples its multiplier stands for."""
+    dmin = min(w for w in weight_distribution(g).counts if w)
+    block, steps = oracle._walk(g, g.field.q ** g.k)
+    words = set()
+    for mult, prefixes, w in steps:
+        for p, r in zip(*np.nonzero(w == dmin)):
+            word = g.field.vadd(block[r].astype(np.int64), prefixes[p])
+            words.update(tuple(g.field.vmul(lam, word).tolist()) for lam in range(1, mult + 1))
+    return words
+
+
+def test_min_words_equals_distribution_and_two_walks(monkeypatch):
+    # one walk gives what weight_distribution and a second walk give, with
+    # the default block and chunk, a block of q rows, one-prefix chunks, and
+    # batches of several chunks, the last one partial
+    runs = [(F.q, d, m, block, chunk) for F, d, m in WALK_CASES
+            for block, chunk in [(oracle._BLOCK, oracle._CHUNK_WORDS),
+                                 (F.q, oracle._CHUNK_WORDS), (F.q, 1)]]
+    for q, d, m, block, chunk in runs + BATCH_CASES:
+        g = prm_generator_matrix(GF.from_q(q), d, m)
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        monkeypatch.setattr(oracle, "_CHUNK_WORDS", chunk)
+        dist, words = oracle.min_words(g)
+        assert dist == weight_distribution(g), (q, d, m, block, chunk)
+        assert words == _two_walk_min_words(g), (q, d, m, block, chunk)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 1031])
@@ -291,6 +325,8 @@ def test_walk_that_drops_a_chunk_raises(monkeypatch, drop):
         weight_distribution(g)
     with pytest.raises(RuntimeError, match=r"covered \d+ of 3\^6 codewords"):
         brute_min_weight_words(g)
+    with pytest.raises(RuntimeError, match=r"covered \d+ of 3\^6 codewords"):
+        oracle.min_words(g)
 
 
 # -- the MacWilliams dual route ---------------------------------------------------

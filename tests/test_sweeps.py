@@ -310,3 +310,43 @@ def test_dual_route_builds_the_parity_check_once(monkeypatch):
     rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=8))
     assert rep.ok and rep.counts()["SKIPPED"] == 0
     assert calls == [("prm", 2), ("rm", 2)]
+
+
+def test_primal_route_walks_each_projective_code_once(monkeypatch):
+    # every code of q=3, m=2 fits the default oracle guard, so each is
+    # walked once: the distance, count and witness-set rows of a projective
+    # code share the walk that gives both its distribution and its words
+    calls = []
+    real = oracle._walk
+
+    def recording(g, guard):
+        calls.append((g.family, g.order))
+        return real(g, guard)
+
+    monkeypatch.setattr(oracle, "_walk", recording)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    assert rep.ok and rep.counts()["SKIPPED"] == 0
+    assert sorted(calls) == [("prm", d) for d in range(1, 6)] + [("rm", nu) for nu in range(5)]
+
+
+@pytest.mark.parametrize("side", ["not minimum weight", "no witness"])
+def test_witness_set_fail_when_the_oracle_words_are_wrong(monkeypatch, side):
+    # prm(2,2,2) is on the primal route: an oracle word set that lacks one
+    # minimum-weight word leaves a witness the oracle does not have, and one
+    # with an extra full-weight word has a word no witness gives
+    real = oracle.min_words
+    changed = []
+
+    def corrupted(g, guard):
+        dist, words = real(g, guard)
+        word = min(words) if side == "not minimum weight" else (1,) * g.n
+        changed.append(word)
+        return dist, words ^ {word}
+
+    monkeypatch.setattr(oracle, "min_words", corrupted)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2))
+    (bad,) = [r for r in rep.results if r.status == "FAIL"]
+    assert bad.check == "witness-set" and len(changed) == 1
+    size = 20 if side == "not minimum weight" else 22
+    assert bad.detail == (f"witness set size 21, oracle set size {size}; "
+                          f"{side}: {','.join(map(str, changed[0]))}")
