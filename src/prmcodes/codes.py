@@ -61,17 +61,19 @@ def normalize_point(field: GF, vec) -> Point:
 
 
 def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
-    """All p_m standard representatives in lexicographic order."""
+    """All p_m standard representatives in lexicographic order: for each
+    index i of the last nonzero coordinate, the q^i free prefixes, then a 1,
+    then m - i zeros."""
     if m < 1:
         raise ValueError("m must be positive")
     n = p_k(field.q, m)
     if n > guard:
         raise GuardExceeded("point", f"{n} projective points", guard)
-    pts = tuple(
-        pt
-        for pt in product(range(field.q), repeat=m + 1)
-        if any(pt) and pt[max(i for i, x in enumerate(pt) if x)] == 1
-    )
+    pts = tuple(sorted(
+        (*prefix, 1) + (0,) * (m - i)
+        for i in range(m + 1)
+        for prefix in product(range(field.q), repeat=i)
+    ))
     if len(pts) != n:
         raise RuntimeError(f"{len(pts)} standard representatives, not p_{m} = {n}")
     return PointList("projective", field, m, pts)

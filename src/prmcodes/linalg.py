@@ -4,7 +4,8 @@ Matrices are lists (or tuples) of equal-length rows of canonical element
 ints, or int64 arrays of them.  rank and rref run one Gaussian elimination
 on a numpy array, one row operation per field array op (`GF.vmul`,
 `GF.vadd`): rank clears each pivot column below the pivot, rref above it
-too.  mat_mul is one broadcast multiply-add per inner index.  So
+too.  mat_mul is one integer product mod p over a prime field, else one
+broadcast multiply-add per inner index.  So
 desk-scale sweeps (a few hundred rows) stay fast.
 """
 
@@ -72,9 +73,13 @@ def inv_matrix(field: GF, rows) -> list[list[int]]:
 
 
 def mat_mul(field: GF, a, b) -> np.ndarray:
-    """The product a b as an int64 array; a is (r, n), b is (n, c)."""
+    """The product a b as an int64 array; a is (r, n), b is (n, c).  Over a
+    prime field it is one integer product reduced mod p, exact while the
+    n (p-1)^2 of a sum fits in int64."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if field.e == 1 and a.shape[1] * (field.p - 1) ** 2 < 2 ** 63:
+        return a @ b % field.p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for j in range(a.shape[1]):
         out = field.vadd(out, field.vmul(a[:, j, None], b[None, j, :]))

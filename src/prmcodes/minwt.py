@@ -305,8 +305,7 @@ def count_report(
     if with_oracle:
         g = prm_generator_matrix(field, d, m)
         dist = oracle.distribution(g, guard)
-        dmin = min(w for w in dist.counts if w > 0)
-        brute = dist.counts[dmin]
+        brute = dist.counts[dist.dmin]
     return CountReport(
         q, d, m, prm_min_weight_count(q, d, m), prm_min_weight_count_alt(q, d, m), brute
     )

@@ -41,10 +41,9 @@ it checks.  It raises, under python -O too, unless G H^T = 0, every
 division is exact and the counts add up to q^k.  `weight_distribution`
 stays the primal walk and the reference in tests.
 
-The verifier walks a projective code on the primal route once, through
-`min_words`: the one walk adds each chunk's weights to the distribution
-and keeps the words at the running minimum weight, so the distance, count
-and witness-set rows share it.
+The verifier reads one `distribution` per code.  `brute_min_weight_words`
+(one walk that keeps the words at the running minimum weight) is called
+only to name a minimum-weight word that a wrong witness set lacks.
 """
 
 from __future__ import annotations
@@ -77,6 +76,14 @@ class WeightDistribution:
 
     def as_dict(self) -> dict:
         return {str(w): str(c) for w, c in sorted(self.counts.items())}
+
+    @property
+    def dmin(self) -> int:
+        """The minimum nonzero weight; ValueError for the zero code."""
+        dmin = min((w for w in self.counts if w > 0), default=None)
+        if dmin is None:
+            raise ValueError("the zero code has no minimum distance")
+        return dmin
 
 
 def _pack(vals: np.ndarray, bits: int) -> np.ndarray:
@@ -273,54 +280,35 @@ def distribution(
 
 
 def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
-    dist = weight_distribution(g, guard)
-    nonzero = [w for w in dist.counts if w > 0]
-    if not nonzero:
-        raise ValueError("the zero code has no minimum distance")
-    return min(nonzero)
-
-
-def min_words(
-    g: GeneratorMatrix, guard: int = ORACLE_GUARD
-) -> tuple[WeightDistribution, set[Codeword]]:
-    """The weight distribution and the full set of codewords attaining the
-    minimum nonzero weight, from one walk: each chunk's weights are added
-    to the histogram, and its (prefix, row) pairs at the running minimum
-    are kept as codewords, the kept words dropped whenever a lower weight
-    appears.  Words kept from an orbit chunk are expanded into their scalar
-    multiples at the end."""
-    n = g.n
-    hist = np.zeros(n + 1, dtype=np.int64)
-    dmin = n + 1
-    kept: list[tuple[int, np.ndarray]] = []
-    block, steps = _walk(g, guard)
-    for mult, prefixes, w in steps:
-        counts = np.bincount(w.ravel(), minlength=n + 1)
-        hist += mult * counts
-        present = np.flatnonzero(counts[1:]) + 1         # the chunk's nonzero weights
-        if present.size and present[0] < dmin:
-            dmin, kept = int(present[0]), []
-        if present.size and present[0] == dmin:
-            pi, ri = np.nonzero(w == dmin)
-            words = g.field.vadd(block[ri].astype(np.int64), prefixes[pi])
-            kept.append((mult, words))
-    total = int(hist.sum())        # the sum over chunks of multiplier * P * R
-    _check_coverage(g, total)
-    if not kept:
-        raise ValueError("the zero code has no minimum distance")
-    dist = {w: int(c) for w, c in enumerate(hist) if c}
-    words = {
-        tuple(row)
-        for mult, rows in kept
-        for lam in range(1, mult + 1)
-        for row in g.field.vmul(lam, rows).tolist()
-    }
-    return WeightDistribution(g.family, g.field.q, g.order, g.m, dist, total), words
+    return weight_distribution(g, guard).dmin
 
 
 def brute_min_weight_words(
     g: GeneratorMatrix, guard: int = ORACLE_GUARD
 ) -> set[Codeword]:
-    """The full set of codewords attaining the minimum nonzero weight, in
-    one walk (see min_words)."""
-    return min_words(g, guard)[1]
+    """The full set of codewords attaining the minimum nonzero weight, from
+    one walk: each chunk's (prefix, row) pairs at the running minimum are
+    kept, and the kept words dropped whenever a lower weight appears.
+    Words kept from an orbit chunk are expanded into their scalar multiples
+    at the end."""
+    n = g.n
+    covered, dmin = 0, n + 1          # n + 1: no nonzero weight seen yet
+    kept: list[tuple[int, np.ndarray]] = []
+    block, steps = _walk(g, guard)
+    for mult, prefixes, w in steps:
+        covered += mult * w.size      # the sum over chunks of multiplier * P * R
+        low = int(w.min(initial=n + 1, where=w > 0))
+        if low < dmin:
+            dmin, kept = low, []
+        if low == dmin <= n:
+            pi, ri = np.nonzero(w == dmin)
+            kept.append((mult, g.field.vadd(block[ri].astype(np.int64), prefixes[pi])))
+    _check_coverage(g, covered)
+    if dmin > n:
+        raise ValueError("the zero code has no minimum distance")
+    return {
+        tuple(row)
+        for mult, rows in kept
+        for lam in range(1, mult + 1)
+        for row in g.field.vmul(lam, rows).tolist()
+    }

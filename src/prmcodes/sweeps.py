@@ -6,15 +6,13 @@ verifier directly.  Library calls go through the module objects on
 purpose (dimension.dim_alpha, oracle.distribution, not from-imports) so a
 corrupted or wrapped function is the one the verifier calls.
 
-The distance, count and witness-set rows rest on one oracle walk per
-code.  A projective code on the primal route is walked once by
-`oracle.min_words`, which gives both the distribution and the
-minimum-weight words that the witness-set row compares with the witness
-set.  Other codes go through `oracle.distribution`.  On a code walked
-through its dual (`oracle.route` gives "dual") there are no oracle words,
-so the witness-set row checks membership and count instead: every witness
-word has H c^T = 0 and weight d_min, and there are A_dmin of them, which
-together make the witness set the minimum-weight set.
+The distance, count and witness-set rows rest on one oracle result per
+code, `oracle.distribution`, which walks the code itself or, when only
+its dual code fits the guard, the dual code (`oracle.route`).  The
+witness-set row is the same on both routes: every witness word has
+H c^T = 0 for the parity-check matrix H of G and weight d_min, and there
+are A_dmin of them, which together make the witness set the minimum-weight
+set.  The rank row reads the rank off the same H.
 """
 
 from __future__ import annotations
@@ -186,8 +184,8 @@ class VerifyReport:
 class Code:
     """One code of a sweep: (family, q, m, order).
 
-    Its generator matrix, parity-check matrix and oracle walk are each
-    made at most once, on first use.  When the rank-length guard
+    Its generator matrix, parity-check matrix and weight distribution are
+    each made at most once, on first use.  When the rank-length guard
     (projective codes only) or the oracle guard refuses, the access raises
     GuardExceeded instead; an affine code is refused before its matrix is
     evaluated.
@@ -232,27 +230,15 @@ class Code:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The parity-check matrix of G, shared by the dual walk and the
-        witness membership check."""
+        """The parity-check matrix of G, shared by the rank row, the dual
+        walk and the witness-set row."""
         return oracle.parity_check(self.gm)
 
     @cached_property
-    def walked(self) -> tuple[oracle.WeightDistribution, set[codes.Codeword] | None]:
-        """The distribution and, for a projective code on the primal route,
-        its minimum-weight words from the same walk (None otherwise)."""
-        # route first: an affine code is refused before G is built
-        if self.route == "primal" and self.family == "prm":
-            return oracle.min_words(self.gm, self.cfg.guard)
-        h = self.h if self.route == "dual" else None
-        return oracle.distribution(self.gm, self.cfg.guard, h), None
-
-    @property
     def dist(self) -> oracle.WeightDistribution:
-        return self.walked[0]
-
-    @cached_property
-    def dmin(self) -> int:
-        return min(w for w in self.dist.counts if w > 0)
+        # route first: an affine code is refused before G is built
+        h = self.h if self.route == "dual" else None
+        return oracle.distribution(self.gm, self.cfg.guard, h)
 
 
 # A runner returns None for PASS or the FAIL detail; GuardExceeded skips.
@@ -266,12 +252,12 @@ def _dims(c: Code) -> str | None:
 
 
 def _rank(c: Code) -> str | None:
-    rank, gamma = c.gm.rank(), c.dims[2]
+    rank, gamma = c.gm.n - len(c.h), c.dims[2]
     return None if rank == gamma else f"rank={rank} gamma={gamma}"
 
 
 def _distance(c: Code) -> str | None:
-    dmin = c.dmin
+    dmin = c.dist.dmin
     formula = c.formula("min_distance")
     return None if dmin == formula else f"oracle={dmin} formula={formula}"
 
@@ -283,7 +269,7 @@ _COUNT_FORMULAS = {
 
 
 def _count(c: Code) -> str | None:
-    brute = c.dist.counts[c.dmin]
+    brute = c.dist.counts[c.dist.dmin]
     main, *alt = (c.formula(name) for name in _COUNT_FORMULAS[c.family])
     if brute == main and all(a == brute for a in alt):
         return None
@@ -291,33 +277,28 @@ def _count(c: Code) -> str | None:
 
 
 def _witness_set(c: Code) -> str | None:
-    words = c.walked[1]  # walk first: the oracle guard refuses before any enumeration
+    """Every witness word is a codeword (H c^T = 0) of weight d_min, and
+    there are A_dmin of them.  A FAIL names the least word that breaks the
+    first two, or else, on the primal route, the least minimum-weight word
+    with no witness."""
+    dmin = c.dist.dmin  # oracle first: its guard refuses before any enumeration
+    count = c.dist.counts[dmin]
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
-    if c.route == "dual":
-        return _witness_members(c, wit)
-    if wit == words:
-        return None
-    if wit - words:
-        side, word = "not minimum weight", min(wit - words)
-    else:
-        side, word = "no witness", min(words - wit)
-    return (f"witness set size {len(wit)}, oracle set size {len(words)}; "
-            f"{side}: {','.join(map(str, word))}")
-
-
-def _witness_members(c: Code, wit: set) -> str | None:
-    """The witness-set row of a dual-route code: every witness word is a
-    codeword (H c^T = 0) of weight d_min, and there are A_dmin of them."""
-    count = c.dist.counts[c.dmin]
     words = list(wit)
     arr = np.array(words, dtype=np.int64).reshape(len(words), c.gm.n)
     syndromes = linalg.mat_mul(c.field, arr, c.h.T)
-    bad = np.nonzero(syndromes.any(axis=1) | (np.count_nonzero(arr, axis=1) != c.dmin))[0]
+    bad = np.nonzero(syndromes.any(axis=1) | (np.count_nonzero(arr, axis=1) != dmin))[0]
     sizes = f"witness set size {len(wit)}, oracle count {count}"
     if bad.size:
         word = min(words[i] for i in bad)
         return f"{sizes}; not minimum weight: {','.join(map(str, word))}"
-    return None if len(wit) == count else sizes
+    if len(wit) == count:
+        return None
+    if len(wit) < count and c.route == "primal":
+        missing = oracle.brute_min_weight_words(c.gm, c.cfg.guard) - wit
+        if missing:
+            return f"{sizes}; no witness: {','.join(map(str, min(missing)))}"
+    return sizes
 
 
 def _fibers(c: Code) -> str | None:

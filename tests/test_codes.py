@@ -1,7 +1,7 @@
 import json
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -94,6 +94,22 @@ def test_projective_points_small():
     assert pts == ((0, 1), (1, 0), (1, 1))
     assert len(projective_points(F3, 2)) == 13
     assert len(projective_points(F2, 2)) == 7
+
+
+def filtered_projective_points(field: GF, m: int) -> tuple:
+    """Every nonzero (m+1)-tuple whose last nonzero coordinate is 1, in
+    product order: the filtering reference for projective_points."""
+    return tuple(
+        pt
+        for pt in product(range(field.q), repeat=m + 1)
+        if any(pt) and pt[max(i for i, x in enumerate(pt) if x)] == 1
+    )
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 2), (8, 1), (9, 2)])
+def test_projective_points_equal_the_filtered_product(q, m):
+    F = GF.from_q(q)
+    assert projective_points(F, m).points == filtered_projective_points(F, m)
 
 
 def test_projective_points_are_standard_and_distinct():

@@ -258,3 +258,23 @@ def test_rref_equals_python_elimination(q):
         assert (red, pivots) == python_rref(F, rows), rows
         assert all(type(x) is int for row in red for x in row)
         assert linalg.rank(F, rows) == len(pivots)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 1031])
+def test_mat_mul_equals_scalar_sums(q):
+    # the integer product mod p of a prime field and the multiply-add loop
+    # of an extension field against sums of scalar products, empty inner
+    # and outer dimensions included
+    F = GF.from_q(q)
+    rng = np.random.default_rng(q)
+    for r, n, c in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (5, 7, 4), (9, 40, 30)]:
+        a = rng.integers(0, q, size=(r, n))
+        b = rng.integers(0, q, size=(n, c))
+        want = [[0] * c for _ in range(r)]
+        for i in range(r):
+            for j in range(c):
+                for x, y in zip(a[i].tolist(), b[:, j].tolist()):
+                    want[i][j] = F.add(want[i][j], F.mul(x, y))
+        got = linalg.mat_mul(F, a, b)
+        assert got.dtype == np.int64 and got.shape == (r, c)
+        assert got.tolist() == want, (q, r, n, c)

@@ -3,12 +3,13 @@ details that name their guard, and FAIL details with a counterexample."""
 
 import re
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from prmcodes import codes, dimension, minwt, oracle
-from prmcodes.errors import GuardExceeded
+from prmcodes import codes, dimension, linalg, minwt, oracle
+from prmcodes.errors import ORACLE_GUARD, GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.sweeps import SweepConfig, run_verify, table_rows
 
@@ -166,11 +167,13 @@ def test_witness_set_fail_on_the_dual_route(monkeypatch, side):
                               f"not minimum weight: {','.join(map(str, changed[0]))}")
 
 
-def test_witness_set_on_the_dual_route_rejects_a_non_codeword(monkeypatch):
+@pytest.mark.parametrize("guard", [ORACLE_GUARD, 32], ids=["primal", "dual"])
+def test_witness_set_rejects_a_non_codeword(monkeypatch, guard):
     # a word of weight d_min outside the code fails H c^T = 0 even though
-    # the count is kept: prm(2,3,2) (2^10 words, dual 2^5, guard 32) has 105
-    # words of weight 4 among the 1365 vectors of that weight, so swap one
-    # for a weight-4 vector that is not a codeword
+    # the count is kept: prm(2,3,2) (2^10 words, dual 2^5, walked itself at
+    # the default guard and through its dual at guard 32) has 105 words of
+    # weight 4 among the 1365 vectors of that weight, so swap one for a
+    # weight-4 vector that is not a codeword
     real = minwt.enumerate_witness_codewords
     swapped = []
 
@@ -184,7 +187,7 @@ def test_witness_set_on_the_dual_route_rejects_a_non_codeword(monkeypatch):
         return words
 
     monkeypatch.setattr(minwt, "enumerate_witness_codewords", corrupted)
-    rep = run_verify(SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=2, d_hi=2, guard=32))
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=2, d_hi=2, guard=guard))
     (bad,) = [r for r in rep.results if r.status == "FAIL"]
     assert bad.check == "witness-set"
     assert bad.detail == ("witness set size 105, oracle count 105; "
@@ -259,7 +262,7 @@ def test_verify_fails_on_a_wrong_form_value(monkeypatch):
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     rows = {(r.d, r.check): r for r in rep.results if r.family == "prm"}
     assert rows[2, "witness-set"].status == "FAIL"
-    assert rows[2, "witness-set"].detail.startswith("witness set size 228, oracle set size 156; ")
+    assert rows[2, "witness-set"].detail.startswith("witness set size 228, oracle count 156; ")
     assert rows[2, "fibers"].status == rows[4, "fibers"].status == "FAIL"
     assert rows[2, "fibers"].detail.startswith("|J|=1872/1872 fibers=(2, 4, 20, 22, 24)/24 ")
     assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
@@ -329,24 +332,44 @@ def test_primal_route_walks_each_projective_code_once(monkeypatch):
     assert sorted(calls) == [("prm", d) for d in range(1, 6)] + [("rm", nu) for nu in range(5)]
 
 
-@pytest.mark.parametrize("side", ["not minimum weight", "no witness"])
-def test_witness_set_fail_when_the_oracle_words_are_wrong(monkeypatch, side):
-    # prm(2,2,2) is on the primal route: an oracle word set that lacks one
-    # minimum-weight word leaves a witness the oracle does not have, and one
-    # with an extra full-weight word has a word no witness gives
-    real = oracle.min_words
-    changed = []
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("guard", [ORACLE_GUARD, 8], ids=["primal", "dual"])
+def test_witness_set_fails_on_a_wrong_oracle_count(monkeypatch, guard, delta):
+    # an oracle that miscounts the 21 words of weight 3 of prm(2,2,2) fails
+    # the count row and the witness-set row; the witness set itself is
+    # right, so the row gives the two sizes and names no word
+    real = oracle.distribution
 
-    def corrupted(g, guard):
-        dist, words = real(g, guard)
-        word = min(words) if side == "not minimum weight" else (1,) * g.n
-        changed.append(word)
-        return dist, words ^ {word}
+    def miscounted(g, guard, h=None):
+        dist = real(g, guard, h)
+        counts = dict(dist.counts)
+        counts[dist.dmin] += delta
+        return replace(dist, counts=counts)
 
-    monkeypatch.setattr(oracle, "min_words", corrupted)
-    rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2))
-    (bad,) = [r for r in rep.results if r.status == "FAIL"]
-    assert bad.check == "witness-set" and len(changed) == 1
-    size = 20 if side == "not minimum weight" else 22
-    assert bad.detail == (f"witness set size 21, oracle set size {size}; "
-                          f"{side}: {','.join(map(str, changed[0]))}")
+    monkeypatch.setattr(oracle, "distribution", miscounted)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=guard))
+    rows = {r.check: r for r in rep.results if r.family == "prm"}
+    assert {c for c, r in rows.items() if r.status != "PASS"} == {"count", "witness-set"}
+    assert rows["count"].status == rows["witness-set"].status == "FAIL"
+    assert rows["count"].detail == f"oracle={21 + delta} formula=21 alt=21"
+    assert rows["witness-set"].detail == f"witness set size 21, oracle count {21 + delta}"
+
+
+def test_a_pass_sweep_does_no_work_twice(monkeypatch):
+    # H is built once per projective code and gives its rank too, and no
+    # PASS row walks a code for its minimum-weight words
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "parity_check", counting("parity_check", oracle.parity_check))
+    monkeypatch.setattr(linalg, "rank", counting("rank", linalg.rank))
+    monkeypatch.setattr(oracle, "brute_min_weight_words",
+                        counting("brute_min_weight_words", oracle.brute_min_weight_words))
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    assert rep.ok and rep.counts()["SKIPPED"] == 0
+    assert calls == {"parity_check": 5}
