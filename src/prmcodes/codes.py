@@ -50,16 +50,6 @@ def affine_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
     return PointList("affine", field, m, pts)
 
 
-def normalize_point(field: GF, vec) -> Point:
-    """Standard representative: scale so the last nonzero coordinate is 1."""
-    vec = tuple(vec)
-    last = max((i for i, x in enumerate(vec) if x), default=None)
-    if last is None:
-        raise ValueError("the zero vector is not a projective point")
-    inv = field.inv(vec[last])
-    return tuple(field.mul(inv, x) for x in vec)
-
-
 def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> PointList:
     """All p_m standard representatives in lexicographic order: for each
     index i of the last nonzero coordinate, the q^i free prefixes, then a 1,
@@ -149,40 +139,8 @@ def prm_generator_matrix(field: GF, d: int, m: int) -> GeneratorMatrix:
     return GeneratorMatrix("prm", field, d, m, pts, basis, rows)
 
 
-def interpolation_poly(field: GF, d: int, m: int, index: int) -> Poly:
-    """Degree-d homogeneous polynomial that is 1 at the projective point
-    with the given 0-based index and 0 at every other point.  Exists for
-    every point once d >= m(q - 1) + 1, which is why the code is then the
-    whole ambient space."""
-    q = field.q
-    if d < m * (q - 1) + 1:
-        raise ValueError(f"need d >= m(q-1)+1 = {m * (q - 1) + 1}, got {d}")
-    pts = projective_points(field, m)
-    if not 0 <= index < len(pts):
-        raise ValueError(f"point index {index} out of range")
-    pt = pts.points[index]
-    j = max(i for i, x in enumerate(pt) if x)          # pt = (a_0..a_{j-1}, 1, 0..0)
-    nv = m + 1
-    xj = Poly.monomial(field, tuple(1 if i == j else 0 for i in range(nv)))
-    out = xj ** (d - m * (q - 1))
-    xj_q1 = xj ** (q - 1)
-    for i in range(j):
-        coeffs = [0] * nv
-        coeffs[i] = 1
-        coeffs[j] = field.neg(pt[i])
-        out = out * (xj_q1 - Poly.linear(field, coeffs) ** (q - 1))
-    for k in range(j + 1, nv):
-        xk = Poly.monomial(field, tuple(1 if i == k else 0 for i in range(nv)))
-        out = out * (xj_q1 - xk ** (q - 1))
-    return out
-
-
 def weight(c: Codeword) -> int:
     return sum(1 for x in c if x)
-
-
-def support(c: Codeword) -> set[int]:
-    return {i for i, x in enumerate(c) if x}
 
 
 # -- export -------------------------------------------------------------------

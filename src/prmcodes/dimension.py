@@ -1,4 +1,4 @@
-"""The published closed-form dimension formulas and their cross-checks.
+"""The published closed-form dimension formulas.
 
 Four independently published expressions (alpha, beta, gamma, delta) give
 the dimension of the projective Reed-Muller code of order d on projective
@@ -16,14 +16,7 @@ differ, and only this one counts reduced monomials (e.g. q=3, nu=3, n=2:
 8 reduced monomials, while the fixed-bottom reading gives 9).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from . import codes
-from .combinat import binomial, p_k
-from .errors import POINT_GUARD, GuardExceeded
-from .gf import GF
+from .combinat import binomial
 
 
 def _check_range(q: int, d: int, m: int) -> None:
@@ -115,56 +108,3 @@ def dim_delta(q: int, d: int, m: int) -> int:
         )
         for e in _degree_classes(q, d)
     )
-
-
-@dataclass(frozen=True)
-class DimReport:
-    q: int
-    d: int
-    m: int
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-    rank: int | None
-    agree: bool
-
-    def as_dict(self) -> dict:
-        out = {
-            "q": self.q,
-            "d": self.d,
-            "m": self.m,
-            "alpha": str(self.alpha),
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
-            "delta": str(self.delta),
-            "agree": self.agree,
-        }
-        if self.rank is not None:
-            out["rank"] = str(self.rank)
-        return out
-
-
-def check_rank_length(q: int, m: int, limit: int) -> None:
-    """Refuse to build and rank a projective generator matrix longer than limit."""
-    if p_k(q, m) > limit:
-        raise GuardExceeded("rank", f"length {p_k(q, m)}", limit)
-
-
-def dim_report(
-    q: int, d: int, m: int, with_rank: bool = False, rank_guard: int = POINT_GUARD
-) -> DimReport:
-    """All four formulas (and optionally the generator matrix rank) plus
-    their agreement flag."""
-    _check_range(q, d, m)
-    a = dim_alpha(q, d, m)
-    b = dim_beta(q, d, m)
-    g = dim_gamma(q, d, m)
-    dl = dim_delta(q, d, m)
-    r: int | None = None
-    if with_rank:
-        check_rank_length(q, m, rank_guard)
-        r = codes.prm_generator_matrix(GF.from_q(q), d, m).rank()
-    agree = a == b == g == dl and (r is None or r == g)
-    return DimReport(q, d, m, a, b, g, dl, r, agree)
-

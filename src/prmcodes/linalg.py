@@ -62,16 +62,6 @@ def is_independent(field: GF, rows) -> bool:
     return rank(field, rows) == len(rows)
 
 
-def inv_matrix(field: GF, rows) -> list[list[int]]:
-    """Inverse of a square matrix; ValueError if singular."""
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
 def mat_mul(field: GF, a, b) -> np.ndarray:
     """The product a b as an int64 array; a is (r, n), b is (n, c).  Over a
     prime field it is one integer product reduced mod p, exact while the

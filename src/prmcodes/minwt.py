@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg, oracle
 from .codes import PointList, prm_generator_matrix, projective_points
-from .combinat import binomial, gaussian_binomial, p_k
+from .combinat import binomial, gaussian_binomial
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
 from .poly import Poly
@@ -90,18 +90,6 @@ def prm_min_distance(q: int, d: int, m: int) -> int:
     return _distance(q, ts_decompose(d, q, "prm"), m)
 
 
-def max_zero_bound(q: int, d: int, m: int) -> int:
-    """Largest possible projective zero set of a nonzero projectively
-    reduced polynomial of degree d: p_m - ceil((q-s) q^(m-t-1)).  Valid for
-    every d >= 1; beyond full-space orders the ceiling term is 1."""
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
-    ts = ts_decompose(d, q, "prm")
-    num = (q - ts.s) * q ** max(0, m - ts.t - 1)
-    den = q ** max(0, ts.t + 1 - m)
-    return p_k(q, m) - (num + den - 1) // den
-
-
 # -- witnesses ------------------------------------------------------------------
 
 
@@ -130,30 +118,6 @@ def _check_omegas(field: GF, omegas, s: int) -> tuple[int, ...]:
     if len(set(omegas)) != len(omegas):
         raise ValueError("omega values must be distinct")
     return omegas
-
-
-def canonical_min_poly(field: GF, d: int, m: int, omegas=()) -> Poly:
-    """The coordinate witness
-    X_t * prod_{i<t} (X_i^(q-1) - X_t^(q-1)) * prod_j (X_{t+1} - w_j X_t);
-    its evaluation has weight exactly prm_min_distance(q, d, m)."""
-    q = field.q
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
-    omegas = _check_omegas(field, omegas, ts.s)
-    nv = m + 1
-    unit = lambda i: tuple(1 if j == i else 0 for j in range(nv))
-    xt = Poly.monomial(field, unit(ts.t))
-    out = xt
-    xt_q1 = xt ** (q - 1)
-    for i in range(ts.t):
-        out = out * (Poly.monomial(field, unit(i)) ** (q - 1) - xt_q1)
-    for w in omegas:
-        coeffs = [0] * nv
-        coeffs[ts.t + 1] = 1
-        coeffs[ts.t] = field.neg(w)
-        out = out * Poly.linear(field, coeffs)
-    return out
 
 
 def prm_witness_poly(w: MinWtWitness, field: GF, d: int, m: int) -> Poly:

@@ -57,7 +57,6 @@ import numpy as np
 from . import linalg
 from .codes import Codeword, GeneratorMatrix
 from .errors import ORACLE_GUARD, GuardExceeded
-from .gf import GF
 
 _BLOCK = 4096
 # at most P * W * R (prefix, row, word) triples compared in one chunk, and

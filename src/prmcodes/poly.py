@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import linalg
 from .gf import GF
 
 
@@ -241,11 +240,6 @@ def reduce_projective(f: Poly) -> Poly:
     return Poly(F, f.nvars, out)
 
 
-def is_projectively_reduced(f: Poly) -> bool:
-    q = f.field.q
-    return all(reduce_exponents(q, e) == e for e in f.terms)
-
-
 def reduced_monomials_projective(q: int, d: int, m: int) -> list[tuple[int, ...]]:
     """All projectively reduced monomials of degree d in m + 1 variables,
     in canonical listing order.  These form a basis of the space that maps
@@ -268,74 +262,6 @@ def reduced_monomials_affine(q: int, nu: int, n: int) -> list[tuple[int, ...]]:
     out = [e for e in product(range(q), repeat=n) if sum(e) <= nu]
     out.sort(key=grlex_key)
     return out
-
-
-# -- linear forms --------------------------------------------------------------
-
-
-def substitute_linear(f: Poly, rows) -> Poly:
-    """Substitute X_i -> sum_j rows[i][j] * Y_j and expand."""
-    F = f.field
-    n = f.nvars
-    out = Poly.zero(F, n)
-    forms = [Poly.affine(F, tuple(r) + (0,)) for r in rows]
-    for exps, c in f.terms.items():
-        term = Poly.constant(F, n, c)
-        for i, a in enumerate(exps):
-            if a:
-                term = term * forms[i] ** a
-        out = out + term
-    return out
-
-
-def divides_linear(L, f: Poly) -> tuple[bool, Poly | None]:
-    """Whether the linear form L divides the homogeneous f; the quotient is
-    returned when it does.
-
-    Implemented by an invertible change of coordinates taking L to the last
-    variable, then checking that every term of the transformed polynomial
-    contains that variable.
-    """
-    F = f.field
-    n = f.nvars
-    L = tuple(L)
-    if len(L) != n:
-        raise ValueError(f"form has {len(L)} coefficients, need {n}")
-    for c in L:
-        F._chk(c)
-    if not any(L):
-        raise ValueError("zero form")
-    if not f.is_homogeneous():
-        raise ValueError("polynomial must be homogeneous")
-    if f.is_zero():
-        return True, f
-    pivot = next(i for i, c in enumerate(L) if c)
-    basis = [[1 if j == i else 0 for j in range(n)] for i in range(n) if i != pivot]
-    fwd = basis + [list(L)]            # invertible: maps L to the last coordinate
-    back = linalg.inv_matrix(F, fwd)
-    h = substitute_linear(f, back)
-    if any(e[n - 1] == 0 for e in h.terms):
-        return False, None
-    quot = Poly(F, n, {e[: n - 1] + (e[n - 1] - 1,): c for e, c in h.terms.items()})
-    return True, substitute_linear(quot, fwd)
-
-
-def separating_form(field: GF, a, b) -> tuple[int, ...]:
-    """A linear form vanishing at the projective point a but not at b,
-    built from the first coordinate pair with a nonzero 2x2 minor."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("points live in different spaces")
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = field.sub(field.mul(a[i], b[j]), field.mul(a[j], b[i]))
-            if det:
-                coeffs = [0] * n
-                coeffs[j] = a[i]
-                coeffs[i] = field.neg(a[j])
-                return tuple(coeffs)
-    raise ValueError("points are equal (proportional)")
 
 
 # -- text format ----------------------------------------------------------------

@@ -71,6 +71,12 @@ class SweepConfig:
                     yield q, m, d
 
 
+def check_rank_length(q: int, m: int, limit: int) -> None:
+    """Refuse to build and rank a projective generator matrix longer than limit."""
+    if p_k(q, m) > limit:
+        raise GuardExceeded("rank", f"length {p_k(q, m)}", limit)
+
+
 def table_rows(cfg: SweepConfig) -> list[dict]:
     """One row per (q, m, d): length, the four dimension formulas, the
     distance and count formulas, and the agreement flag."""
@@ -96,7 +102,7 @@ def table_rows(cfg: SweepConfig) -> list[dict]:
         agree = a == b == g == dl
         if cfg.with_rank:
             try:
-                dimension.check_rank_length(q, m, cfg.rank_len_guard)
+                check_rank_length(q, m, cfg.rank_len_guard)
             except GuardExceeded as exc:
                 row["rank"] = str(exc)
             else:
@@ -213,7 +219,7 @@ class Code:
     @cached_property
     def gm(self) -> codes.GeneratorMatrix:
         if self.family == "prm":
-            dimension.check_rank_length(self.q, self.m, self.cfg.rank_len_guard)
+            check_rank_length(self.q, self.m, self.cfg.rank_len_guard)
         build = getattr(codes, f"{self.family}_generator_matrix")
         return build(self.field, self.order, self.m)
 

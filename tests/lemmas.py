@@ -1,0 +1,62 @@
+"""Reference helpers that more than one test file uses.
+
+The standard representative of a projective point, the support of a word,
+the coordinate witness polynomial and the zero-set bound: the tests check
+the library against them, and nothing in the library calls them.  Not
+collected: the file name has no test_ prefix.
+"""
+
+from prmcodes.combinat import p_k
+from prmcodes.gf import GF
+from prmcodes.minwt import _check_omegas, ts_decompose
+from prmcodes.poly import Poly
+
+
+def normalize_point(field: GF, vec) -> tuple[int, ...]:
+    """Standard representative: scale so the last nonzero coordinate is 1."""
+    vec = tuple(vec)
+    last = max((i for i, x in enumerate(vec) if x), default=None)
+    if last is None:
+        raise ValueError("the zero vector is not a projective point")
+    inv = field.inv(vec[last])
+    return tuple(field.mul(inv, x) for x in vec)
+
+
+def support(c) -> set[int]:
+    return {i for i, x in enumerate(c) if x}
+
+
+def canonical_min_poly(field: GF, d: int, m: int, omegas=()) -> Poly:
+    """The coordinate witness
+    X_t * prod_{i<t} (X_i^(q-1) - X_t^(q-1)) * prod_j (X_{t+1} - w_j X_t);
+    its evaluation has weight exactly prm_min_distance(q, d, m)."""
+    q = field.q
+    if not 1 <= d <= m * (q - 1) + 1:
+        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
+    ts = ts_decompose(d, q, "prm")
+    omegas = _check_omegas(field, omegas, ts.s)
+    nv = m + 1
+    unit = lambda i: tuple(1 if j == i else 0 for j in range(nv))
+    xt = Poly.monomial(field, unit(ts.t))
+    out = xt
+    xt_q1 = xt ** (q - 1)
+    for i in range(ts.t):
+        out = out * (Poly.monomial(field, unit(i)) ** (q - 1) - xt_q1)
+    for w in omegas:
+        coeffs = [0] * nv
+        coeffs[ts.t + 1] = 1
+        coeffs[ts.t] = field.neg(w)
+        out = out * Poly.linear(field, coeffs)
+    return out
+
+
+def max_zero_bound(q: int, d: int, m: int) -> int:
+    """Largest possible projective zero set of a nonzero projectively
+    reduced polynomial of degree d: p_m - ceil((q-s) q^(m-t-1)).  Valid for
+    every d >= 1; beyond full-space orders the ceiling term is 1."""
+    if d < 1:
+        raise ValueError(f"degree must be positive, got {d}")
+    ts = ts_decompose(d, q, "prm")
+    num = (q - ts.s) * q ** max(0, m - ts.t - 1)
+    den = q ** max(0, ts.t + 1 - m)
+    return p_k(q, m) - (num + den - 1) // den

@@ -21,7 +21,6 @@ from prmcodes.gf import GF
 from prmcodes.poly import Poly, reduce_projective
 from prmcodes.minwt import (
     enumerate_witness_codewords,
-    max_zero_bound,
     prm_min_distance,
     prm_min_weight_count,
     prm_min_weight_count_alt,
@@ -30,6 +29,8 @@ from prmcodes.minwt import (
     support_fiber_check,
     tau_bijection_check,
 )
+
+from lemmas import max_zero_bound
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 

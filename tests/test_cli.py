@@ -291,3 +291,32 @@ def test_table_rows_library_shape():
     assert [r["d"] for r in rows] == [1, 2, 3]
     assert all(r["rank"] == r["gamma"] for r in rows)
     assert all(r["agree"] for r in rows)
+    with pytest.raises(ValueError, match="^d range ends at 4, above the maximum 3 for q=2, m=2$"):
+        table_rows(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=4, d_hi=4))
+
+
+@pytest.mark.parametrize(
+    "q, d, m, kw, dim, rank",
+    [
+        (2, 2, 2, {"with_rank": True}, 6, 6),
+        (3, 5, 2, {"with_rank": True}, 13, 13),
+        (9, 3, 2, {}, 10, None),
+        (2, 2, 2, {"with_rank": True, "rank_len_guard": 3}, 6, "rank guard: length 7 > 3"),
+    ],
+    ids=["q2-d2-m2", "q3-d5-m2", "q9-d3-m2-no-rank", "rank-guard"],
+)
+def test_table_row_cases(q, d, m, kw, dim, rank):
+    # all four formulas agree, with the rank of G where it is built and the
+    # named guard where the code is too long; the flag reads True throughout
+    (row,) = table_rows(SweepConfig(qs=(q,), m_lo=m, m_hi=m, d_lo=d, d_hi=d, **kw))
+    assert [row[k] for k in ("alpha", "beta", "gamma", "delta")] == [dim] * 4
+    assert row.get("rank") == rank
+    assert row["agree"] is True
+
+
+def test_table_json_counts_are_strings(capsys):
+    code, out, _ = run(capsys, "table", "--q", "2", "--m", "2", "--d", "2", "--with-rank",
+                       "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["alpha"] == "6" and row["rank"] == "6" and row["agree"] is True

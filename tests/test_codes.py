@@ -9,14 +9,11 @@ from prmcodes import codes, linalg
 from prmcodes.codes import (
     affine_points,
     ev_vector,
-    interpolation_poly,
     matrix_csv,
     matrix_json,
-    normalize_point,
     prm_generator_matrix,
     projective_points,
     rm_generator_matrix,
-    support,
     weight,
 )
 from prmcodes.combinat import p_k
@@ -25,25 +22,32 @@ from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.poly import Poly
 
+from lemmas import canonical_min_poly, normalize_point, support
+
 F2, F3, F4 = GF(2), GF(3), GF(2, 2)
 
 
-def evaluate_monomial(field: GF, exps, point) -> int:
-    """Value of a monomial at a point, with the 0^0 = 1 convention: the
-    scalar reference for the generator matrices."""
-    v = 1
-    for x, a in zip(point, exps):
-        if a:
-            v = field.mul(v, field.pow(x, a))
-            if v == 0:
-                return 0
-    return v
-
-
 def _scalar_rows(g):
-    return tuple(
-        tuple(evaluate_monomial(g.field, exps, p) for p in g.points.points) for exps in g.basis
-    )
+    """The scalar reference for the generator matrices: a table
+    pw[x][a] = field.pow(x, a), and each entry the table value of the first
+    nonzero exponent folded with field.mul over the others, stopping at the
+    first zero.  A constant monomial reads pw[x][0] = 1, so 0^0 = 1."""
+    F = g.field
+    mul = F.mul
+    pw = [[F.pow(x, a) for a in range(max(map(max, g.basis)) + 1)] for x in range(F.q)]
+    rows = []
+    for exps in g.basis:
+        (i0, a0), *rest = [(i, a) for i, a in enumerate(exps) if a] or [(0, 0)]
+        row = []
+        for p in g.points.points:
+            v = pw[p[i0]][a0]
+            for i, a in rest:
+                if v == 0:
+                    break
+                v = mul(v, pw[p[i]][a])
+            row.append(v)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _reference_cases():
@@ -211,6 +215,34 @@ def test_rm_rank_equals_rho():
                 assert g.rank() == g.k == rho(F.q, nu, m)
 
 
+def interpolation_poly(field: GF, d: int, m: int, index: int) -> Poly:
+    """Degree-d homogeneous polynomial that is 1 at the projective point
+    with the given 0-based index and 0 at every other point.  Exists for
+    every point once d >= m(q - 1) + 1, which is why the code is then the
+    whole ambient space."""
+    q = field.q
+    if d < m * (q - 1) + 1:
+        raise ValueError(f"need d >= m(q-1)+1 = {m * (q - 1) + 1}, got {d}")
+    pts = projective_points(field, m)
+    if not 0 <= index < len(pts):
+        raise ValueError(f"point index {index} out of range")
+    pt = pts.points[index]
+    j = max(i for i, x in enumerate(pt) if x)          # pt = (a_0..a_{j-1}, 1, 0..0)
+    nv = m + 1
+    xj = Poly.monomial(field, tuple(1 if i == j else 0 for i in range(nv)))
+    out = xj ** (d - m * (q - 1))
+    xj_q1 = xj ** (q - 1)
+    for i in range(j):
+        coeffs = [0] * nv
+        coeffs[i] = 1
+        coeffs[j] = field.neg(pt[i])
+        out = out * (xj_q1 - Poly.linear(field, coeffs) ** (q - 1))
+    for k in range(j + 1, nv):
+        xk = Poly.monomial(field, tuple(1 if i == k else 0 for i in range(nv)))
+        out = out * (xj_q1 - xk ** (q - 1))
+    return out
+
+
 def test_interpolation_identity():
     for F, m in [(F2, 1), (F2, 2), (F3, 1), (F3, 2)]:
         d = m * (F.q - 1) + 1
@@ -268,8 +300,6 @@ def test_homogeneous_scaling_at_nonstandard_representatives():
 def test_weight_and_support():
     assert weight((0, 0, 0)) == 0 and support((0, 0, 0)) == set()
     assert weight((1,) * 7) == 7 and support((1,) * 7) == set(range(7))
-    from prmcodes.minwt import canonical_min_poly
-
     cw = ev_vector(canonical_min_poly(F2, 2, 2), projective_points(F2, 2))
     assert weight(cw) == 2
 

@@ -3,16 +3,7 @@ from itertools import product
 import pytest
 
 from prmcodes.combinat import binomial, p_k
-from prmcodes.dimension import (
-    DimReport,
-    dim_alpha,
-    dim_beta,
-    dim_delta,
-    dim_gamma,
-    dim_report,
-    rho,
-)
-from prmcodes.errors import GuardExceeded
+from prmcodes.dimension import dim_alpha, dim_beta, dim_delta, dim_gamma, rho
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -106,22 +97,3 @@ def test_range_errors():
             fn(2, 0, 2)
         with pytest.raises(ValueError):
             fn(2, 4, 2)
-
-
-def test_dim_report():
-    rep = dim_report(2, 2, 2, with_rank=True)
-    assert rep == DimReport(2, 2, 2, 6, 6, 6, 6, 6, True)
-    rep = dim_report(3, 5, 2, with_rank=True)
-    assert (rep.alpha, rep.rank, rep.agree) == (13, 13, True)
-    rep = dim_report(9, 3, 2)
-    assert rep.rank is None and rep.agree
-    with pytest.raises(ValueError):
-        dim_report(2, 4, 2)
-    with pytest.raises(GuardExceeded):
-        dim_report(2, 2, 2, with_rank=True, rank_guard=3)
-
-
-def test_dim_report_as_dict_serializes_counts_as_strings():
-    d = dim_report(2, 2, 2, with_rank=True).as_dict()
-    assert d["alpha"] == "6" and d["rank"] == "6" and d["agree"] is True
-

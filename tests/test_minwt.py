@@ -7,10 +7,8 @@ import pytest
 from prmcodes import linalg
 from prmcodes.codes import (
     ev_vector,
-    normalize_point,
     prm_generator_matrix,
     projective_points,
-    support,
     weight,
 )
 from prmcodes.combinat import binomial, gaussian_binomial, p_k
@@ -24,10 +22,8 @@ from prmcodes.minwt import (
     _form_coeffs,
     _form_values,
     _rref_bases,
-    canonical_min_poly,
     count_report,
     enumerate_witness_codewords,
-    max_zero_bound,
     prm_min_distance,
     prm_min_weight_count,
     prm_min_weight_count_alt,
@@ -42,6 +38,8 @@ from prmcodes.minwt import (
 )
 from prmcodes.oracle import brute_min_weight_words
 from prmcodes.poly import Poly, reduced_monomials_projective
+
+from lemmas import canonical_min_poly, max_zero_bound, normalize_point, support
 
 F2, F3, F4, F5 = GF(2), GF(3), GF(2, 2), GF(5)
 

@@ -4,21 +4,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prmcodes import linalg
 from prmcodes.dimension import dim_gamma, rho
 from prmcodes.gf import GF
 from prmcodes.poly import (
     Poly,
     PolyParseError,
-    divides_linear,
     format_poly,
-    is_projectively_reduced,
     parse_poly,
     reduce_exponents,
     reduce_projective,
     reduced_monomials_affine,
     reduced_monomials_projective,
-    separating_form,
-    substitute_linear,
 )
 
 F2, F3, F4, F5 = GF(2), GF(3), GF(2, 2), GF(5)
@@ -34,6 +31,11 @@ def random_poly(F, nvars, rng, max_exp=6, max_terms=5):
 
 
 # -- reduction ---------------------------------------------------------------
+
+
+def is_projectively_reduced(f: Poly) -> bool:
+    q = f.field.q
+    return all(reduce_exponents(q, e) == e for e in f.terms)
 
 
 def test_reduce_exponents_hand_example():
@@ -173,6 +175,81 @@ def test_cross_field_operations_rejected():
 
 
 # -- linear form machinery --------------------------------------------------------
+
+
+def inv_matrix(field: GF, rows) -> list[list[int]]:
+    """Inverse of a square matrix; ValueError if singular."""
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = linalg.rref(field, aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def substitute_linear(f: Poly, rows) -> Poly:
+    """Substitute X_i -> sum_j rows[i][j] * Y_j and expand."""
+    F = f.field
+    n = f.nvars
+    out = Poly.zero(F, n)
+    forms = [Poly.affine(F, tuple(r) + (0,)) for r in rows]
+    for exps, c in f.terms.items():
+        term = Poly.constant(F, n, c)
+        for i, a in enumerate(exps):
+            if a:
+                term = term * forms[i] ** a
+        out = out + term
+    return out
+
+
+def divides_linear(L, f: Poly) -> tuple[bool, Poly | None]:
+    """Whether the linear form L divides the homogeneous f; the quotient is
+    returned when it does.
+
+    Implemented by an invertible change of coordinates taking L to the last
+    variable, then checking that every term of the transformed polynomial
+    contains that variable.
+    """
+    F = f.field
+    n = f.nvars
+    L = tuple(L)
+    if len(L) != n:
+        raise ValueError(f"form has {len(L)} coefficients, need {n}")
+    for c in L:
+        F._chk(c)
+    if not any(L):
+        raise ValueError("zero form")
+    if not f.is_homogeneous():
+        raise ValueError("polynomial must be homogeneous")
+    if f.is_zero():
+        return True, f
+    pivot = next(i for i, c in enumerate(L) if c)
+    basis = [[1 if j == i else 0 for j in range(n)] for i in range(n) if i != pivot]
+    fwd = basis + [list(L)]            # invertible: maps L to the last coordinate
+    back = inv_matrix(F, fwd)
+    h = substitute_linear(f, back)
+    if any(e[n - 1] == 0 for e in h.terms):
+        return False, None
+    quot = Poly(F, n, {e[: n - 1] + (e[n - 1] - 1,): c for e, c in h.terms.items()})
+    return True, substitute_linear(quot, fwd)
+
+
+def separating_form(field: GF, a, b) -> tuple[int, ...]:
+    """A linear form vanishing at the projective point a but not at b,
+    built from the first coordinate pair with a nonzero 2x2 minor."""
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b):
+        raise ValueError("points live in different spaces")
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = field.sub(field.mul(a[i], b[j]), field.mul(a[j], b[i]))
+            if det:
+                coeffs = [0] * n
+                coeffs[j] = a[i]
+                coeffs[i] = field.neg(a[j])
+                return tuple(coeffs)
+    raise ValueError("points are equal (proportional)")
 
 
 def test_divides_linear_examples():

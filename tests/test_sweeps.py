@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from prmcodes import codes, dimension, linalg, minwt, oracle
+from prmcodes import codes, linalg, minwt, oracle, sweeps
 from prmcodes.errors import ORACLE_GUARD, GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.sweeps import SweepConfig, run_verify, table_rows
@@ -101,7 +101,7 @@ def test_oracle_guard_skips_say_needed_and_limit():
          r"point guard: 7 projective points > 5"),
         (lambda: oracle.weight_distribution(codes.prm_generator_matrix(F2, 2, 2), guard=63),
          r"oracle guard: 2\^6 codewords > 63"),
-        (lambda: dimension.dim_report(2, 2, 2, with_rank=True, rank_guard=3),
+        (lambda: sweeps._rank(sweeps.Code(SweepConfig(rank_len_guard=3), F2, "prm", 2, 2)),
          r"rank guard: length 7 > 3"),
         (lambda: minwt.enumerate_witness_codewords(F3, 2, 2, guard=100),
          r"witness guard: 624 form tuples x 3 scalar sets > 100"),
