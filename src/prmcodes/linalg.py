@@ -1,12 +1,12 @@
 """Dense exact linear algebra over GF(q).
 
-Matrices are lists (or tuples) of equal-length rows of canonical element
-ints, or int64 arrays of them.  rank and rref run one Gaussian elimination
-on a numpy array, one row operation per field array op (`GF.vmul`,
-`GF.vadd`): rank clears each pivot column below the pivot, rref above it
-too.  mat_mul is one integer product mod p over a prime field, else one
-broadcast multiply-add per inner index.  So
-desk-scale sweeps (a few hundred rows) stay fast.
+A matrix is a 2-D integer array of canonical element ints; each function
+also takes a list of equal-length rows.  rank and rref run one Gaussian
+elimination on an int64 copy, one row operation per field array op
+(`GF.vmul`, `GF.vadd`): rank clears each pivot column below the pivot,
+rref above it too, and rref returns the array.  mat_mul is one integer
+product mod p over a prime field, else one broadcast multiply-add per
+inner index.  So desk-scale sweeps (a few hundred rows) stay fast.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from .gf import GF
 def _eliminate(field: GF, rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """(echelon form, pivot columns) of rows; with reduced, every pivot is
     the only nonzero entry of its column (reduced row echelon form)."""
-    rows = [list(r) for r in rows]
-    if not rows:
+    mat = np.array(rows, dtype=np.int64)      # a copy: elimination writes to it
+    if not len(mat):
         return np.zeros((0, 0), dtype=np.int64), []
-    mat = np.array(rows, dtype=np.int64)
     nrows, ncols = mat.shape
     pivots: list[int] = []
     for c in range(ncols):
@@ -51,14 +50,12 @@ def rank(field: GF, rows) -> int:
     return len(_eliminate(field, rows, reduced=False)[1])
 
 
-def rref(field: GF, rows) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat, pivots = _eliminate(field, rows, reduced=True)
-    return mat.tolist(), pivots
+def rref(field: GF, rows) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (int64 array, pivot column indices)."""
+    return _eliminate(field, rows, reduced=True)
 
 
 def is_independent(field: GF, rows) -> bool:
-    rows = list(rows)
     return rank(field, rows) == len(rows)
 
 

@@ -15,7 +15,7 @@ set at desk scale, and runs the two incidence-counting consistency checks
 that the s = 0 and s != 0 counting arguments rest on.
 
 The form-value table is one (q^(m+1), npts) numpy array indexed by form:
-row i holds the values over the point list of the form whose coefficients
+row i holds the values over the point array of the form whose coefficients
 are the base-q digits of i (`product` order).  So a form is a row index,
 and every subspace is described by the forms that vanish on it: the
 witness enumeration and both incidence checks read E = V(W), the zeros of
@@ -25,7 +25,8 @@ mask over the rows.  The words or supports of every L_{t+1} for one
 (W, L_t) are built at once; a support is a packed bit row, compared by its
 bytes.  The witness enumeration takes one form tuple per class of tuples
 that give the same word (see enumerate_witness_codewords for why that is
-complete); the incidence checks stay exhaustive.
+complete) and returns its distinct words as one array, in the order of
+`codes.distinct_words`; the incidence checks stay exhaustive.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import linalg, oracle
-from .codes import PointList, prm_generator_matrix, projective_points
+from .codes import digits, distinct_words, prm_generator_matrix, projective_points
 from .combinat import binomial, gaussian_binomial
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
@@ -278,12 +279,6 @@ def count_report(
 # -- witness enumeration ----------------------------------------------------------
 
 
-def _form_coeffs(q: int, m: int) -> np.ndarray:
-    """The (q^(m+1), m+1) coefficients of every form in `product` order:
-    row i holds the base-q digits of i, most significant first."""
-    return np.arange(q ** (m + 1))[:, None] // q ** np.arange(m, -1, -1) % q
-
-
 def _rows(q: int, forms) -> list[int]:
     """Table rows of the given forms: each coefficient tuple read as a
     base-q number."""
@@ -296,18 +291,17 @@ def _rows(q: int, forms) -> list[int]:
     return out
 
 
-def _form_values(field: GF, m: int, pts: PointList) -> np.ndarray:
-    """The (q^(m+1), npts) value table of every form over the point list,
-    forms in `product` order, in the smallest unsigned dtype that holds a
-    symbol."""
+def _form_values(field: GF, m: int, pts: np.ndarray) -> np.ndarray:
+    """The (q^(m+1), npts) value table of every form over the (npts, m + 1)
+    point array, forms in `product` order, in the smallest unsigned dtype
+    that holds a symbol."""
     q, npts = field.q, len(pts)
-    points = np.array(pts.points, dtype=np.int64).reshape(npts, m + 1)
     # the last coordinate varies fastest in product order, so prepend each
     # earlier coordinate's q multiples c * x_j as the slower axis
     scalars = np.arange(q)[:, None]
     vals = np.zeros((1, npts), dtype=np.int64)
     for j in reversed(range(m + 1)):
-        terms = field.vmul(scalars, points[:, j])
+        terms = field.vmul(scalars, pts[:, j])
         vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, npts)
     return vals.astype(np.min_scalar_type(q - 1))
 
@@ -331,8 +325,9 @@ def _inverses(field: GF) -> np.ndarray:
 
 def enumerate_witness_codewords(
     field: GF, d: int, m: int, guard: int = WITNESS_GUARD
-) -> set[tuple[int, ...]]:
-    """The full set of witness codewords, from one form tuple per class.
+) -> np.ndarray:
+    """The distinct witness codewords as one (N, n) array in the order of
+    codes.distinct_words, from one form tuple per class.
 
     On points L_t * (L_t^(q-1) - L_i^(q-1)) = L_t * [L_i = 0], so a witness
     word is L_t * [V(W)] * prod_j (L_{t+1} - w_j L_t) with W the span of
@@ -359,15 +354,14 @@ def enumerate_witness_codewords(
         )
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
-    coeffs = _form_coeffs(q, m)
+    coeffs = digits(q, m + 1)
     npts = len(pts)
-    out: set[tuple[int, ...]] = set()
+    chunks = [np.zeros((0, npts), dtype=vals.dtype)]
     if not s:
         # the word is L_t on V(W) and 0 elsewhere
         for basis in _rref_bases(field, m + 1, t):
-            words = vals[_cosets(coeffs, basis)] * _zeros(vals, q, basis)
-            out.update(map(tuple, words.tolist()))
-        return out
+            chunks.append(vals[_cosets(coeffs, basis)] * _zeros(vals, q, basis))
+        return distinct_words(np.concatenate(chunks), q)
     # where L_t != 0 the word is L_t^(s+1) prod_j (r - w_j), r = L_{t+1}/L_t;
     # prods[k, r] is that product for the k-th scalar set
     prods = np.ones((len(omega_sets), q), dtype=np.int64)
@@ -388,8 +382,8 @@ def enumerate_witness_codewords(
             ratios = field.vmul(vals[others][:, on], inv[vt[on]])
             words = np.zeros((len(prods), len(ratios), npts), dtype=vals.dtype)
             words[..., on] = field.vmul(lead[vt[on]], prods[:, ratios])
-            out.update(map(tuple, words.reshape(-1, npts).tolist()))
-    return out
+            chunks.append(words.reshape(-1, npts))
+    return distinct_words(np.concatenate(chunks), q)
 
 
 # -- incidence checks -------------------------------------------------------------
@@ -598,7 +592,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
     pts = projective_points(field, m)
     vals = _form_values(field, m, pts)
-    coeffs = _form_coeffs(q, m)
+    coeffs = digits(q, m + 1)
     # the forms whose first nonzero coefficient is 1 are rows q^j .. 2q^j - 1
     leading_one = np.zeros(len(coeffs), dtype=bool)
     for j in range(m + 1):

@@ -42,8 +42,9 @@ division is exact and the counts add up to q^k.  `weight_distribution`
 stays the primal walk and the reference in tests.
 
 The verifier reads one `distribution` per code.  `brute_min_weight_words`
-(one walk that keeps the words at the running minimum weight) is called
-only to name a minimum-weight word that a wrong witness set lacks.
+(one walk that keeps the words at the running minimum weight, returned as
+one `codes.distinct_words` array) is called only to name a minimum-weight
+word that a wrong witness set lacks.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .codes import Codeword, GeneratorMatrix
+from .codes import GeneratorMatrix, distinct_words
 from .errors import ORACLE_GUARD, GuardExceeded
 
 _BLOCK = 4096
@@ -150,7 +151,7 @@ def _walk(g: GeneratorMatrix, guard: int):
     A row with multiplier M stands for its multiples by the scalars 1..M:
     itself when M = 1, every nonzero multiple when M = q - 1.  So covered,
     every codeword appears exactly once."""
-    field, rows, n = g.field, g.rows, g.n
+    field, n = g.field, g.n
     q, k = field.q, g.k
     if q ** k > guard:
         raise GuardExceeded("oracle", f"{q}^{k} codewords", guard)
@@ -158,8 +159,7 @@ def _walk(g: GeneratorMatrix, guard: int):
     while lo < k and q ** (lo + 1) <= _BLOCK:
         lo += 1
     # scaled[i, s] = s * rows[i]
-    rows = np.array(rows, dtype=np.int64).reshape(k, n)
-    scaled = field.vmul(np.arange(q)[None, :, None], rows[:, None, :])
+    scaled = field.vmul(np.arange(q)[None, :, None], g.rows[:, None, :])
     symbol = np.min_scalar_type(q - 1)       # uint8 for q <= 256
     block = np.zeros((1, n), dtype=symbol)
     for i in range(k - lo, k):
@@ -214,13 +214,11 @@ def parity_check(g: GeneratorMatrix) -> np.ndarray:
     which then makes span H the whole dual code."""
     field, n = g.field, g.n
     red, pivots = linalg.rref(field, g.rows)
-    red = np.array(red[: len(pivots)], dtype=np.int64).reshape(len(pivots), n)
     free = sorted(set(range(n)) - set(pivots))
     h = np.zeros((len(free), n), dtype=np.int64)
-    h[:, pivots] = field.vmul(field.p - 1, red[:, free].T)
+    h[:, pivots] = field.vmul(field.p - 1, red[: len(pivots), free].T)
     h[np.arange(len(free)), free] = 1
-    rows = np.array(g.rows, dtype=np.int64).reshape(g.k, n)
-    if linalg.mat_mul(field, rows, h.T).any():
+    if linalg.mat_mul(field, g.rows, h.T).any():
         raise RuntimeError("parity-check rows are not orthogonal to the generator rows")
     return h
 
@@ -251,7 +249,7 @@ def _dual_distribution(
     q, n = g.field.q, g.n
     if h is None:
         h = parity_check(g)
-    dual = weight_distribution(replace(g, basis=(), rows=tuple(map(tuple, h.tolist()))), guard)
+    dual = weight_distribution(replace(g, basis=(), rows=h), guard)
     table = _krawtchouk(n, q)
     counts = {}
     for i in range(n + 1):
@@ -282,14 +280,12 @@ def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
     return weight_distribution(g, guard).dmin
 
 
-def brute_min_weight_words(
-    g: GeneratorMatrix, guard: int = ORACLE_GUARD
-) -> set[Codeword]:
-    """The full set of codewords attaining the minimum nonzero weight, from
-    one walk: each chunk's (prefix, row) pairs at the running minimum are
-    kept, and the kept words dropped whenever a lower weight appears.
-    Words kept from an orbit chunk are expanded into their scalar multiples
-    at the end."""
+def brute_min_weight_words(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> np.ndarray:
+    """The distinct codewords attaining the minimum nonzero weight, as one
+    (N, n) array in the order of codes.distinct_words, from one walk: each
+    chunk's (prefix, row) pairs at the running minimum are kept, and the
+    kept words dropped whenever a lower weight appears.  Words kept from an
+    orbit chunk are expanded into their scalar multiples at the end."""
     n = g.n
     covered, dmin = 0, n + 1          # n + 1: no nonzero weight seen yet
     kept: list[tuple[int, np.ndarray]] = []
@@ -305,9 +301,5 @@ def brute_min_weight_words(
     _check_coverage(g, covered)
     if dmin > n:
         raise ValueError("the zero code has no minimum distance")
-    return {
-        tuple(row)
-        for mult, rows in kept
-        for lam in range(1, mult + 1)
-        for row in g.field.vmul(lam, rows).tolist()
-    }
+    words = [g.field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]
+    return distinct_words(np.concatenate(words), g.field.q)

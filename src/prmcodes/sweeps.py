@@ -44,12 +44,16 @@ class SweepConfig:
     def validate(self) -> None:
         if not self.qs:
             raise ValueError("need at least one q")
+        if len(set(self.qs)) != len(self.qs):
+            raise ValueError(f"q values {','.join(map(str, self.qs))} repeat a field")
         if any(q < 2 for q in self.qs):
             raise ValueError("every q must be at least 2")
         for q in self.qs:
             prime_power(q)
         if self.m_lo < 1:
             raise ValueError("m must be at least 1")
+        if self.m_hi < self.m_lo:
+            raise ValueError(f"m range {self.m_lo}:{self.m_hi} is empty")
         if self.d_lo < 1:
             raise ValueError("d must be at least 1")
         if min(self.guard, self.witness_guard, self.rank_len_guard) < 1:
@@ -284,24 +288,24 @@ def _count(c: Code) -> str | None:
 
 def _witness_set(c: Code) -> str | None:
     """Every witness word is a codeword (H c^T = 0) of weight d_min, and
-    there are A_dmin of them.  A FAIL names the least word that breaks the
-    first two, or else, on the primal route, the least minimum-weight word
-    with no witness."""
+    there are A_dmin distinct ones.  A FAIL names the least word that breaks
+    the first two, or else, on the primal route, the least minimum-weight
+    word with no witness."""
     dmin = c.dist.dmin  # oracle first: its guard refuses before any enumeration
     count = c.dist.counts[dmin]
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
-    words = list(wit)
-    arr = np.array(words, dtype=np.int64).reshape(len(words), c.gm.n)
-    syndromes = linalg.mat_mul(c.field, arr, c.h.T)
-    bad = np.nonzero(syndromes.any(axis=1) | (np.count_nonzero(arr, axis=1) != dmin))[0]
-    sizes = f"witness set size {len(wit)}, oracle count {count}"
-    if bad.size:
-        word = min(words[i] for i in bad)
+    words = codes.distinct_words(wit, c.q)
+    syndromes = linalg.mat_mul(c.field, words, c.h.T)
+    bad = syndromes.any(axis=1) | (np.count_nonzero(words, axis=1) != dmin)
+    sizes = f"witness set size {len(words)}, oracle count {count}"
+    if bad.any():
+        word = min(map(tuple, words[bad].tolist()))
         return f"{sizes}; not minimum weight: {','.join(map(str, word))}"
-    if len(wit) == count:
+    if len(words) == count:
         return None
-    if len(wit) < count and c.route == "primal":
-        missing = oracle.brute_min_weight_words(c.gm, c.cfg.guard) - wit
+    if len(words) < count and c.route == "primal":
+        brute = oracle.brute_min_weight_words(c.gm, c.cfg.guard)
+        missing = set(map(tuple, brute.tolist())) - set(map(tuple, words.tolist()))
         if missing:
             return f"{sizes}; no witness: {','.join(map(str, min(missing)))}"
     return sizes

@@ -1,9 +1,9 @@
 """Reference helpers that more than one test file uses.
 
 The standard representative of a projective point, the support of a word,
-the coordinate witness polynomial and the zero-set bound: the tests check
-the library against them, and nothing in the library calls them.  Not
-collected: the file name has no test_ prefix.
+a word array as a set, the coordinate witness polynomial and the zero-set
+bound: the tests check the library against them, and nothing in the
+library calls them.  Not collected: the file name has no test_ prefix.
 """
 
 from prmcodes.combinat import p_k
@@ -24,6 +24,14 @@ def normalize_point(field: GF, vec) -> tuple[int, ...]:
 
 def support(c) -> set[int]:
     return {i for i, x in enumerate(c) if x}
+
+
+def word_set(words) -> set[tuple[int, ...]]:
+    """The rows of a word array as a set of tuples, which must lose none:
+    a repeated row fails."""
+    out = set(map(tuple, words.tolist()))
+    assert len(out) == len(words), "a word is repeated"
+    return out
 
 
 def canonical_min_poly(field: GF, d: int, m: int, omegas=()) -> Poly:

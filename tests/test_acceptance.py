@@ -6,6 +6,7 @@ the same oracle runs."""
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from prmcodes import oracle
@@ -163,7 +164,7 @@ def test_c06_characterization_set_equality():
         for d in range(1, dmax + 1):
             wit = enumerate_witness_codewords(F, d, m)
             brute = oracle.brute_min_weight_words(prm_generator_matrix(F, d, m))
-            assert wit == brute, (q, m, d, len(wit), len(brute))
+            assert np.array_equal(wit, brute), (q, m, d, len(wit), len(brute))
             total += len(wit)
     _report(6, f"witness codeword sets equal oracle sets (both inclusions, {total} words)")
 

@@ -82,6 +82,20 @@ def test_table_d_range_over_maximum_is_usage_error(capsys):
     assert "maximum" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "2,2", "--m", "1", "--d", "1"], "error: q values 2,2 repeat a field"),
+    (["--q", "2", "--m", "3:1"], "error: m range 3:1 is empty"),
+], ids=["repeated-q", "empty-m-range"])
+def test_sweep_that_would_repeat_or_plan_nothing_is_usage_error(capsys, command, flags, message):
+    # a repeated q would give every one of its checks two rows, and an
+    # empty m range would report 0 passed with nothing checked
+    code, out, err = run(capsys, command, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_table_rejects_q_not_a_prime_power(capsys):
     code, out, err = run(capsys, "table", "--q", "6", "--m", "1:1")
     assert code == 2
@@ -320,3 +334,26 @@ def test_table_json_counts_are_strings(capsys):
     assert code == 0
     (row,) = json.loads(out)
     assert row["alpha"] == "6" and row["rank"] == "6" and row["agree"] is True
+
+
+# the commands whose output is built from points, matrices and codewords;
+# tests/golden/text_edge.txt holds each one's argv line and its output
+TEXT_EDGE_COMMANDS = [
+    ["genmat", "--family", "prm", "--q", "4", "--d", "3", "--m", "2", "--format", "csv"],
+    ["genmat", "--family", "prm", "--q", "4", "--d", "3", "--m", "2", "--format", "json"],
+    ["genmat", "--family", "rm", "--q", "3", "--order", "2", "--m", "2", "--format", "csv"],
+    ["genmat", "--family", "rm", "--q", "3", "--order", "2", "--m", "2", "--format", "json"],
+    ["witness", "--q", "3", "--d", "2", "--m", "2", "--seed", "1", "--format", "json"],
+    ["distribution", "--family", "prm", "--q", "3", "--order", "2", "--m", "2"],
+]
+
+
+def test_text_edge_matches_golden(capsys):
+    # a numpy scalar or array repr leaking into CSV or JSON shows up here
+    golden = Path(__file__).with_name("golden") / "text_edge.txt"
+    parts = []
+    for argv in TEXT_EDGE_COMMANDS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        parts.append(f"$ prmcodes {' '.join(argv)}\n{out}")
+    assert "".join(parts) == golden.read_text()

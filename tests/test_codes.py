@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from prmcodes import codes, linalg
@@ -39,7 +40,7 @@ def _scalar_rows(g):
     for exps in g.basis:
         (i0, a0), *rest = [(i, a) for i, a in enumerate(exps) if a] or [(0, 0)]
         row = []
-        for p in g.points.points:
+        for p in g.points.tolist():
             v = pw[p[i0]][a0]
             for i, a in rest:
                 if v == 0:
@@ -48,6 +49,10 @@ def _scalar_rows(g):
             row.append(v)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _tuples(arr):
+    return tuple(map(tuple, arr.tolist()))
 
 
 def _reference_cases():
@@ -68,10 +73,10 @@ def test_generator_matrices_equal_scalar_evaluation(F, m, orders):
     for order in orders:
         if order <= m * (F.q - 1):
             g = rm_generator_matrix(F, order, m)
-            assert g.rows == _scalar_rows(g), ("rm", F.q, m, order)
+            assert _tuples(g.rows) == _scalar_rows(g), ("rm", F.q, m, order)
         if order >= 1:
             g = prm_generator_matrix(F, order, m)
-            assert g.rows == _scalar_rows(g), ("prm", F.q, m, order)
+            assert _tuples(g.rows) == _scalar_rows(g), ("prm", F.q, m, order)
 
 
 def test_prm_exponent_above_q_minus_one():
@@ -79,7 +84,7 @@ def test_prm_exponent_above_q_minus_one():
     # is x0 at (0,1), (1,0), (1,1), (2,1)
     g = prm_generator_matrix(F3, 3, 1)
     i = g.basis.index((3, 0))
-    assert g.rows[i] == (0, 1, 1, 2) == _scalar_rows(g)[i]
+    assert tuple(g.rows[i].tolist()) == (0, 1, 1, 2) == _scalar_rows(g)[i]
 
 
 def test_zero_to_the_zero_is_one():
@@ -87,14 +92,14 @@ def test_zero_to_the_zero_is_one():
     # and the constant monomial of rm(3,0,2) is 1 at (0, 0)
     g = prm_generator_matrix(F3, 2, 2)
     i = g.basis.index((2, 0, 0))
-    assert g.rows[i][g.points.points.index((1, 0, 0))] == 1
-    assert g.rows[i] == _scalar_rows(g)[i]
+    assert g.rows[i][_tuples(g.points).index((1, 0, 0))] == 1
+    assert _tuples(g.rows)[i] == _scalar_rows(g)[i]
     g = rm_generator_matrix(F3, 0, 2)
-    assert g.points.points[0] == (0, 0) and g.rows == ((1,) * 9,)
+    assert _tuples(g.points)[0] == (0, 0) and _tuples(g.rows) == ((1,) * 9,)
 
 
 def test_projective_points_small():
-    pts = projective_points(F2, 1).points
+    pts = _tuples(projective_points(F2, 1))
     assert pts == ((0, 1), (1, 0), (1, 1))
     assert len(projective_points(F3, 2)) == 13
     assert len(projective_points(F2, 2)) == 7
@@ -113,13 +118,13 @@ def filtered_projective_points(field: GF, m: int) -> tuple:
 @pytest.mark.parametrize("q, m", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 2), (8, 1), (9, 2)])
 def test_projective_points_equal_the_filtered_product(q, m):
     F = GF.from_q(q)
-    assert projective_points(F, m).points == filtered_projective_points(F, m)
+    assert _tuples(projective_points(F, m)) == filtered_projective_points(F, m)
 
 
 def test_projective_points_are_standard_and_distinct():
     for F in (F2, F3, F4):
         for m in (1, 2):
-            pts = projective_points(F, m).points
+            pts = _tuples(projective_points(F, m))
             assert len(pts) == p_k(F.q, m)
             for p in pts:
                 last = max(i for i, x in enumerate(p) if x)
@@ -142,7 +147,7 @@ def test_normalize_point():
 
 
 def test_affine_points():
-    pts = affine_points(F2, 2).points
+    pts = _tuples(affine_points(F2, 2))
     assert pts == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -151,6 +156,31 @@ def test_wrong_point_count_raises(monkeypatch):
     monkeypatch.setattr(codes, "p_k", lambda q, m: 8)
     with pytest.raises(RuntimeError, match=r"^7 standard representatives, not p_2 = 8$"):
         projective_points(F2, 2)
+
+
+def test_points_and_rows_are_read_only_arrays():
+    # every check of a code shares its G, so nothing may write to it
+    for g in (prm_generator_matrix(F3, 2, 2), rm_generator_matrix(F2, 1, 3)):
+        assert g.rows.dtype == g.points.dtype == np.int64
+        assert g.rows.shape == (g.k, g.n) and len(g.points) == g.n
+        for arr in (g.rows, g.points):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
+
+
+@pytest.mark.parametrize("q, dtype", [(2, np.uint8), (256, np.uint8), (1031, np.uint16)])
+def test_distinct_words(q, dtype):
+    # repeated rows go, one of each stays, in one order for any input order
+    rng = np.random.default_rng(q)
+    words = rng.integers(0, q, size=(50, 9))
+    words[:, 0] = rng.integers(q - 2, q, size=50)      # symbols above 127 where q allows
+    doubled = np.concatenate([words, words[::-1]])
+    out = codes.distinct_words(doubled, q)
+    assert out.dtype == dtype and out.shape[1] == 9
+    assert len(out) == len(set(map(tuple, words.tolist())))
+    assert set(map(tuple, out.tolist())) == set(map(tuple, words.tolist()))
+    assert np.array_equal(codes.distinct_words(words[::-1], q), out)
+    assert codes.distinct_words(np.zeros((0, 9), dtype=np.int64), q).shape == (0, 9)
 
 
 def test_point_guard():
@@ -163,7 +193,7 @@ def test_rm_generator_examples():
     assert (g.k, g.n) == (3, 4)
     assert g.rank() == 3
     g0 = rm_generator_matrix(F2, 0, 2)
-    assert g0.rows == ((1, 1, 1, 1),)
+    assert _tuples(g0.rows) == ((1, 1, 1, 1),)
     gfull = rm_generator_matrix(F2, 2, 2)
     assert (gfull.k, gfull.n) == (4, 4)
     assert gfull.rank() == 4
@@ -175,7 +205,7 @@ def test_prm_generator_examples():
     g1 = prm_generator_matrix(F2, 1, 2)
     assert (g1.k, g1.n) == (3, 7)
     # simplex: every nonzero column pattern appears exactly once
-    cols = set(zip(*g1.rows))
+    cols = set(map(tuple, g1.rows.T.tolist()))
     assert len(cols) == 7 and (0, 0, 0) not in cols
     g2 = prm_generator_matrix(F2, 2, 2)
     assert (g2.k, g2.n, g2.rank()) == (6, 7, 6)
@@ -193,10 +223,10 @@ def test_nondegenerate_columns():
         for m in (1, 2, 3):
             for nu in range(0, m * (F.q - 1) + 1):
                 g = rm_generator_matrix(F, nu, m)
-                assert all(any(col) for col in zip(*g.rows))
+                assert g.rows.any(axis=0).all()
             for d in range(1, m * (F.q - 1) + 2):
                 g = prm_generator_matrix(F, d, m)
-                assert all(any(col) for col in zip(*g.rows))
+                assert g.rows.any(axis=0).all()
 
 
 def test_rank_equals_dimension_formula():
@@ -226,7 +256,7 @@ def interpolation_poly(field: GF, d: int, m: int, index: int) -> Poly:
     pts = projective_points(field, m)
     if not 0 <= index < len(pts):
         raise ValueError(f"point index {index} out of range")
-    pt = pts.points[index]
+    pt = tuple(pts[index].tolist())
     j = max(i for i, x in enumerate(pt) if x)          # pt = (a_0..a_{j-1}, 1, 0..0)
     nv = m + 1
     xj = Poly.monomial(field, tuple(1 if i == j else 0 for i in range(nv)))
@@ -319,7 +349,7 @@ def test_matrix_json_roundtrippable():
     assert payload["q"] == 3
     assert payload["field"] == {"p": 3, "e": 1, "modulus": [0, 1]}
     assert len(payload["rows"]) == 6
-    assert payload["rows"] == [list(r) for r in g.rows]
+    assert payload["rows"] == g.rows.tolist()
     assert len(payload["points"]) == 13
 
 
@@ -333,7 +363,7 @@ def test_rebased_matrix_same_code():
         A = [[rng.randrange(3) for _ in range(k)] for _ in range(k)]
         if linalg.rank(F3, A) == k:
             break
-    new_rows = tuple(tuple(r) for r in linalg.mat_mul(F3, A, g.rows).tolist())
+    new_rows = linalg.mat_mul(F3, A, g.rows)
     g2 = replace(g, rows=new_rows)
     assert g2.rank() == g.rank()
-    assert linalg.rank(F3, list(g.rows) + list(new_rows)) == k
+    assert linalg.rank(F3, np.concatenate([g.rows, new_rows])) == k

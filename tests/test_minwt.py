@@ -6,6 +6,7 @@ import pytest
 
 from prmcodes import linalg
 from prmcodes.codes import (
+    digits,
     ev_vector,
     prm_generator_matrix,
     projective_points,
@@ -19,7 +20,6 @@ from prmcodes.minwt import (
     MinWtWitness,
     TauReport,
     TSDecomp,
-    _form_coeffs,
     _form_values,
     _rref_bases,
     count_report,
@@ -39,7 +39,7 @@ from prmcodes.minwt import (
 from prmcodes.oracle import brute_min_weight_words
 from prmcodes.poly import Poly, reduced_monomials_projective
 
-from lemmas import canonical_min_poly, max_zero_bound, normalize_point, support
+from lemmas import canonical_min_poly, max_zero_bound, normalize_point, support, word_set
 
 F2, F3, F4, F5 = GF(2), GF(3), GF(2, 2), GF(5)
 
@@ -266,7 +266,7 @@ def test_count_report_with_oracle():
 )
 def test_enumerate_witness_codewords_counts(F, d, m, expected):
     cws = enumerate_witness_codewords(F, d, m)
-    assert len(cws) == expected == prm_min_weight_count(F.q, d, m)
+    assert len(word_set(cws)) == len(cws) == expected == prm_min_weight_count(F.q, d, m)
     dist = prm_min_distance(F.q, d, m)
     assert all(weight(c) == dist for c in cws)
 
@@ -274,7 +274,7 @@ def test_enumerate_witness_codewords_counts(F, d, m, expected):
 def test_enumerate_equals_oracle_set():
     for F, d, m in [(F2, 2, 2), (F3, 2, 2), (F3, 3, 2), (F2, 2, 3)]:
         wit = enumerate_witness_codewords(F, d, m)
-        assert wit == brute_min_weight_words(prm_generator_matrix(F, d, m))
+        assert np.array_equal(wit, brute_min_weight_words(prm_generator_matrix(F, d, m)))
 
 
 def test_enumerate_guard():
@@ -317,7 +317,7 @@ def independent_tuples(F, m, count):
 def redundant_witness_codewords(F, d, m):
     ts = ts_decompose(d, F.q, "prm")
     t, s = ts.t, ts.s
-    pts = projective_points(F, m).points
+    pts = projective_points(F, m).tolist()
     vals = {}
     for c in product(range(F.q), repeat=m + 1):
         row = []
@@ -367,7 +367,7 @@ REFERENCE_CASES = [
     "F,d,m", REFERENCE_CASES, ids=[f"q{F.q}-d{d}-m{m}" for F, d, m in REFERENCE_CASES]
 )
 def test_quotiented_enumeration_equals_redundant(F, d, m):
-    assert enumerate_witness_codewords(F, d, m) == redundant_witness_codewords(F, d, m)
+    assert word_set(enumerate_witness_codewords(F, d, m)) == redundant_witness_codewords(F, d, m)
 
 
 # Reference for the vectorized form table: the scalar evaluation, one
@@ -375,7 +375,7 @@ def test_quotiented_enumeration_equals_redundant(F, d, m):
 
 
 def scalar_form_values(F, m, pts, forms):
-    return {c: tuple(_dot(F, c, p) for p in pts.points) for c in forms}
+    return {c: tuple(_dot(F, c, p) for p in pts.tolist()) for c in forms}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -387,7 +387,7 @@ def test_form_values_equal_scalar(q, m):
     forms = list(product(range(q), repeat=m + 1))
     assert vals.shape == (len(forms), len(pts))
     assert vals.dtype == np.min_scalar_type(q - 1)
-    assert _form_coeffs(q, m).tolist() == [list(c) for c in forms]
+    assert digits(q, m + 1).tolist() == [list(c) for c in forms]
     # row i is the i-th form in product order: every form where the scalar
     # reference stays under 10^5 dot products, an evenly spaced sample of
     # them beyond (q = 7, 8, 9 at m = 3)
@@ -408,7 +408,7 @@ def dict_form_values(F, m, pts):
     `product` order, from one int64 evaluation of all forms."""
     q = F.q
     coeffs = list(product(range(q), repeat=m + 1))
-    points = np.array(pts.points, dtype=np.int64).reshape(len(pts), m + 1)
+    points = np.array(pts, dtype=np.int64).reshape(len(pts), m + 1)
     scalars = np.arange(q)[:, None]
     vals = np.zeros((1, len(pts)), dtype=np.int64)
     for j in reversed(range(m + 1)):
@@ -468,7 +468,7 @@ def scalar_witness_codewords(F, d, m):
     "F,d,m", REFERENCE_CASES, ids=[f"q{F.q}-d{d}-m{m}" for F, d, m in REFERENCE_CASES]
 )
 def test_witness_enumeration_equals_scalar_reference(F, d, m):
-    assert enumerate_witness_codewords(F, d, m) == scalar_witness_codewords(F, d, m)
+    assert word_set(enumerate_witness_codewords(F, d, m)) == scalar_witness_codewords(F, d, m)
 
 
 # -- support structure ------------------------------------------------------------------
@@ -477,7 +477,7 @@ def test_witness_enumeration_equals_scalar_reference(F, d, m):
 def test_equal_support_means_scalar_multiple():
     # exhaustive at q=3, d=2, m=2: the 156 minimum-weight words fall into
     # 78 support classes, each a scalar orbit of size q-1
-    words = brute_min_weight_words(prm_generator_matrix(F3, 2, 2))
+    words = brute_min_weight_words(prm_generator_matrix(F3, 2, 2)).tolist()
     by_support = {}
     for w in words:
         by_support.setdefault(frozenset(support(w)), []).append(w)
@@ -502,14 +502,14 @@ def test_bound_achievers_zero_sets_are_hyperplane_unions():
     # every minimum-weight codeword's zero set is a union of at most d
     # distinct hyperplanes (exhaustive over the oracle sets)
     for F, m, dmax in [(F2, 2, 2), (F3, 2, 3)]:
-        pts = projective_points(F, m).points
+        pts = projective_points(F, m).tolist()
         hyperplanes = [
             frozenset(i for i, p in enumerate(pts) if _dot(F, normal, p) == 0)
             for normal in pts
         ]
         for d in range(1, dmax + 1):
             words = brute_min_weight_words(prm_generator_matrix(F, d, m))
-            for w in words:
+            for w in words.tolist():
                 zero = frozenset(i for i, x in enumerate(w) if x == 0)
                 inside = [h for h in hyperplanes if h <= zero]
                 union = frozenset().union(*inside) if inside else frozenset()
@@ -604,7 +604,7 @@ def _span_points(F, basis, point_index):
 
 
 def _point_index(pts):
-    return {pt: i for i, pt in enumerate(pts.points)}
+    return {pt: i for i, pt in enumerate(map(tuple, pts.tolist()))}
 
 
 def span_fiber_check(F, d, m):

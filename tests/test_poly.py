@@ -184,7 +184,7 @@ def inv_matrix(field: GF, rows) -> list[list[int]]:
     red, pivots = linalg.rref(field, aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return red[:, n:].tolist()
 
 
 def substitute_linear(f: Poly, rows) -> Poly:
@@ -324,7 +324,7 @@ def test_hyperplane_containment_exhaustive_low_degree():
 
     for F in (F2, F3):
         m = 2
-        pts = projective_points(F, m).points
+        pts = list(map(tuple, projective_points(F, m).tolist()))
         for d in (1, 2):
             basis = reduced_monomials_projective(F.q, d, m)
             for coeffs in product(range(F.q), repeat=len(basis)):
@@ -378,7 +378,7 @@ def test_separating_form_property_random():
     from prmcodes.codes import projective_points
 
     for F in (F2, F3, F4):
-        pts = projective_points(F, 2).points
+        pts = list(map(tuple, projective_points(F, 2).tolist()))
         for _ in range(60):
             a, b = rng.sample(pts, 2)
             L = separating_form(F, a, b)

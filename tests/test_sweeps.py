@@ -6,12 +6,15 @@ from collections import Counter
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 
 from prmcodes import codes, linalg, minwt, oracle, sweeps
 from prmcodes.errors import ORACLE_GUARD, GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.sweeps import SweepConfig, run_verify, table_rows
+
+from lemmas import word_set
 
 F2, F3 = GF(2), GF(3)
 
@@ -127,7 +130,7 @@ def _corrupt_witness_set(monkeypatch, side):
     changed = []
 
     def corrupted(field, d, m, guard):
-        words = set(real(field, d, m, guard))
+        words = word_set(real(field, d, m, guard))
         if side == "no witness":
             word = min(words)
             words.discard(word)
@@ -135,7 +138,7 @@ def _corrupt_witness_set(monkeypatch, side):
             word = (1,) * len(next(iter(words)))      # full weight, never minimum here
             words.add(word)
         changed.append(word)
-        return words
+        return np.array(sorted(words), dtype=np.uint8)
 
     monkeypatch.setattr(minwt, "enumerate_witness_codewords", corrupted)
     return changed
@@ -167,6 +170,33 @@ def test_witness_set_fail_on_the_dual_route(monkeypatch, side):
                               f"not minimum weight: {','.join(map(str, changed[0]))}")
 
 
+@pytest.mark.parametrize("guard", [ORACLE_GUARD, 8], ids=["primal", "dual"])
+def test_witness_set_counts_distinct_words(monkeypatch, guard):
+    # the enumeration drops its least word of prm(2,2,2) (A_dmin = 21) and
+    # repeats another, so it still returns 21 rows: the row counts 20
+    # distinct words on both routes and, on the primal one, names the
+    # dropped word
+    real = minwt.enumerate_witness_codewords
+    dropped = []
+
+    def corrupted(field, d, m, guard):
+        words = real(field, d, m, guard)
+        least = min(range(len(words)), key=lambda i: words[i].tolist())
+        dropped.append(words[least].tolist())
+        kept = np.delete(words, least, axis=0)
+        return np.concatenate([kept, kept[:1]])
+
+    monkeypatch.setattr(minwt, "enumerate_witness_codewords", corrupted)
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=guard))
+    (bad,) = [r for r in rep.results if r.status == "FAIL"]
+    assert bad.check == "witness-set"
+    sizes = "witness set size 20, oracle count 21"
+    if guard == ORACLE_GUARD:
+        assert bad.detail == f"{sizes}; no witness: {','.join(map(str, dropped[0]))}"
+    else:
+        assert bad.detail == sizes
+
+
 @pytest.mark.parametrize("guard", [ORACLE_GUARD, 32], ids=["primal", "dual"])
 def test_witness_set_rejects_a_non_codeword(monkeypatch, guard):
     # a word of weight d_min outside the code fails H c^T = 0 even though
@@ -178,13 +208,13 @@ def test_witness_set_rejects_a_non_codeword(monkeypatch, guard):
     swapped = []
 
     def corrupted(field, d, m, guard):
-        words = set(real(field, d, m, guard))
+        words = word_set(real(field, d, m, guard))
         outside = next(w for w in product((0, 1), repeat=15)
                        if sum(w) == 4 and w not in words)
         words.discard(min(words))
         words.add(outside)
         swapped.append(outside)
-        return words
+        return np.array(sorted(words), dtype=np.uint8)
 
     monkeypatch.setattr(minwt, "enumerate_witness_codewords", corrupted)
     rep = run_verify(SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=2, d_hi=2, guard=guard))
