@@ -158,7 +158,7 @@ def cmd_table(args) -> int:
                 if key in row:
                     row[key] = str(row[key])
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    return 0
+    return 0 if all(row["agree"] for row in rows) else 1
 
 
 def cmd_verify(args) -> int:
@@ -226,12 +226,12 @@ def cmd_count_minwt(args) -> int:
     rep = minwt.count_report(F, args.d, args.m, with_oracle=args.oracle,
                              guard=args.guard)
     _emit(json.dumps(rep.as_dict(), indent=2) + "\n", args.out)
-    return 0
+    return 0 if rep.agree else 1
 
 
 def cmd_check_fibers(args) -> int:
     F = GF.from_q(args.q)
-    ts = minwt.ts_decompose(args.d, args.q, "prm")
+    ts = minwt.ts_decompose(args.d, args.q, "prm", args.m)
     if ts.s != 0:
         rep = minwt.support_fiber_check(F, args.d, args.m, args.witness_guard)
     else:

@@ -17,16 +17,17 @@ that the s = 0 and s != 0 counting arguments rest on.
 The form-value table is one (q^(m+1), npts) numpy array indexed by form:
 row i holds the values over the point array of the form whose coefficients
 are the base-q digits of i (`product` order).  So a form is a row index,
-and every subspace is described by the forms that vanish on it: the
-witness enumeration and both incidence checks read E = V(W), the zeros of
-a canonical RREF basis W, as a boolean mask over the points, and take the
-forms modulo W from the nonzero forms that vanish on W's pivot columns, a
-mask over the rows.  The words or supports of every L_{t+1} for one
-(W, L_t) are built at once; a support is a packed bit row, compared by its
-bytes.  The witness enumeration takes one form tuple per class of tuples
-that give the same word (see enumerate_witness_codewords for why that is
-complete) and returns its distinct words as one array, in the order of
-`codes.distinct_words`; the incidence checks stay exhaustive.
+and every subspace is described by the forms that vanish on it: one walk
+(`_subspaces`) serves the witness enumeration and both incidence checks.
+It reads E = V(W), the zeros of a canonical RREF basis W, as a boolean
+mask over the points, and takes the forms modulo W from the nonzero forms
+that vanish on W's pivot columns, a mask over the rows.  The words or
+supports of every L_{t+1} for one (W, L_t) are built at once; a support is
+a packed bit row, compared by its bytes.  The witness enumeration takes
+one form tuple per class of tuples that give the same word (see
+enumerate_witness_codewords for why that is complete) and returns its
+distinct words as one array, in the order of `codes.distinct_words`; the
+incidence checks stay exhaustive.
 """
 
 from __future__ import annotations
@@ -51,21 +52,18 @@ class TSDecomp:
     s: int
 
 
-def ts_decompose(order: int, q: int, kind: str) -> TSDecomp:
+def ts_decompose(order: int, q: int, kind: str, m: int) -> TSDecomp:
     """Unique (t, s) with order - 1 = t(q-1) + s for "prm", or
-    order = t(q-1) + s for "rm", and 0 <= s < q - 1."""
+    order = t(q-1) + s for "rm", and 0 <= s < q - 1.  The one check of the
+    order range: [1, m(q-1)+1] for "prm", [0, m(q-1)] for "rm"."""
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    if kind == "prm":
-        if order < 1:
-            raise ValueError(f"projective order must be positive, got {order}")
-        v = order - 1
-    elif kind == "rm":
-        if order < 0:
-            raise ValueError(f"affine order must be nonnegative, got {order}")
-        v = order
-    else:
+    if kind not in ("prm", "rm"):
         raise ValueError(f"kind must be 'rm' or 'prm', got {kind!r}")
+    lo = 1 if kind == "prm" else 0
+    if not lo <= order <= m * (q - 1) + lo:
+        raise ValueError(f"order {order} outside [{lo}, {m * (q - 1) + lo}]")
+    v = order - lo
     return TSDecomp(v // (q - 1), v % (q - 1))
 
 
@@ -80,15 +78,11 @@ def _distance(q: int, ts: TSDecomp, m: int) -> int:
 
 
 def rm_min_distance(q: int, nu: int, m: int) -> int:
-    if not 0 <= nu <= m * (q - 1):
-        raise ValueError(f"order {nu} outside [0, {m * (q - 1)}]")
-    return _distance(q, ts_decompose(nu, q, "rm"), m)
+    return _distance(q, ts_decompose(nu, q, "rm", m), m)
 
 
 def prm_min_distance(q: int, d: int, m: int) -> int:
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    return _distance(q, ts_decompose(d, q, "prm"), m)
+    return _distance(q, ts_decompose(d, q, "prm", m), m)
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -126,7 +120,7 @@ def prm_witness_poly(w: MinWtWitness, field: GF, d: int, m: int) -> Poly:
     q = field.q
     if w.kind != "prm":
         raise ValueError(f"expected a prm witness, got kind {w.kind!r}")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     need = ts.t + 1 if ts.s == 0 else ts.t + 2
     if len(w.forms) != need:
         raise ValueError(f"need {need} linear forms for d={d}, got {len(w.forms)}")
@@ -159,12 +153,10 @@ def rm_witness_poly(w: MinWtWitness, field: GF, nu: int, m: int) -> Poly:
     q = field.q
     if w.kind != "rm":
         raise ValueError(f"expected an rm witness, got kind {w.kind!r}")
-    if not 0 <= nu <= m * (q - 1):
-        raise ValueError(f"order {nu} outside [0, {m * (q - 1)}]")
+    ts = ts_decompose(nu, q, "rm", m)
     field._chk(w.omega0)
     if w.omega0 == 0:
         raise ValueError("leading scalar must be nonzero")
-    ts = ts_decompose(nu, q, "rm")
     need = ts.t if ts.s == 0 else ts.t + 1
     if len(w.forms) != need:
         raise ValueError(f"need {need} affine forms for nu={nu}, got {len(w.forms)}")
@@ -191,9 +183,7 @@ def rm_witness_poly(w: MinWtWitness, field: GF, nu: int, m: int) -> Poly:
 
 def rm_min_weight_count(q: int, nu: int, m: int) -> int:
     """(q-1) q^t [m,t]_q M_s with M_s = C(q,s)[m-t,1]_q for s > 0, else 1."""
-    if not 0 <= nu <= m * (q - 1):
-        raise ValueError(f"order {nu} outside [0, {m * (q - 1)}]")
-    ts = ts_decompose(nu, q, "rm")
+    ts = ts_decompose(nu, q, "rm", m)
     ms = 1
     if ts.s:
         ms = binomial(q, ts.s) * gaussian_binomial(m - ts.t, 1, q)
@@ -203,9 +193,7 @@ def rm_min_weight_count(q: int, nu: int, m: int) -> int:
 def prm_min_weight_count(q: int, d: int, m: int) -> int:
     """(q^(m+1) - 1) [m,t]_q N_s with N_s = C(q,s)[m-t,1]_q / (s+1) for
     s > 0, else 1.  The division is exact."""
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     out = (q ** (m + 1) - 1) * gaussian_binomial(m, ts.t, q)
     if ts.s:
         out *= binomial(q, ts.s) * gaussian_binomial(m - ts.t, 1, q)
@@ -218,9 +206,7 @@ def prm_min_weight_count_alt(q: int, d: int, m: int) -> int:
     """Manifestly integral rewriting of prm_min_weight_count for s != 0:
     (q^(m+1)-1)(q^m-1)/((q+1)(q-1)) * [m-1,t]_q * C(q+1, s+1).
     Falls back to the main formula when s = 0."""
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     if ts.s == 0:
         return prm_min_weight_count(q, d, m)
     num = (
@@ -295,27 +281,49 @@ def _form_values(field: GF, m: int, pts: np.ndarray) -> np.ndarray:
     """The (q^(m+1), npts) value table of every form over the (npts, m + 1)
     point array, forms in `product` order, in the smallest unsigned dtype
     that holds a symbol."""
-    q, npts = field.q, len(pts)
-    # the last coordinate varies fastest in product order, so prepend each
-    # earlier coordinate's q multiples c * x_j as the slower axis
-    scalars = np.arange(q)[:, None]
-    vals = np.zeros((1, npts), dtype=np.int64)
-    for j in reversed(range(m + 1)):
-        terms = field.vmul(scalars, pts[:, j])
-        vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, npts)
-    return vals.astype(np.min_scalar_type(q - 1))
+    q = field.q
+    return linalg.mat_mul(field, digits(q, m + 1), pts.T).astype(np.min_scalar_type(q - 1))
 
 
-def _zeros(vals: np.ndarray, q: int, basis) -> np.ndarray:
-    """Mask of the points of V(W): where every form of the basis vanishes."""
-    return ~vals[_rows(q, basis)].any(axis=0)
+def _rref_bases(field: GF, ambient: int, k: int):
+    """Canonical RREF bases of every k-dimensional subspace of q^ambient."""
+    q = field.q
+    if k == 0:
+        yield ()
+        return
+    for pivots in combinations(range(ambient), k):
+        free = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, ambient)
+            if c not in pivots
+        ]
+        for fill in product(range(q), repeat=len(free)):
+            rows = [[0] * ambient for _ in range(k)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), v in zip(free, fill):
+                rows[r][c] = v
+            yield tuple(tuple(r) for r in rows)
 
 
-def _cosets(coeffs: np.ndarray, basis) -> np.ndarray:
-    """Mask of the nonzero forms that vanish on the pivot columns of the
-    RREF basis W: one representative of each nonzero coset modulo W."""
-    pivots = [row.index(1) for row in basis]
-    return coeffs.any(axis=1) & ~coeffs[:, pivots].any(axis=1)
+def _subspaces(field: GF, m: int, t: int):
+    """(vals, coeffs, walk): the form-value table over the projective
+    points, the (q^(m+1), m + 1) digit table of the forms, and a walk over
+    the canonical RREF bases W of every t-dimensional span of forms.  For
+    each W the walk yields the mask of the points of E = V(W), where every
+    form of W vanishes, and the mask of the nonzero forms that vanish on
+    W's pivot columns: one representative of each nonzero coset modulo W."""
+    q = field.q
+    vals = _form_values(field, m, projective_points(field, m))
+    coeffs = digits(q, m + 1)
+    nonzero = coeffs.any(axis=1)
+    walk = (
+        (~vals[_rows(q, basis)].any(axis=0),
+         nonzero & ~coeffs[:, [row.index(1) for row in basis]].any(axis=1))
+        for basis in _rref_bases(field, m + 1, t)
+    )
+    return vals, coeffs, walk
 
 
 def _inverses(field: GF) -> np.ndarray:
@@ -339,9 +347,7 @@ def enumerate_witness_codewords(
     characterization this set must equal the set of minimum-weight
     codewords of the projective code."""
     q = field.q
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
     omega_sets = [()] if s == 0 else list(combinations(range(q), s))
     # the scalar subsets multiply the per-tuple work, so they count
@@ -352,15 +358,13 @@ def enumerate_witness_codewords(
         raise GuardExceeded(
             "witness", f"{tuples} form tuples x {len(omega_sets)} scalar sets", guard
         )
-    pts = projective_points(field, m)
-    vals = _form_values(field, m, pts)
-    coeffs = digits(q, m + 1)
-    npts = len(pts)
+    vals, coeffs, walk = _subspaces(field, m, t)
+    npts = vals.shape[1]
     chunks = [np.zeros((0, npts), dtype=vals.dtype)]
     if not s:
         # the word is L_t on V(W) and 0 elsewhere
-        for basis in _rref_bases(field, m + 1, t):
-            chunks.append(vals[_cosets(coeffs, basis)] * _zeros(vals, q, basis))
+        for zeros, comp in walk:
+            chunks.append(vals[comp] * zeros)
         return distinct_words(np.concatenate(chunks), q)
     # where L_t != 0 the word is L_t^(s+1) prod_j (r - w_j), r = L_{t+1}/L_t;
     # prods[k, r] is that product for the k-th scalar set
@@ -371,9 +375,7 @@ def enumerate_witness_codewords(
     lead = np.array([field.pow(a, s + 1) for a in range(q)], dtype=np.int64)
     inv = _inverses(field)
     scalars = np.arange(1, q)[:, None]
-    for basis in _rref_bases(field, m + 1, t):
-        zeros = _zeros(vals, q, basis)
-        comp = _cosets(coeffs, basis)
+    for zeros, comp in walk:
         for lt in np.flatnonzero(comp):
             vt = vals[lt]
             on = np.flatnonzero(zeros & (vt != 0))
@@ -387,28 +389,6 @@ def enumerate_witness_codewords(
 
 
 # -- incidence checks -------------------------------------------------------------
-
-
-def _rref_bases(field: GF, ambient: int, k: int):
-    """Canonical RREF bases of every k-dimensional subspace of q^ambient."""
-    q = field.q
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(ambient), k):
-        free = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, ambient)
-            if c not in pivots
-        ]
-        for fill in product(range(q), repeat=len(free)):
-            rows = [[0] * ambient for _ in range(k)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free, fill):
-                rows[r][c] = v
-            yield tuple(tuple(r) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -466,9 +446,7 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     Disagreements are reported, never patched.
     """
     q = field.q
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
     if s == 0:
         raise ValueError("s = 0 has no scalar set; use tau_bijection_check")
@@ -482,9 +460,8 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         * (q ** (m + 1) - q ** (t + 1))
         * binomial(q, s)
     )
-    pts = projective_points(field, m)
-    vals = _form_values(field, m, pts)
-    npts = len(pts)
+    vals, _, walk = _subspaces(field, m, t)
+    npts = vals.shape[1]
     inv = _inverses(field)
     # outside[k, r]: r is not in the k-th scalar set
     outside = np.ones((binomial(q, s), q), dtype=bool)
@@ -493,8 +470,8 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     # each support is a packed bit row over all points, counted by its bytes
     fibers: Counter[bytes] = Counter()
     j_size = 0
-    for basis in _rref_bases(field, m + 1, t):
-        epts = np.flatnonzero(_zeros(vals, q, basis))
+    for zeros, _ in walk:
+        epts = np.flatnonzero(zeros)
         on_e = vals[:, epts]               # every form on E
         for vt in on_e:
             on = vt != 0
@@ -578,9 +555,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     columns) whose first nonzero coefficient is 1.  Then E minus H is
     {x in E : L(x) != 0}."""
     q = field.q
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
     if s != 0:
         raise ValueError("s != 0 has no flag bijection; use support_fiber_check")
@@ -590,9 +565,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     pair_expected = gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q)
     if pair_expected > guard:
         raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
-    pts = projective_points(field, m)
-    vals = _form_values(field, m, pts)
-    coeffs = digits(q, m + 1)
+    vals, coeffs, walk = _subspaces(field, m, t)
     # the forms whose first nonzero coefficient is 1 are rows q^j .. 2q^j - 1
     leading_one = np.zeros(len(coeffs), dtype=bool)
     for j in range(m + 1):
@@ -601,9 +574,9 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     supports: set[bytes] = set()
     pair_count = 0
     wrong_size = None
-    for basis in _rref_bases(field, m + 1, t):
-        hyper = vals[_cosets(coeffs, basis) & leading_one]
-        supp = np.packbits((hyper != 0) & _zeros(vals, q, basis), axis=1)
+    for zeros, comp in walk:
+        hyper = vals[comp & leading_one]
+        supp = np.packbits((hyper != 0) & zeros, axis=1)
         supports.update(map(bytes, supp))
         pair_count += len(hyper)
         sizes = np.bitwise_count(supp).sum(axis=1)
@@ -627,7 +600,7 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
 def random_prm_witness(field: GF, d: int, m: int, rng) -> MinWtWitness:
     """A uniformly sampled valid projective witness (rejection sampling)."""
     q = field.q
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     nforms = ts.t + 1 if ts.s == 0 else ts.t + 2
     forms: list[tuple[int, ...]] = []
     while len(forms) < nforms:

@@ -75,22 +75,15 @@ class SweepConfig:
                     yield q, m, d
 
 
-def check_rank_length(q: int, m: int, limit: int) -> None:
-    """Refuse to build and rank a projective generator matrix longer than limit."""
-    if p_k(q, m) > limit:
-        raise GuardExceeded("rank", f"length {p_k(q, m)}", limit)
-
-
 def table_rows(cfg: SweepConfig) -> list[dict]:
     """One row per (q, m, d): length, the four dimension formulas, the
     distance and count formulas, and the agreement flag."""
     cfg.validate()
+    fields = {q: GF.from_q(q) for q in cfg.qs}
     out = []
     for q, m, d in cfg.tuples():
-        a = dimension.dim_alpha(q, d, m)
-        b = dimension.dim_beta(q, d, m)
-        g = dimension.dim_gamma(q, d, m)
-        dl = dimension.dim_delta(q, d, m)
+        code = Code(cfg, fields[q], "prm", m, d)
+        a, b, g, dl = code.dims
         row = {
             "q": q,
             "m": m,
@@ -100,18 +93,18 @@ def table_rows(cfg: SweepConfig) -> list[dict]:
             "beta": b,
             "gamma": g,
             "delta": dl,
-            "distance": minwt.prm_min_distance(q, d, m),
-            "minwt_count": minwt.prm_min_weight_count(q, d, m),
+            "distance": code.formula("min_distance"),
+            "minwt_count": code.formula("min_weight_count"),
         }
         agree = a == b == g == dl
         if cfg.with_rank:
             try:
-                check_rank_length(q, m, cfg.rank_len_guard)
+                rank = code.gm.rank()
             except GuardExceeded as exc:
                 row["rank"] = str(exc)
             else:
-                row["rank"] = codes.prm_generator_matrix(GF.from_q(q), d, m).rank()
-                agree = agree and row["rank"] == g
+                row["rank"] = rank
+                agree = agree and rank == g
         row["agree"] = agree
         out.append(row)
     return out
@@ -211,7 +204,7 @@ class Code:
 
     @cached_property
     def ts(self) -> tuple[int, int]:
-        ts = minwt.ts_decompose(self.order, self.q, self.family)
+        ts = minwt.ts_decompose(self.order, self.q, self.family, self.m)
         return ts.t, ts.s
 
     @cached_property
@@ -222,8 +215,9 @@ class Code:
 
     @cached_property
     def gm(self) -> codes.GeneratorMatrix:
-        if self.family == "prm":
-            check_rank_length(self.q, self.m, self.cfg.rank_len_guard)
+        n, limit = p_k(self.q, self.m), self.cfg.rank_len_guard
+        if self.family == "prm" and n > limit:
+            raise GuardExceeded("rank", f"length {n}", limit)
         build = getattr(codes, f"{self.family}_generator_matrix")
         return build(self.field, self.order, self.m)
 

@@ -39,9 +39,7 @@ def canonical_min_poly(field: GF, d: int, m: int, omegas=()) -> Poly:
     X_t * prod_{i<t} (X_i^(q-1) - X_t^(q-1)) * prod_j (X_{t+1} - w_j X_t);
     its evaluation has weight exactly prm_min_distance(q, d, m)."""
     q = field.q
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
-    ts = ts_decompose(d, q, "prm")
+    ts = ts_decompose(d, q, "prm", m)
     omegas = _check_omegas(field, omegas, ts.s)
     nv = m + 1
     unit = lambda i: tuple(1 if j == i else 0 for j in range(nv))
@@ -60,11 +58,13 @@ def canonical_min_poly(field: GF, d: int, m: int, omegas=()) -> Poly:
 
 def max_zero_bound(q: int, d: int, m: int) -> int:
     """Largest possible projective zero set of a nonzero projectively
-    reduced polynomial of degree d: p_m - ceil((q-s) q^(m-t-1)).  Valid for
-    every d >= 1; beyond full-space orders the ceiling term is 1."""
+    reduced polynomial of degree d: p_m - ceil((q-s) q^(m-t-1)) with
+    d - 1 = t(q-1) + s.  Valid for every d >= 1, also beyond the order
+    range of the code, where the ceiling term is 1; so it splits d - 1
+    itself rather than through ts_decompose."""
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
-    ts = ts_decompose(d, q, "prm")
-    num = (q - ts.s) * q ** max(0, m - ts.t - 1)
-    den = q ** max(0, ts.t + 1 - m)
+    t, s = divmod(d - 1, q - 1)
+    num = (q - s) * q ** max(0, m - t - 1)
+    den = q ** max(0, t + 1 - m)
     return p_k(q, m) - (num + den - 1) // den

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from prmcodes import dimension
+from prmcodes import dimension, minwt
 from prmcodes.cli import main
 from prmcodes.sweeps import SweepConfig, run_verify, table_rows
 
@@ -64,6 +64,18 @@ def test_table_csv(capsys):
     assert lines[3] == "2,2,3,7,7,7,7,7,1,7,True"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_exits_1_on_disagreement(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(dimension, "dim_alpha", lambda q, d, m: 999)
+    code, out, _ = run(capsys, "table", "--q", "2", "--m", "2", "--d", "1", "--format", fmt)
+    assert code == 1
+    if fmt == "csv":
+        assert out.split("\n")[1] == "2,2,1,7,999,3,3,3,4,7,False"
+    else:
+        (row,) = json.loads(out)
+        assert row["alpha"] == "999" and row["agree"] is False
+
+
 def test_table_deterministic(capsys):
     _, out1, _ = run(capsys, "table", "--q", "2,3", "--m", "1:2")
     _, out2, _ = run(capsys, "table", "--q", "2,3", "--m", "1:2")
@@ -119,6 +131,17 @@ def test_witness_seeded_deterministic(capsys):
     assert json.loads(out3)["weight"] == 2
 
 
+@pytest.mark.parametrize("q, d, m, top", [(2, 5, 2, 3), (2, 2, 0, 1), (2, 0, 2, 3)],
+                         ids=["five-forms-in-three-dims", "m0", "d0"])
+def test_witness_order_outside_range_is_usage_error(capsys, q, d, m, top):
+    # beyond the top order a witness needs more independent forms than the
+    # space holds, and rejection sampling for them would never end
+    code, out, err = run(capsys, "witness", "--q", str(q), "--d", str(d), "--m", str(m))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: order {d} outside [1, {top}]\n"
+
+
 def test_count_minwt(capsys):
     code, out, _ = run(
         capsys, "count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle"
@@ -133,6 +156,16 @@ def test_count_minwt(capsys):
     )
     assert code == 0
     assert json.loads(out)["brute_count"] == "1040"
+
+
+def test_count_minwt_exits_1_on_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(minwt, "prm_min_weight_count_alt", lambda q, d, m: 999)
+    code, out, _ = run(
+        capsys, "count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["alt_count"] == "999" and payload["agree"] is False
 
 
 def test_check_fibers_dispatch(capsys):

@@ -48,17 +48,24 @@ F2, F3, F4, F5 = GF(2), GF(3), GF(2, 2), GF(5)
 
 
 def test_ts_decompose():
-    assert ts_decompose(1, 2, "prm") == TSDecomp(0, 0)
-    assert ts_decompose(4, 3, "prm") == TSDecomp(1, 1)
-    assert ts_decompose(3, 2, "prm") == TSDecomp(2, 0)
-    assert ts_decompose(0, 5, "rm") == TSDecomp(0, 0)
-    assert ts_decompose(5, 4, "rm") == TSDecomp(1, 2)
+    assert ts_decompose(1, 2, "prm", 2) == TSDecomp(0, 0)
+    assert ts_decompose(4, 3, "prm", 2) == TSDecomp(1, 1)
+    assert ts_decompose(3, 2, "prm", 2) == TSDecomp(2, 0)
+    assert ts_decompose(0, 5, "rm", 2) == TSDecomp(0, 0)
+    assert ts_decompose(5, 4, "rm", 2) == TSDecomp(1, 2)
+    # m = 1: the top order of each family
+    assert ts_decompose(3, 3, "prm", 1) == TSDecomp(1, 0)
+    assert ts_decompose(2, 3, "rm", 1) == TSDecomp(1, 0)
+    with pytest.raises(ValueError, match=r"^order 0 outside \[1, 5\]$"):
+        ts_decompose(0, 3, "prm", 2)
+    with pytest.raises(ValueError, match=r"^order 6 outside \[1, 5\]$"):
+        ts_decompose(6, 3, "prm", 2)             # m(q-1) + 2
+    with pytest.raises(ValueError, match=r"^order -1 outside \[0, 4\]$"):
+        ts_decompose(-1, 3, "rm", 2)
+    with pytest.raises(ValueError, match=r"^order 5 outside \[0, 4\]$"):
+        ts_decompose(5, 3, "rm", 2)              # m(q-1) + 1
     with pytest.raises(ValueError):
-        ts_decompose(0, 3, "prm")
-    with pytest.raises(ValueError):
-        ts_decompose(-1, 3, "rm")
-    with pytest.raises(ValueError):
-        ts_decompose(2, 3, "other")
+        ts_decompose(2, 3, "other", 2)
 
 
 # -- distances --------------------------------------------------------------------
@@ -129,7 +136,7 @@ def test_canonical_poly_validation():
 def test_identity_witness_matches_canonical_up_to_sign():
     # the two published product shapes differ by (-1)^t
     for F, d, m, omegas in [(F2, 2, 2, ()), (F3, 2, 2, (1,)), (F3, 4, 2, (0, )), (F3, 3, 2, ())]:
-        ts = ts_decompose(d, F.q, "prm")
+        ts = ts_decompose(d, F.q, "prm", m)
         nforms = ts.t + 1 if ts.s == 0 else ts.t + 2
         forms = tuple(
             tuple(1 if j == i else 0 for j in range(m + 1)) for i in range(nforms)
@@ -194,7 +201,7 @@ def test_rm_witness_random_weights():
     for F, m in [(F2, 2), (F3, 2), (F2, 3), (F4, 2)]:
         pts = affine_points(F, m)
         for nu in range(0, m * (F.q - 1) + 1):
-            ts = ts_decompose(nu, F.q, "rm")
+            ts = ts_decompose(nu, F.q, "rm", m)
             need = ts.t if ts.s == 0 else ts.t + 1
             for _ in range(5):
                 forms = []
@@ -315,7 +322,7 @@ def independent_tuples(F, m, count):
 
 
 def redundant_witness_codewords(F, d, m):
-    ts = ts_decompose(d, F.q, "prm")
+    ts = ts_decompose(d, F.q, "prm", m)
     t, s = ts.t, ts.s
     pts = projective_points(F, m).tolist()
     vals = {}
