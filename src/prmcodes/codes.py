@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .combinat import p_k
+from .combinat import p_k, ts_decompose
 from .errors import POINT_GUARD, GuardExceeded
 from .gf import GF
 from .poly import Poly, reduced_monomials_affine, reduced_monomials_projective
@@ -129,10 +129,7 @@ def _evaluate(field: GF, basis, pts: np.ndarray) -> np.ndarray:
 def rm_generator_matrix(field: GF, nu: int, m: int) -> GeneratorMatrix:
     """Rows are the evaluations of the reduced monomials of degree <= nu at
     all affine points; the rows are independent and span the code."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not 0 <= nu <= m * (field.q - 1):
-        raise ValueError(f"order {nu} outside [0, {m * (field.q - 1)}]")
+    ts_decompose(nu, field.q, "rm", m)
     pts = affine_points(field, m)
     basis = tuple(reduced_monomials_affine(field.q, nu, m))
     rows = _evaluate(field, basis, pts)
@@ -142,10 +139,7 @@ def rm_generator_matrix(field: GF, nu: int, m: int) -> GeneratorMatrix:
 def prm_generator_matrix(field: GF, d: int, m: int) -> GeneratorMatrix:
     """Rows are the evaluations of the projectively reduced monomials of
     degree d at the standard projective representatives."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not 1 <= d <= m * (field.q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (field.q - 1) + 1}]")
+    ts_decompose(d, field.q, "prm", m)
     pts = projective_points(field, m)
     basis = tuple(reduced_monomials_projective(field.q, d, m))
     rows = _evaluate(field, basis, pts)

@@ -9,10 +9,17 @@ exactly when b < 0 or b > a >= 0, and binomial(-1, 2) = 1 is a perfectly
 good value.  The symmetry binomial(a, b) == binomial(a, a - b) holds only
 when a >= 0 or a < b < 0; callers that need the "zero for negative top"
 reading must use the bottom index that actually goes negative.
+
+The exception is ts_decompose, the one check of a code's parameters
+(q >= 2, order in range, m >= 1), which raises on invalid input.  It lives
+here because the dimension formulas, the generator matrices and the
+minimum-weight layer all need it, and this module imports nothing from the
+package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial
 
 
@@ -61,3 +68,27 @@ def bounded_compositions(a: int, n: int, b: int) -> int:
         * binomial(a - j * (b + 1) + n - 1, a - j * (b + 1))
         for j in range(n + 1)
     )
+
+
+@dataclass(frozen=True)
+class TSDecomp:
+    t: int
+    s: int
+
+
+def ts_decompose(order: int, q: int, kind: str, m: int) -> TSDecomp:
+    """Unique (t, s) with order - 1 = t(q-1) + s for "prm", or
+    order = t(q-1) + s for "rm", and 0 <= s < q - 1.  The one check of a
+    code's parameters: q >= 2, the order in [1, m(q-1)+1] for "prm" or
+    [0, m(q-1)] for "rm", and m >= 1."""
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
+    if kind not in ("prm", "rm"):
+        raise ValueError(f"kind must be 'rm' or 'prm', got {kind!r}")
+    lo = 1 if kind == "prm" else 0
+    if not lo <= order <= m * (q - 1) + lo:
+        raise ValueError(f"order {order} outside [{lo}, {m * (q - 1) + lo}]")
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    v = order - lo
+    return TSDecomp(v // (q - 1), v % (q - 1))

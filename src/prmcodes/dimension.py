@@ -16,16 +16,7 @@ differ, and only this one counts reduced monomials (e.g. q=3, nu=3, n=2:
 8 reduced monomials, while the fixed-bottom reading gives 9).
 """
 
-from .combinat import binomial
-
-
-def _check_range(q: int, d: int, m: int) -> None:
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if not 1 <= d <= m * (q - 1) + 1:
-        raise ValueError(f"order {d} outside [1, {m * (q - 1) + 1}]")
+from .combinat import binomial, ts_decompose
 
 
 def _degree_classes(q: int, d: int):
@@ -56,7 +47,7 @@ def rho(q: int, nu: int, n: int) -> int:
 
 def dim_alpha(q: int, d: int, m: int) -> int:
     """Sum over degree classes of an (m+1)-fold inclusion-exclusion."""
-    _check_range(q, d, m)
+    ts_decompose(d, q, "prm", m)
     return sum(
         sum(
             (-1) ** j * binomial(m + 1, j) * binomial(e - j * q + m, e - j * q)
@@ -69,7 +60,7 @@ def dim_alpha(q: int, d: int, m: int) -> int:
 def dim_beta(q: int, d: int, m: int) -> int:
     """Full polynomial space of degree d minus the dimension of the degree-d
     part of the vanishing ideal of the projective point set."""
-    _check_range(q, d, m)
+    ts_decompose(d, q, "prm", m)
     correction = sum(
         (-1) ** j
         * binomial(m + 1, j)
@@ -88,7 +79,7 @@ def dim_beta(q: int, d: int, m: int) -> int:
 def dim_gamma(q: int, d: int, m: int) -> int:
     """Double sum equal to sum_i rho(q, d - 1, i): projectively reduced
     monomials of degree d partitioned by their last variable."""
-    _check_range(q, d, m)
+    ts_decompose(d, q, "prm", m)
     return sum(
         (-1) ** j * binomial(i, j) * binomial(i + d - 1 - j * q, d - 1 - j * q)
         for i in range(m + 1)
@@ -100,7 +91,7 @@ def dim_delta(q: int, d: int, m: int) -> int:
     """Like alpha but with the inner sum truncated at floor(e/q); the two
     agree because the dropped summands are zero under the binomial
     conventions."""
-    _check_range(q, d, m)
+    ts_decompose(d, q, "prm", m)
     return sum(
         sum(
             (-1) ** j * binomial(m + 1, j) * binomial(e - j * q + m, m)

@@ -26,8 +26,11 @@ supports of every L_{t+1} for one (W, L_t) are built at once; a support is
 a packed bit row, compared by its bytes.  The witness enumeration takes
 one form tuple per class of tuples that give the same word (see
 enumerate_witness_codewords for why that is complete) and returns its
-distinct words as one array, in the order of `codes.distinct_words`; the
-incidence checks stay exhaustive.
+distinct words as one array, in the order of `codes.distinct_words`.  The
+fiber check also walks one (L_t, L_{t+1}) per class, cosets modulo W and
+a common scalar, and weighs each by the class size (see
+support_fiber_check); the tau check walks one hyperplane form per scalar
+orbit.  Each check's guard counts what its walk visits.
 """
 
 from __future__ import annotations
@@ -40,31 +43,10 @@ import numpy as np
 
 from . import linalg, oracle
 from .codes import digits, distinct_words, prm_generator_matrix, projective_points
-from .combinat import binomial, gaussian_binomial
+from .combinat import TSDecomp, binomial, gaussian_binomial, ts_decompose
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
 from .poly import Poly
-
-
-@dataclass(frozen=True)
-class TSDecomp:
-    t: int
-    s: int
-
-
-def ts_decompose(order: int, q: int, kind: str, m: int) -> TSDecomp:
-    """Unique (t, s) with order - 1 = t(q-1) + s for "prm", or
-    order = t(q-1) + s for "rm", and 0 <= s < q - 1.  The one check of the
-    order range: [1, m(q-1)+1] for "prm", [0, m(q-1)] for "rm"."""
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    if kind not in ("prm", "rm"):
-        raise ValueError(f"kind must be 'rm' or 'prm', got {kind!r}")
-    lo = 1 if kind == "prm" else 0
-    if not lo <= order <= m * (q - 1) + lo:
-        raise ValueError(f"order {order} outside [{lo}, {m * (q - 1) + lo}]")
-    v = order - lo
-    return TSDecomp(v // (q - 1), v % (q - 1))
 
 
 def _distance(q: int, ts: TSDecomp, m: int) -> int:
@@ -432,18 +414,40 @@ class FiberReport:
         }
 
 
-def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> FiberReport:
-    """Exhaustive verification of the s != 0 counting argument.
+def _leading_one(q: int, m: int) -> np.ndarray:
+    """Mask of the forms whose first nonzero coefficient is 1: one form of
+    each scalar orbit.  They are the table rows q^j .. 2q^j - 1."""
+    mask = np.zeros(q ** (m + 1), dtype=bool)
+    for j in range(m + 1):
+        mask[q ** j : 2 * q ** j] = True
+    return mask
 
-    Enumerates every tuple (E, L_t, L_{t+1}, S) with E = V(W) a projective
-    (m-t)-subspace for W a t-dimensional span of forms, L_t and L_{t+1}
-    arbitrary forms, |S| = s, subject to E not contained in V(L_t) and E
-    intersect V(L_t) not contained in V(L_{t+1}); zero forms are excluded
-    by those conditions on their own.
+
+def _class_size(q: int, t: int) -> int:
+    """Pairs (L_t, L_{t+1}) in one class of the fiber check: q^t members of
+    each coset modulo W, times the q - 1 common scalar multiples."""
+    return (q - 1) * q ** (2 * t)
+
+
+def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> FiberReport:
+    """Verification of the s != 0 counting argument over every tuple
+    (E, L_t, L_{t+1}, S), one tuple per class.
+
+    The tuples are: E = V(W) a projective (m-t)-subspace for W a
+    t-dimensional span of forms, L_t and L_{t+1} arbitrary forms, |S| = s,
+    subject to E not contained in V(L_t) and E intersect V(L_t) not
+    contained in V(L_{t+1}).  The support such a tuple induces depends only
+    on L_t and L_{t+1} modulo W, since every form of W vanishes on E, and
+    scaling both forms by one nonzero c leaves their ratios on E alone.  So
+    L_t runs over the nonzero coset representatives whose first nonzero
+    coefficient is 1, L_{t+1} over every nonzero coset representative, and
+    each tuple stands for a class of _class_size(q, t) tuples: a number
+    from linear algebra, not from the count being checked.
     Groups tuples by the support they induce and reports: the tuple count
     against its closed-form product, the fiber sizes against
     (s+1)(q-1)^2 q^(2t+1), and (q-1) * #supports against the count formula.
-    Disagreements are reported, never patched.
+    Disagreements are reported, never patched.  The guard counts the
+    classes walked.
     """
     q = field.q
     ts = ts_decompose(d, q, "prm", m)
@@ -451,9 +455,10 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     if s == 0:
         raise ValueError("s = 0 has no scalar set; use tau_bijection_check")
     n_subspaces = gaussian_binomial(m + 1, t, q)
-    lam = n_subspaces * q ** (2 * (m + 1)) * binomial(q, s)
-    if lam > guard:
-        raise GuardExceeded("fiber", f"{lam} incidence tuples", guard)
+    cosets = q ** (m + 1 - t) - 1
+    classes = n_subspaces * cosets // (q - 1) * cosets * binomial(q, s)
+    if classes > guard:
+        raise GuardExceeded("fiber", f"{classes} incidence classes", guard)
     j_expected = (
         n_subspaces
         * (q ** (m + 1) - q ** t)
@@ -461,6 +466,7 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         * binomial(q, s)
     )
     vals, _, walk = _subspaces(field, m, t)
+    leading_one = _leading_one(q, m)
     npts = vals.shape[1]
     inv = _inverses(field)
     # outside[k, r]: r is not in the k-th scalar set
@@ -468,31 +474,30 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     for k, sset in enumerate(combinations(range(q), s)):
         outside[k, list(sset)] = False
     # each support is a packed bit row over all points, counted by its bytes
+    # once per class that induces it
     fibers: Counter[bytes] = Counter()
-    j_size = 0
-    for zeros, _ in walk:
+    for zeros, comp in walk:
         epts = np.flatnonzero(zeros)
-        on_e = vals[:, epts]               # every form on E
-        for vt in on_e:
+        on_e = vals[comp][:, epts]         # one form of each nonzero coset, on E
+        # L_t is not in W, so it does not vanish on all of E
+        for vt in vals[comp & leading_one][:, epts]:
             on = vt != 0
-            if not on.any():               # E inside V(L_t)
-                continue
             # E cap V(L_t) not inside V(L_{t+1})
             ratios = field.vmul(on_e[on_e[:, ~on].any(axis=1)][:, on], inv[vt[on]])
             cols = epts[on]
             supp = np.zeros((len(outside) * len(ratios), npts), dtype=bool)
             supp[:, cols] = outside[:, ratios].reshape(len(supp), len(cols))
             fibers.update(map(bytes, np.packbits(supp, axis=1)))
-            j_size += len(supp)
+    size = _class_size(q, t)
     return FiberReport(
         q=q,
         d=d,
         m=m,
         t=t,
         s=s,
-        j_size=j_size,
+        j_size=size * fibers.total(),
         j_expected=j_expected,
-        fiber_sizes=tuple(sorted(set(fibers.values()))),
+        fiber_sizes=tuple(sorted({size * n for n in fibers.values()})),
         fiber_expected=(s + 1) * (q - 1) ** 2 * q ** (2 * t + 1),
         support_count=len(fibers),
         implied_count=(q - 1) * len(fibers),
@@ -565,11 +570,8 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     pair_expected = gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q)
     if pair_expected > guard:
         raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
-    vals, coeffs, walk = _subspaces(field, m, t)
-    # the forms whose first nonzero coefficient is 1 are rows q^j .. 2q^j - 1
-    leading_one = np.zeros(len(coeffs), dtype=bool)
-    for j in range(m + 1):
-        leading_one[q ** j : 2 * q ** j] = True
+    vals, _, walk = _subspaces(field, m, t)
+    leading_one = _leading_one(q, m)
     # each support E minus H is a packed bit row over all points
     supports: set[bytes] = set()
     pair_count = 0

@@ -142,6 +142,20 @@ def test_witness_order_outside_range_is_usage_error(capsys, q, d, m, top):
     assert err == f"error: order {d} outside [1, {top}]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-minwt", "--q", "2", "--d", "1", "--m", "0"],
+    ["check-fibers", "--q", "3", "--d", "1", "--m", "0"],
+    ["genmat", "--family", "rm", "--order", "0", "--q", "2", "--m", "0"],
+    ["witness", "--q", "2", "--d", "1", "--m", "0"],
+], ids=["count-minwt", "check-fibers", "genmat-rm", "witness"])
+def test_m_zero_is_usage_error(capsys, argv):
+    # the order is in range at m = 0, so the one parameter check names m
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: m must be positive, got 0\n"
+
+
 def test_count_minwt(capsys):
     code, out, _ = run(
         capsys, "count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle"

@@ -199,6 +199,8 @@ def test_rm_generator_examples():
     assert gfull.rank() == 4
     with pytest.raises(ValueError):
         rm_generator_matrix(F2, 3, 2)
+    with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+        rm_generator_matrix(F2, 0, 0)
 
 
 def test_prm_generator_examples():
@@ -215,6 +217,8 @@ def test_prm_generator_examples():
         prm_generator_matrix(F2, 4, 2)
     with pytest.raises(ValueError):
         prm_generator_matrix(F2, 0, 2)
+    with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+        prm_generator_matrix(F2, 1, 0)
 
 
 def test_nondegenerate_columns():

@@ -97,3 +97,5 @@ def test_range_errors():
             fn(2, 0, 2)
         with pytest.raises(ValueError):
             fn(2, 4, 2)
+        with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+            fn(2, 1, 0)

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from prmcodes import linalg
+from prmcodes import linalg, minwt
 from prmcodes.codes import (
     digits,
     ev_vector,
@@ -21,7 +22,9 @@ from prmcodes.minwt import (
     TauReport,
     TSDecomp,
     _form_values,
+    _inverses,
     _rref_bases,
+    _subspaces,
     count_report,
     enumerate_witness_codewords,
     prm_min_distance,
@@ -66,6 +69,11 @@ def test_ts_decompose():
         ts_decompose(5, 3, "rm", 2)              # m(q-1) + 1
     with pytest.raises(ValueError):
         ts_decompose(2, 3, "other", 2)
+    # m = 0 holds only the order 1 (prm) or 0 (rm), and neither is a code
+    with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+        ts_decompose(1, 2, "prm", 0)
+    with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+        ts_decompose(0, 2, "rm", 0)
 
 
 # -- distances --------------------------------------------------------------------
@@ -654,7 +662,7 @@ def span_fiber_check(F, d, m):
 
 
 def fiber_tuples(q, d, m):
-    """Incidence tuples the fiber check enumerates."""
+    """Incidence tuples the exhaustive fiber references enumerate."""
     t, s = divmod(d - 1, q - 1)
     return gaussian_binomial(m + 1, t, q) * q ** (2 * (m + 1)) * binomial(q, s)
 
@@ -769,6 +777,76 @@ def scalar_fiber_check(F, d, m):
 def test_fiber_check_equals_scalar_reference(q, d, m):
     F = GF.from_q(q)
     assert support_fiber_check(F, d, m) == scalar_fiber_check(F, d, m)
+
+
+def exhaustive_fiber_check(F, d, m):
+    """The array fiber check over every form pair: L_t and L_{t+1} run over
+    all q^(m+1) rows of the form-value table on each E, one tuple each."""
+    q = F.q
+    t, s = divmod(d - 1, q - 1)
+    vals, _, walk = _subspaces(F, m, t)
+    npts = vals.shape[1]
+    inv = _inverses(F)
+    outside = np.ones((binomial(q, s), q), dtype=bool)
+    for k, sset in enumerate(combinations(range(q), s)):
+        outside[k, list(sset)] = False
+    fibers = Counter()
+    j_size = 0
+    for zeros, _ in walk:
+        epts = np.flatnonzero(zeros)
+        on_e = vals[:, epts]
+        for vt in on_e:
+            on = vt != 0
+            if not on.any():
+                continue
+            ratios = F.vmul(on_e[on_e[:, ~on].any(axis=1)][:, on], inv[vt[on]])
+            cols = epts[on]
+            supp = np.zeros((len(outside) * len(ratios), npts), dtype=bool)
+            supp[:, cols] = outside[:, ratios].reshape(len(supp), len(cols))
+            fibers.update(map(bytes, np.packbits(supp, axis=1)))
+            j_size += len(supp)
+    return FiberReport(
+        q=q, d=d, m=m, t=t, s=s,
+        j_size=j_size,
+        j_expected=gaussian_binomial(m + 1, t, q)
+        * (q ** (m + 1) - q ** t) * (q ** (m + 1) - q ** (t + 1)) * binomial(q, s),
+        fiber_sizes=tuple(sorted(set(fibers.values()))),
+        fiber_expected=(s + 1) * (q - 1) ** 2 * q ** (2 * t + 1),
+        support_count=len(fibers),
+        implied_count=(q - 1) * len(fibers),
+        formula_count=prm_min_weight_count(q, d, m),
+    )
+
+
+@pytest.mark.parametrize(
+    "q,d,m", FIBER_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in FIBER_CASES]
+)
+def test_fiber_check_equals_exhaustive_reference(q, d, m):
+    F = GF.from_q(q)
+    assert support_fiber_check(F, d, m) == exhaustive_fiber_check(F, d, m)
+
+
+def fiber_classes(q, d, m):
+    """Classes the fiber check walks: [m+1, t] subspaces W, one L_t per
+    scalar orbit of nonzero cosets, every nonzero coset for L_{t+1}, and
+    every scalar set."""
+    t, s = divmod(d - 1, q - 1)
+    cosets = q ** (m + 1 - t) - 1
+    return gaussian_binomial(m + 1, t, q) * cosets // (q - 1) * cosets * binomial(q, s)
+
+
+@pytest.mark.parametrize("q,d,m", [(3, 2, 2), (3, 4, 2), (4, 3, 2)],
+                         ids=["t0", "t1", "t0-gf4"])
+def test_fiber_guard_counts_classes(monkeypatch, q, d, m):
+    F = GF.from_q(q)
+    need = fiber_classes(q, d, m)
+    assert support_fiber_check(F, d, m, guard=need).ok
+    built = []
+    real = minwt._subspaces
+    monkeypatch.setattr(minwt, "_subspaces", lambda *a: built.append(a) or real(*a))
+    with pytest.raises(GuardExceeded, match=rf"^fiber guard: {need} incidence classes > {need - 1}$"):
+        support_fiber_check(F, d, m, guard=need - 1)
+    assert built == []                 # refused before the table is built
 
 
 def scalar_tau_check(F, d, m):

@@ -111,7 +111,7 @@ def test_oracle_guard_skips_say_needed_and_limit():
         (lambda: minwt.enumerate_witness_codewords(F3, 3, 2, guard=100),
          r"witness guard: 104 form tuples x 1 scalar sets > 100"),
         (lambda: minwt.support_fiber_check(F3, 2, 2, guard=5),
-         r"fiber guard: \d+ incidence tuples > 5"),
+         r"fiber guard: 1014 incidence classes > 5"),
         (lambda: minwt.tau_bijection_check(F2, 2, 2, guard=5),
          r"tau guard: 21 flag pairs > 5"),
     ],
@@ -268,6 +268,48 @@ def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
         assert int(want) == expected and int(found) < expected
 
 
+def _incidence_rows(monkeypatch, attr, fake):
+    """The fiber and tau rows of the GF(3), m = 2 sweep with one minwt
+    attribute replaced; every other row still PASSes."""
+    monkeypatch.setattr(minwt, attr, fake)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    incidence = ("fibers", "tau")
+    assert all(r.status == "PASS" for r in rep.results if r.check not in incidence)
+    return {(r.d, r.check): r for r in rep.results if r.check in incidence}
+
+
+def test_fiber_rows_fail_on_a_wrong_class_weight(monkeypatch):
+    # forgetting the q - 1 scalar multiples of each class halves every
+    # count over GF(3); the support count is read off the walk and agrees
+    rows = _incidence_rows(monkeypatch, "_class_size", lambda q, t: q ** (2 * t))
+    assert (rows[2, "fibers"].status, rows[2, "fibers"].detail) == (
+        "FAIL", "|J|=936/1872 fibers=(12,)/24 count=156/156")
+    assert (rows[4, "fibers"].status, rows[4, "fibers"].detail) == (
+        "FAIL", "|J|=8424/16848 fibers=(108,)/216 count=156/156")
+    assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
+
+
+def test_incidence_rows_fail_when_a_class_is_walked_twice(monkeypatch):
+    # 2 * X2 (table row 2) joins X2 as a first form or hyperplane: every
+    # class with L_t in the scalar orbit of X2 is walked twice, and so is
+    # every hyperplane V(X2) of an E
+    real = minwt._leading_one
+
+    def one_more(q, m):
+        mask = real(q, m).copy()
+        mask[2] = True
+        return mask
+
+    rows = _incidence_rows(monkeypatch, "_leading_one", one_more)
+    for d in (2, 4):
+        assert rows[d, "fibers"].status == "FAIL"
+        found, want = map(int, re.match(r"\|J\|=(\d+)/(\d+) ", rows[d, "fibers"].detail).groups())
+        assert found > want
+    for d in (3, 5):
+        assert rows[d, "tau"].status == "FAIL"
+        assert "injective=False" in rows[d, "tau"].detail
+
+
 def _corrupt_form_table(monkeypatch, change):
     real = minwt._form_values
 
@@ -294,7 +336,8 @@ def test_verify_fails_on_a_wrong_form_value(monkeypatch):
     assert rows[2, "witness-set"].status == "FAIL"
     assert rows[2, "witness-set"].detail.startswith("witness set size 228, oracle count 156; ")
     assert rows[2, "fibers"].status == rows[4, "fibers"].status == "FAIL"
-    assert rows[2, "fibers"].detail.startswith("|J|=1872/1872 fibers=(2, 4, 20, 22, 24)/24 ")
+    assert rows[2, "fibers"].detail == (
+        "|J|=1872/1872 fibers=(2, 4, 8, 16, 20, 22, 24)/24 count=204/156")
     assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
     assert rep.counts()["SKIPPED"] == 0
 
