@@ -59,17 +59,6 @@ def p_k(q: int, k: int) -> int:
     return (q ** (k + 1) - 1) // (q - 1)
 
 
-def bounded_compositions(a: int, n: int, b: int) -> int:
-    """Number of ways to place a objects into n ordered blocks with at most
-    b objects per block, by inclusion-exclusion over overfull blocks."""
-    return sum(
-        (-1) ** j
-        * binomial(n, j)
-        * binomial(a - j * (b + 1) + n - 1, a - j * (b + 1))
-        for j in range(n + 1)
-    )
-
-
 @dataclass(frozen=True)
 class TSDecomp:
     t: int

@@ -17,20 +17,22 @@ that the s = 0 and s != 0 counting arguments rest on.
 The form-value table is one (q^(m+1), npts) numpy array indexed by form:
 row i holds the values over the point array of the form whose coefficients
 are the base-q digits of i (`product` order).  So a form is a row index,
-and every subspace is described by the forms that vanish on it: one walk
-(`_subspaces`) serves the witness enumeration and both incidence checks.
-It reads E = V(W), the zeros of a canonical RREF basis W, as a boolean
-mask over the points, and takes the forms modulo W from the nonzero forms
-that vanish on W's pivot columns, a mask over the rows.  The words or
-supports of every L_{t+1} for one (W, L_t) are built at once; a support is
-a packed bit row, compared by its bytes.  The witness enumeration takes
-one form tuple per class of tuples that give the same word (see
-enumerate_witness_codewords for why that is complete) and returns its
-distinct words as one array, in the order of `codes.distinct_words`.  The
-fiber check also walks one (L_t, L_{t+1}) per class, cosets modulo W and
-a common scalar, and weighs each by the class size (see
-support_fiber_check); the tau check walks one hyperplane form per scalar
-orbit.  Each check's guard counts what its walk visits.
+and a subspace is described by the forms that vanish on it: `_subspaces`
+reads E = V(W), the zeros of a canonical RREF basis W, as a boolean mask
+over the points, and takes the forms modulo W from the nonzero forms that
+vanish on W's pivot columns, a mask over the rows.
+
+The witness enumeration and both incidence checks share one class walk
+and one class count (`_class_words`).  Every minimum-weight word is a
+class word L_t [V(W)] prod_{w in S} (L_{t+1} - w L_t), and both counting
+arguments count the supports of those same words: the fibers for s != 0
+and the flags (E, H) for s = 0.  The walk takes one word per class (W, L_t
+up to a scalar, L_{t+1} modulo <W, L_t>, S) and yields them in blocks of
+rows.  The number of classes is the guard of all three, checked before
+any table is built and refused as `<check> guard: N classes > limit`.  The
+witness set is the class words and their scalar multiples, in the order
+of `codes.distinct_words`; the fiber and tau checks count the packed
+supports of the class words by their bytes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import linalg, oracle
 from .codes import digits, distinct_words, prm_generator_matrix, projective_points
-from .combinat import TSDecomp, binomial, gaussian_binomial, ts_decompose
+from .combinat import TSDecomp, binomial, gaussian_binomial, p_k, ts_decompose
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
 from .poly import Poly
@@ -244,7 +246,7 @@ def count_report(
     )
 
 
-# -- witness enumeration ----------------------------------------------------------
+# -- the class walk ---------------------------------------------------------------
 
 
 def _rows(q: int, forms) -> list[int]:
@@ -313,64 +315,116 @@ def _inverses(field: GF) -> np.ndarray:
     return np.array([0] + [field.inv(a) for a in range(1, field.q)], dtype=np.int64)
 
 
+def _leading_one(q: int, m: int) -> np.ndarray:
+    """Mask of the forms whose first nonzero coefficient is 1: one form of
+    each scalar orbit.  They are the table rows q^j .. 2q^j - 1."""
+    mask = np.zeros(q ** (m + 1), dtype=bool)
+    for j in range(m + 1):
+        mask[q ** j : 2 * q ** j] = True
+    return mask
+
+
+def _class_words(field: GF, d: int, m: int, guard: int, name: str):
+    """The one walk of the witness set and both incidence checks: one
+    word of prm(q, d, m) per class, in blocks of rows over the points.
+
+    On points L_t (L_t^(q-1) - L_i^(q-1)) = L_t [L_i = 0], so a witness
+    word is L_t [V(W)] prod_{w in S} (L_{t+1} - w L_t) with W the span of
+    L_0..L_{t-1}.  It depends only on W, on L_t and L_{t+1} modulo W, and
+    on the scalar set S.  A class is one W (a canonical RREF basis), one
+    L_t up to a scalar (a nonzero coset representative, a form vanishing
+    on W's pivot columns, whose first nonzero coefficient is 1), and for
+    s != 0 one L_{t+1} outside <W, L_t> (every other representative but
+    the q - 1 multiples of L_t) and one S.  So the walk visits
+    [m+1, t]_q (c - 1)/(q - 1) (c - q if s else 1) C(q, s) classes,
+    c = q^(m+1-t), and that one count is the guard `name`, checked before
+    any table is built.
+
+    For s = 0 it yields one block per W, the words L_t [V(W)].  For s != 0
+    it yields one block per (W, L_t): the words of every L_{t+1} and S,
+    read from one symbol table.  Where L_t = v and L_{t+1} = r v the word
+    is v^(s+1) prod_{w in S} (r - w) = symbols[S, v, r], which is 0 at
+    v = 0; for v != 0 it is nonzero exactly when r is not in S, so a
+    word's support is the support the fiber check counts."""
+    q = field.q
+    ts = ts_decompose(d, q, "prm", m)
+    t, s = ts.t, ts.s
+    c = q ** (m + 1 - t)
+    classes = gaussian_binomial(m + 1, t, q) * (c - 1) // (q - 1) * (c - q if s else 1)
+    classes *= binomial(q, s)
+    if classes > guard:
+        raise GuardExceeded(name, f"{classes} classes", guard)
+    vals, coeffs, walk = _subspaces(field, m, t)
+    leading_one = _leading_one(q, m)
+    if not s:
+        for zeros, comp in walk:
+            yield vals[comp & leading_one] * zeros
+        return
+    elements = np.arange(q)
+    lead = np.array([field.pow(v, s + 1) for v in range(q)])
+    symbols = np.empty((binomial(q, s), q, q), dtype=vals.dtype)
+    for k, sset in enumerate(combinations(range(q), s)):
+        prod = np.ones(q, dtype=np.int64)
+        for w in sset:
+            prod = field.vmul(prod, field.vadd(elements, field.neg(w)))
+        symbols[k] = field.vmul(lead[:, None], prod)
+    # multiples[a - 1, i]: the table row of a times form i
+    multiples = field.vmul(elements[1:, None, None], coeffs) @ q ** np.arange(m, -1, -1)
+    inv = _inverses(field)
+    npts = vals.shape[1]
+    for zeros, comp in walk:
+        epts = np.flatnonzero(zeros)
+        on_e = vals[:, epts]
+        for lt in np.flatnonzero(comp & leading_one):
+            others = comp.copy()
+            others[multiples[:, lt]] = False
+            ratios = field.vmul(on_e[others], inv[on_e[lt]])
+            block = np.zeros((len(symbols), len(ratios), npts), dtype=vals.dtype)
+            block[..., epts] = symbols[:, on_e[lt], ratios]
+            yield block.reshape(-1, npts)
+
+
+# -- witness enumeration ----------------------------------------------------------
+
+
 def enumerate_witness_codewords(
     field: GF, d: int, m: int, guard: int = WITNESS_GUARD
 ) -> np.ndarray:
     """The distinct witness codewords as one (N, n) array in the order of
-    codes.distinct_words, from one form tuple per class.
+    codes.distinct_words: the class words of _class_words and their
+    scalar multiples.
 
-    On points L_t * (L_t^(q-1) - L_i^(q-1)) = L_t * [L_i = 0], so a witness
-    word is L_t * [V(W)] * prod_j (L_{t+1} - w_j L_t) with W the span of
-    L_0..L_{t-1}: it depends only on W, on L_t and L_{t+1} modulo W, and on
-    the scalar set.  W runs over canonical RREF bases; L_t and L_{t+1} run
-    over the forms vanishing on W's pivot columns, which hold exactly one
-    representative of each coset.  For each (W, L_t) the words of every
-    L_{t+1} and every scalar set are built at once.  By the
-    characterization this set must equal the set of minimum-weight
+    This is every witness word.  The walk fixes L_t up to a scalar, and
+    (a L_t, L_{t+1}, S) gives a * word(L_t, L_{t+1}, a S), since
+    a L_t prod_{w in S} (L_{t+1} - w a L_t) = a L_t prod_{w' in aS}
+    (L_{t+1} - w' L_t); as S runs over the s-subsets so does aS.  So the
+    words of every L_t are the class words times the q - 1 scalars.  By
+    the characterization this set must equal the set of minimum-weight
     codewords of the projective code."""
     q = field.q
-    ts = ts_decompose(d, q, "prm", m)
-    t, s = ts.t, ts.s
-    omega_sets = [()] if s == 0 else list(combinations(range(q), s))
-    # the scalar subsets multiply the per-tuple work, so they count
-    # against the same guard as the form tuples
-    cosets = q ** (m + 1 - t)
-    tuples = gaussian_binomial(m + 1, t, q) * (cosets - 1) * (cosets - q if s else 1)
-    if tuples * len(omega_sets) > guard:
-        raise GuardExceeded(
-            "witness", f"{tuples} form tuples x {len(omega_sets)} scalar sets", guard
-        )
-    vals, coeffs, walk = _subspaces(field, m, t)
-    npts = vals.shape[1]
-    chunks = [np.zeros((0, npts), dtype=vals.dtype)]
-    if not s:
-        # the word is L_t on V(W) and 0 elsewhere
-        for zeros, comp in walk:
-            chunks.append(vals[comp] * zeros)
-        return distinct_words(np.concatenate(chunks), q)
-    # where L_t != 0 the word is L_t^(s+1) prod_j (r - w_j), r = L_{t+1}/L_t;
-    # prods[k, r] is that product for the k-th scalar set
-    prods = np.ones((len(omega_sets), q), dtype=np.int64)
-    for k, omegas in enumerate(omega_sets):
-        for w in omegas:
-            prods[k] = field.vmul(prods[k], field.vadd(np.arange(q), field.neg(w)))
-    lead = np.array([field.pow(a, s + 1) for a in range(q)], dtype=np.int64)
-    inv = _inverses(field)
-    scalars = np.arange(1, q)[:, None]
-    for zeros, comp in walk:
-        for lt in np.flatnonzero(comp):
-            vt = vals[lt]
-            on = np.flatnonzero(zeros & (vt != 0))
-            others = comp.copy()
-            others[_rows(q, field.vmul(scalars, coeffs[lt]).tolist())] = False
-            ratios = field.vmul(vals[others][:, on], inv[vt[on]])
-            words = np.zeros((len(prods), len(ratios), npts), dtype=vals.dtype)
-            words[..., on] = field.vmul(lead[vt[on]], prods[:, ratios])
-            chunks.append(words.reshape(-1, npts))
-    return distinct_words(np.concatenate(chunks), q)
+    dtype = np.min_scalar_type(q - 1)
+    # the walk reaches a word from several forms of its pencil
+    # <L_t, L_{t+1}>, so the class words are deduplicated before scaling
+    words = distinct_words(np.concatenate(
+        [np.zeros((0, p_k(q, m)), dtype), *_class_words(field, d, m, guard, "witness")]
+    ), q)
+    if q > 2:
+        elements = np.arange(q)
+        scaled = field.vmul(elements[1:, None], elements).astype(dtype)
+        words = distinct_words(scaled.take(words, axis=1).reshape(-1, words.shape[1]), q)
+    return words
 
 
 # -- incidence checks -------------------------------------------------------------
+
+
+def _support_counts(field: GF, d: int, m: int, guard: int, name: str) -> Counter[bytes]:
+    """How many classes of _class_words give each support, a packed bit
+    row over the points, keyed by its bytes in the order first walked."""
+    supports: Counter[bytes] = Counter()
+    for block in _class_words(field, d, m, guard, name):
+        supports.update(map(bytes, np.packbits(block != 0, axis=1)))
+    return supports
 
 
 @dataclass(frozen=True)
@@ -414,15 +468,6 @@ class FiberReport:
         }
 
 
-def _leading_one(q: int, m: int) -> np.ndarray:
-    """Mask of the forms whose first nonzero coefficient is 1: one form of
-    each scalar orbit.  They are the table rows q^j .. 2q^j - 1."""
-    mask = np.zeros(q ** (m + 1), dtype=bool)
-    for j in range(m + 1):
-        mask[q ** j : 2 * q ** j] = True
-    return mask
-
-
 def _class_size(q: int, t: int) -> int:
     """Pairs (L_t, L_{t+1}) in one class of the fiber check: q^t members of
     each coset modulo W, times the q - 1 common scalar multiples."""
@@ -431,63 +476,30 @@ def _class_size(q: int, t: int) -> int:
 
 def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> FiberReport:
     """Verification of the s != 0 counting argument over every tuple
-    (E, L_t, L_{t+1}, S), one tuple per class.
+    (E, L_t, L_{t+1}, S), one tuple per class of _class_words.
 
     The tuples are: E = V(W) a projective (m-t)-subspace for W a
     t-dimensional span of forms, L_t and L_{t+1} arbitrary forms, |S| = s,
-    subject to E not contained in V(L_t) and E intersect V(L_t) not
-    contained in V(L_{t+1}).  The support such a tuple induces depends only
-    on L_t and L_{t+1} modulo W, since every form of W vanishes on E, and
-    scaling both forms by one nonzero c leaves their ratios on E alone.  So
-    L_t runs over the nonzero coset representatives whose first nonzero
-    coefficient is 1, L_{t+1} over every nonzero coset representative, and
-    each tuple stands for a class of _class_size(q, t) tuples: a number
-    from linear algebra, not from the count being checked.
+    subject to E not contained in V(L_t) and E intersect V(L_t) =
+    V(<W, L_t>) not contained in V(L_{t+1}), i.e. L_t not in W and
+    L_{t+1} not in <W, L_t>.  The support such a tuple induces,
+    {x in E : L_t(x) != 0 and L_{t+1}(x)/L_t(x) not in S}, is the support
+    of its class word.  It depends only on L_t and L_{t+1} modulo W, since
+    every form of W vanishes on E, and scaling both forms by one nonzero c
+    leaves their ratios on E alone.  So each class stands for
+    _class_size(q, t) tuples: a number from linear algebra, not from the
+    count being checked.
     Groups tuples by the support they induce and reports: the tuple count
     against its closed-form product, the fiber sizes against
     (s+1)(q-1)^2 q^(2t+1), and (q-1) * #supports against the count formula.
-    Disagreements are reported, never patched.  The guard counts the
-    classes walked.
+    Disagreements are reported, never patched.
     """
     q = field.q
     ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
     if s == 0:
         raise ValueError("s = 0 has no scalar set; use tau_bijection_check")
-    n_subspaces = gaussian_binomial(m + 1, t, q)
-    cosets = q ** (m + 1 - t) - 1
-    classes = n_subspaces * cosets // (q - 1) * cosets * binomial(q, s)
-    if classes > guard:
-        raise GuardExceeded("fiber", f"{classes} incidence classes", guard)
-    j_expected = (
-        n_subspaces
-        * (q ** (m + 1) - q ** t)
-        * (q ** (m + 1) - q ** (t + 1))
-        * binomial(q, s)
-    )
-    vals, _, walk = _subspaces(field, m, t)
-    leading_one = _leading_one(q, m)
-    npts = vals.shape[1]
-    inv = _inverses(field)
-    # outside[k, r]: r is not in the k-th scalar set
-    outside = np.ones((binomial(q, s), q), dtype=bool)
-    for k, sset in enumerate(combinations(range(q), s)):
-        outside[k, list(sset)] = False
-    # each support is a packed bit row over all points, counted by its bytes
-    # once per class that induces it
-    fibers: Counter[bytes] = Counter()
-    for zeros, comp in walk:
-        epts = np.flatnonzero(zeros)
-        on_e = vals[comp][:, epts]         # one form of each nonzero coset, on E
-        # L_t is not in W, so it does not vanish on all of E
-        for vt in vals[comp & leading_one][:, epts]:
-            on = vt != 0
-            # E cap V(L_t) not inside V(L_{t+1})
-            ratios = field.vmul(on_e[on_e[:, ~on].any(axis=1)][:, on], inv[vt[on]])
-            cols = epts[on]
-            supp = np.zeros((len(outside) * len(ratios), npts), dtype=bool)
-            supp[:, cols] = outside[:, ratios].reshape(len(supp), len(cols))
-            fibers.update(map(bytes, np.packbits(supp, axis=1)))
+    fibers = _support_counts(field, d, m, guard, "fiber")
     size = _class_size(q, t)
     return FiberReport(
         q=q,
@@ -496,7 +508,10 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         t=t,
         s=s,
         j_size=size * fibers.total(),
-        j_expected=j_expected,
+        j_expected=gaussian_binomial(m + 1, t, q)
+        * (q ** (m + 1) - q ** t)
+        * (q ** (m + 1) - q ** (t + 1))
+        * binomial(q, s),
         fiber_sizes=tuple(sorted({size * n for n in fibers.values()})),
         fiber_expected=(s + 1) * (q - 1) ** 2 * q ** (2 * t + 1),
         support_count=len(fibers),
@@ -556,9 +571,8 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
 
     E runs over V(W) for the t-dimensional spans W of forms.  The
     hyperplanes of E are its intersections E cap V(L) with one form L per
-    hyperplane: a nonzero coset of W (a form vanishing on W's pivot
-    columns) whose first nonzero coefficient is 1.  Then E minus H is
-    {x in E : L(x) != 0}."""
+    hyperplane: the L_t of a class of _class_words, whose word L_t [V(W)]
+    has the support {x in E : L(x) != 0} = E minus H."""
     q = field.q
     ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
@@ -566,34 +580,19 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         raise ValueError("s != 0 has no flag bijection; use support_fiber_check")
     if t < 1:
         raise ValueError("t must be at least 1 (the order-1 code is the simplex)")
+    supports = _support_counts(field, d, m, guard, "tau")
+    pair_count = supports.total()
+    sizes = (int.from_bytes(key, "big").bit_count() for key in supports)
     k = m - t + 1
-    pair_expected = gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q)
-    if pair_expected > guard:
-        raise GuardExceeded("tau", f"{pair_expected} flag pairs", guard)
-    vals, _, walk = _subspaces(field, m, t)
-    leading_one = _leading_one(q, m)
-    # each support E minus H is a packed bit row over all points
-    supports: set[bytes] = set()
-    pair_count = 0
-    wrong_size = None
-    for zeros, comp in walk:
-        hyper = vals[comp & leading_one]
-        supp = np.packbits((hyper != 0) & zeros, axis=1)
-        supports.update(map(bytes, supp))
-        pair_count += len(hyper)
-        sizes = np.bitwise_count(supp).sum(axis=1)
-        wrong = sizes[sizes != q ** (m - t)]
-        if wrong_size is None and wrong.size:
-            wrong_size = int(wrong[0])
     return TauReport(
         q=q,
         d=d,
         m=m,
         t=t,
         pair_count=pair_count,
-        pair_expected=pair_expected,
+        pair_expected=gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q),
         injective=len(supports) == pair_count,
-        wrong_size=wrong_size,
+        wrong_size=next((n for n in sizes if n != q ** (m - t)), None),
         implied_count=(q - 1) * pair_count,
         formula_count=prm_min_weight_count(q, d, m),
     )

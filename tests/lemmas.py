@@ -1,12 +1,13 @@
 """Reference helpers that more than one test file uses.
 
 The standard representative of a projective point, the support of a word,
-a word array as a set, the coordinate witness polynomial and the zero-set
-bound: the tests check the library against them, and nothing in the
-library calls them.  Not collected: the file name has no test_ prefix.
+a word array as a set, the coordinate witness polynomial, the zero-set
+bound and the bounded compositions: the tests check the library against
+them, and nothing in the library calls them.  Not collected: the file
+name has no test_ prefix.
 """
 
-from prmcodes.combinat import p_k
+from prmcodes.combinat import binomial, p_k
 from prmcodes.gf import GF
 from prmcodes.minwt import _check_omegas, ts_decompose
 from prmcodes.poly import Poly
@@ -68,3 +69,14 @@ def max_zero_bound(q: int, d: int, m: int) -> int:
     num = (q - s) * q ** max(0, m - t - 1)
     den = q ** max(0, t + 1 - m)
     return p_k(q, m) - (num + den - 1) // den
+
+
+def bounded_compositions(a: int, n: int, b: int) -> int:
+    """Number of ways to place a objects into n ordered blocks with at most
+    b objects per block, by inclusion-exclusion over overfull blocks."""
+    return sum(
+        (-1) ** j
+        * binomial(n, j)
+        * binomial(a - j * (b + 1) + n - 1, a - j * (b + 1))
+        for j in range(n + 1)
+    )

@@ -16,7 +16,7 @@ from prmcodes.codes import (
     projective_points,
     rm_generator_matrix,
 )
-from prmcodes.combinat import bounded_compositions, p_k
+from prmcodes.combinat import p_k
 from prmcodes.dimension import dim_alpha, dim_beta, dim_delta, dim_gamma, rho
 from prmcodes.gf import GF
 from prmcodes.poly import Poly, reduce_projective
@@ -31,7 +31,7 @@ from prmcodes.minwt import (
     tau_bijection_check,
 )
 
-from lemmas import max_zero_bound
+from lemmas import bounded_compositions, max_zero_bound
 
 FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
 

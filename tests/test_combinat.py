@@ -3,10 +3,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from prmcodes.combinat import binomial, bounded_compositions, gaussian_binomial, p_k
+from prmcodes.combinat import binomial, gaussian_binomial, p_k
 from prmcodes.dimension import rho
 from prmcodes.gf import GF
 from prmcodes.minwt import _rref_bases
+
+from lemmas import bounded_compositions
 
 
 def brute_bounded(a, n, b):

@@ -293,8 +293,10 @@ def test_enumerate_equals_oracle_set():
 
 
 def test_enumerate_guard():
+    # prm(3,3,2), t = 1: 13 subspaces W times 4 scalar orbits of cosets
     with pytest.raises(GuardExceeded):
-        enumerate_witness_codewords(F3, 3, 2, guard=100)
+        enumerate_witness_codewords(F3, 3, 2, guard=51)
+    assert len(enumerate_witness_codewords(F3, 3, 2, guard=52)) == 104
     # t = 3: 15 subspaces W times one coset representative each
     words = enumerate_witness_codewords(F2, 4, 3, guard=1000)
     assert len(words) == 15 == prm_min_weight_count(2, 4, 3)
@@ -826,26 +828,42 @@ def test_fiber_check_equals_exhaustive_reference(q, d, m):
     assert support_fiber_check(F, d, m) == exhaustive_fiber_check(F, d, m)
 
 
-def fiber_classes(q, d, m):
-    """Classes the fiber check walks: [m+1, t] subspaces W, one L_t per
-    scalar orbit of nonzero cosets, every nonzero coset for L_{t+1}, and
-    every scalar set."""
+def walk_classes(q, d, m):
+    """Classes the one walk visits: [m+1, t] subspaces W, one L_t per
+    scalar orbit of nonzero cosets, for s != 0 every nonzero coset outside
+    <W, L_t> for L_{t+1}, and every scalar set."""
     t, s = divmod(d - 1, q - 1)
     cosets = q ** (m + 1 - t) - 1
-    return gaussian_binomial(m + 1, t, q) * cosets // (q - 1) * cosets * binomial(q, s)
+    return (gaussian_binomial(m + 1, t, q) * cosets // (q - 1)
+            * (cosets - (q - 1) if s else 1) * binomial(q, s))
 
 
-@pytest.mark.parametrize("q,d,m", [(3, 2, 2), (3, 4, 2), (4, 3, 2)],
-                         ids=["t0", "t1", "t0-gf4"])
-def test_fiber_guard_counts_classes(monkeypatch, q, d, m):
+GUARD_CASES = [
+    ("witness", enumerate_witness_codewords, 3, 2, 2),
+    ("witness", enumerate_witness_codewords, 3, 3, 2),
+    ("fiber", support_fiber_check, 3, 2, 2),
+    ("fiber", support_fiber_check, 3, 4, 2),
+    ("fiber", support_fiber_check, 4, 3, 2),
+    ("tau", tau_bijection_check, 2, 2, 2),
+    ("tau", tau_bijection_check, 3, 5, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name,check,q,d,m", GUARD_CASES,
+    ids=["witness-t0", "witness-t1", "fiber-t0", "fiber-t1", "fiber-t0-gf4", "tau-t1", "tau-t2"],
+)
+def test_guard_counts_classes(monkeypatch, name, check, q, d, m):
     F = GF.from_q(q)
-    need = fiber_classes(q, d, m)
-    assert support_fiber_check(F, d, m, guard=need).ok
+    need = walk_classes(q, d, m)
+    # one word per class walked, and a guard of exactly that many runs
+    assert sum(map(len, minwt._class_words(F, d, m, need, name))) == need
+    check(F, d, m, guard=need)
     built = []
     real = minwt._subspaces
     monkeypatch.setattr(minwt, "_subspaces", lambda *a: built.append(a) or real(*a))
-    with pytest.raises(GuardExceeded, match=rf"^fiber guard: {need} incidence classes > {need - 1}$"):
-        support_fiber_check(F, d, m, guard=need - 1)
+    with pytest.raises(GuardExceeded, match=rf"^{name} guard: {need} classes > {need - 1}$"):
+        check(F, d, m, guard=need - 1)
     assert built == []                 # refused before the table is built
 
 

@@ -107,13 +107,13 @@ def test_oracle_guard_skips_say_needed_and_limit():
         (lambda: sweeps._rank(sweeps.Code(SweepConfig(rank_len_guard=3), F2, "prm", 2, 2)),
          r"rank guard: length 7 > 3"),
         (lambda: minwt.enumerate_witness_codewords(F3, 2, 2, guard=100),
-         r"witness guard: 624 form tuples x 3 scalar sets > 100"),
-        (lambda: minwt.enumerate_witness_codewords(F3, 3, 2, guard=100),
-         r"witness guard: 104 form tuples x 1 scalar sets > 100"),
+         r"witness guard: 936 classes > 100"),
+        (lambda: minwt.enumerate_witness_codewords(F3, 3, 2, guard=51),
+         r"witness guard: 52 classes > 51"),
         (lambda: minwt.support_fiber_check(F3, 2, 2, guard=5),
-         r"fiber guard: 1014 incidence classes > 5"),
+         r"fiber guard: 936 classes > 5"),
         (lambda: minwt.tau_bijection_check(F2, 2, 2, guard=5),
-         r"tau guard: 21 flag pairs > 5"),
+         r"tau guard: 21 classes > 5"),
     ],
     ids=["affine", "projective", "oracle", "rank", "witness", "witness-t1", "fiber", "tau"],
 )
@@ -266,6 +266,28 @@ def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
     for d, expected in ((3, 52), (5, 13)):
         found, want = re.match(r"pairs=(\d+)/(\d+) ", rows[d, "tau"].detail).groups()
         assert int(want) == expected and int(found) < expected
+
+
+def test_rows_fail_when_a_class_block_is_dropped(monkeypatch):
+    # the witness set and both incidence checks read one class walk: drop
+    # its first block and the fiber rows (s != 0) and tau rows (s = 0) of
+    # GF(3), m = 2 count too few classes, and the witness sets of s = 0
+    # lose the words L_t [V(W)] of one W, which no other block gives.  At
+    # s != 0 the dropped words come back from other blocks: L_t L' is
+    # also walked with L' as the first form.
+    real = minwt._class_words
+
+    def dropped(*args):
+        blocks = real(*args)
+        next(blocks)
+        return blocks
+
+    monkeypatch.setattr(minwt, "_class_words", dropped)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
+    failed = {(r.d, r.check) for r in rep.results if r.status == "FAIL"}
+    assert failed == {(1, "witness-set"), (3, "witness-set"), (5, "witness-set"),
+                      (2, "fibers"), (3, "tau"), (4, "fibers"), (5, "tau")}
+    assert rep.counts()["SKIPPED"] == 0
 
 
 def _incidence_rows(monkeypatch, attr, fake):
