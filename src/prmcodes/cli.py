@@ -5,11 +5,12 @@ check-fibers, distribution.  Every command takes --out PATH, and the five
 with a CSV or text form also take --format {json,csv}; count-minwt,
 check-fibers and distribution print JSON only.  --guard N (codewords an
 exhaustive walk may visit, a positive int) is taken by verify, count-minwt
-and distribution, the commands that walk a code or its dual code; --seed N
-only by witness.  Guard defaults live in errors.py.  Exit codes: 0
-success, 1 verification failure, 2 usage error.  Every command is
-deterministic given its flags; the witness command derives its randomness
-from --seed (default 0).
+and distribution, the commands that walk a code or its dual code;
+--witness-guard N (classes the witness and incidence walk may visit, a
+positive int) by verify and check-fibers; --seed N only by witness.  Guard
+defaults live in errors.py.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  Every command is deterministic given its flags;
+the witness command derives its randomness from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def _guard_flag(sp: argparse.ArgumentParser) -> None:
                     help="max codewords an exhaustive enumeration may visit")
 
 
+def _witness_guard_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD,
+                    help="max classes the witness and incidence walk may visit")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="prmcodes",
@@ -90,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_parse_ints, default=(2, 3))
     sp.add_argument("--m", type=_parse_range, default=(1, 2))
     sp.add_argument("--d", type=_parse_range, default=None)
-    sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD)
+    _witness_guard_flag(sp)
     _guard_flag(sp)
     _common_flags(sp)
 
@@ -127,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--witness-guard", type=_positive_int, default=WITNESS_GUARD)
+    _witness_guard_flag(sp)
     _common_flags(sp, with_format=False)
 
     sp = sub.add_parser("distribution", help="exhaustive weight distribution")

@@ -27,17 +27,17 @@ and one class count (`_class_words`).  Every minimum-weight word is a
 class word L_t [V(W)] prod_{w in S} (L_{t+1} - w L_t), and both counting
 arguments count the supports of those same words: the fibers for s != 0
 and the flags (E, H) for s = 0.  The walk takes one word per class (W, L_t
-up to a scalar, L_{t+1} modulo <W, L_t>, S) and yields them in blocks of
-rows.  The number of classes is the guard of all three, checked before
-any table is built and refused as `<check> guard: N classes > limit`.  The
-witness set is the class words and their scalar multiples, in the order
-of `codes.distinct_words`; the fiber and tau checks count the packed
-supports of the class words by their bytes.
+up to a scalar, L_{t+1} modulo <W, L_t>, S), since the translate
+(L_t, L_{t+1} + a L_t, S + a) gives the same word, and yields them in
+blocks of rows.  The number of classes is the guard of all three, checked
+before any table is built and refused as `<check> guard: N classes >
+limit`.  The witness set is the class words and their scalar multiples,
+and the fiber and tau checks count the packed supports of the class
+words, both deduplicated by `codes.distinct_words`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -331,12 +331,13 @@ def _class_words(field: GF, d: int, m: int, guard: int, name: str):
     On points L_t (L_t^(q-1) - L_i^(q-1)) = L_t [L_i = 0], so a witness
     word is L_t [V(W)] prod_{w in S} (L_{t+1} - w L_t) with W the span of
     L_0..L_{t-1}.  It depends only on W, on L_t and L_{t+1} modulo W, and
-    on the scalar set S.  A class is one W (a canonical RREF basis), one
-    L_t up to a scalar (a nonzero coset representative, a form vanishing
-    on W's pivot columns, whose first nonzero coefficient is 1), and for
-    s != 0 one L_{t+1} outside <W, L_t> (every other representative but
-    the q - 1 multiples of L_t) and one S.  So the walk visits
-    [m+1, t]_q (c - 1)/(q - 1) (c - q if s else 1) C(q, s) classes,
+    on the scalar set S, and the translate (L_t, L_{t+1} + a L_t, S + a)
+    gives the same word.  A class is one W (a canonical RREF basis), one
+    L_t up to a scalar (a form vanishing on W's pivot columns, one per
+    nonzero coset, whose first nonzero coefficient is 1), and for s != 0
+    one L_{t+1} per nonzero coset of <W, L_t> (the one that also vanishes
+    at L_t's leading 1) and one S.  So the walk visits
+    [m+1, t]_q (c - 1)/(q - 1) (q^(m-t) - 1 if s else 1) C(q, s) classes,
     c = q^(m+1-t), and that one count is the guard `name`, checked before
     any table is built.
 
@@ -350,8 +351,8 @@ def _class_words(field: GF, d: int, m: int, guard: int, name: str):
     ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
     c = q ** (m + 1 - t)
-    classes = gaussian_binomial(m + 1, t, q) * (c - 1) // (q - 1) * (c - q if s else 1)
-    classes *= binomial(q, s)
+    classes = gaussian_binomial(m + 1, t, q) * (c - 1) // (q - 1)
+    classes *= (q ** (m - t) - 1 if s else 1) * binomial(q, s)
     if classes > guard:
         raise GuardExceeded(name, f"{classes} classes", guard)
     vals, coeffs, walk = _subspaces(field, m, t)
@@ -368,17 +369,14 @@ def _class_words(field: GF, d: int, m: int, guard: int, name: str):
         for w in sset:
             prod = field.vmul(prod, field.vadd(elements, field.neg(w)))
         symbols[k] = field.vmul(lead[:, None], prod)
-    # multiples[a - 1, i]: the table row of a times form i
-    multiples = field.vmul(elements[1:, None, None], coeffs) @ q ** np.arange(m, -1, -1)
     inv = _inverses(field)
     npts = vals.shape[1]
     for zeros, comp in walk:
         epts = np.flatnonzero(zeros)
         on_e = vals[:, epts]
         for lt in np.flatnonzero(comp & leading_one):
-            others = comp.copy()
-            others[multiples[:, lt]] = False
-            ratios = field.vmul(on_e[others], inv[on_e[lt]])
+            cosets = comp & (coeffs[:, np.flatnonzero(coeffs[lt])[0]] == 0)
+            ratios = field.vmul(on_e[cosets], inv[on_e[lt]])
             block = np.zeros((len(symbols), len(ratios), npts), dtype=vals.dtype)
             block[..., epts] = symbols[:, on_e[lt], ratios]
             yield block.reshape(-1, npts)
@@ -418,13 +416,15 @@ def enumerate_witness_codewords(
 # -- incidence checks -------------------------------------------------------------
 
 
-def _support_counts(field: GF, d: int, m: int, guard: int, name: str) -> Counter[bytes]:
-    """How many classes of _class_words give each support, a packed bit
-    row over the points, keyed by its bytes in the order first walked."""
-    supports: Counter[bytes] = Counter()
-    for block in _class_words(field, d, m, guard, name):
-        supports.update(map(bytes, np.packbits(block != 0, axis=1)))
-    return supports
+def _support_counts(field: GF, d: int, m: int, guard: int, name: str):
+    """(counts, sizes): how many classes of _class_words give each distinct
+    support, and the support size of each class word in walk order.  Each
+    block's supports are packed to bit rows, 8 points a byte, as it is
+    walked; a packed row is deduplicated as a word over the 256 bytes."""
+    packed = np.concatenate([np.zeros((0, (p_k(field.q, m) + 7) // 8), np.uint8), *(
+        np.packbits(block != 0, axis=1) for block in _class_words(field, d, m, guard, name))])
+    _, counts = distinct_words(packed, 256, return_counts=True)
+    return counts, np.bitwise_count(packed).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -470,8 +470,8 @@ class FiberReport:
 
 def _class_size(q: int, t: int) -> int:
     """Pairs (L_t, L_{t+1}) in one class of the fiber check: q^t members of
-    each coset modulo W, times the q - 1 common scalar multiples."""
-    return (q - 1) * q ** (2 * t)
+    each coset modulo W, q - 1 common scalars and q translates by L_t."""
+    return (q - 1) * q ** (2 * t + 1)
 
 
 def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> FiberReport:
@@ -485,8 +485,9 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     L_{t+1} not in <W, L_t>.  The support such a tuple induces,
     {x in E : L_t(x) != 0 and L_{t+1}(x)/L_t(x) not in S}, is the support
     of its class word.  It depends only on L_t and L_{t+1} modulo W, since
-    every form of W vanishes on E, and scaling both forms by one nonzero c
-    leaves their ratios on E alone.  So each class stands for
+    every form of W vanishes on E; scaling both forms by one nonzero c
+    leaves their ratios on E alone, and the translate (L_{t+1} + a L_t,
+    S + a) moves each ratio and S by a.  So each class stands for
     _class_size(q, t) tuples: a number from linear algebra, not from the
     count being checked.
     Groups tuples by the support they induce and reports: the tuple count
@@ -499,7 +500,7 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
     t, s = ts.t, ts.s
     if s == 0:
         raise ValueError("s = 0 has no scalar set; use tau_bijection_check")
-    fibers = _support_counts(field, d, m, guard, "fiber")
+    counts, _ = _support_counts(field, d, m, guard, "fiber")
     size = _class_size(q, t)
     return FiberReport(
         q=q,
@@ -507,15 +508,15 @@ def support_fiber_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         m=m,
         t=t,
         s=s,
-        j_size=size * fibers.total(),
+        j_size=size * int(counts.sum()),
         j_expected=gaussian_binomial(m + 1, t, q)
         * (q ** (m + 1) - q ** t)
         * (q ** (m + 1) - q ** (t + 1))
         * binomial(q, s),
-        fiber_sizes=tuple(sorted({size * n for n in fibers.values()})),
+        fiber_sizes=tuple(size * int(n) for n in np.unique(counts)),
         fiber_expected=(s + 1) * (q - 1) ** 2 * q ** (2 * t + 1),
-        support_count=len(fibers),
-        implied_count=(q - 1) * len(fibers),
+        support_count=len(counts),
+        implied_count=(q - 1) * len(counts),
         formula_count=prm_min_weight_count(q, d, m),
     )
 
@@ -580,20 +581,19 @@ def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -
         raise ValueError("s != 0 has no flag bijection; use support_fiber_check")
     if t < 1:
         raise ValueError("t must be at least 1 (the order-1 code is the simplex)")
-    supports = _support_counts(field, d, m, guard, "tau")
-    pair_count = supports.total()
-    sizes = (int.from_bytes(key, "big").bit_count() for key in supports)
+    counts, sizes = _support_counts(field, d, m, guard, "tau")
+    wrong = sizes[sizes != q ** (m - t)]
     k = m - t + 1
     return TauReport(
         q=q,
         d=d,
         m=m,
         t=t,
-        pair_count=pair_count,
+        pair_count=len(sizes),
         pair_expected=gaussian_binomial(m + 1, k, q) * gaussian_binomial(k, k - 1, q),
-        injective=len(supports) == pair_count,
-        wrong_size=next((n for n in sizes if n != q ** (m - t)), None),
-        implied_count=(q - 1) * pair_count,
+        injective=len(counts) == len(sizes),
+        wrong_size=int(wrong[0]) if len(wrong) else None,
+        implied_count=(q - 1) * len(sizes),
         formula_count=prm_min_weight_count(q, d, m),
     )
 

@@ -56,6 +56,8 @@ class SweepConfig:
             raise ValueError(f"m range {self.m_lo}:{self.m_hi} is empty")
         if self.d_lo < 1:
             raise ValueError("d must be at least 1")
+        if self.d_hi is not None and self.d_hi < self.d_lo:
+            raise ValueError(f"d range {self.d_lo}:{self.d_hi} is empty")
         if min(self.guard, self.witness_guard, self.rank_len_guard) < 1:
             raise ValueError("guards must be positive")
         if self.d_hi is not None:

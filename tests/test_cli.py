@@ -82,12 +82,6 @@ def test_table_deterministic(capsys):
     assert out1 == out2
 
 
-def test_table_empty_range_ok(capsys):
-    code, out, _ = run(capsys, "table", "--q", "2", "--m", "2", "--d", "3:2")
-    assert code == 0
-    assert out.strip() == "q,m,d,length,alpha,beta,gamma,delta,distance,minwt_count,agree"
-
-
 def test_table_d_range_over_maximum_is_usage_error(capsys):
     code, _, err = run(capsys, "table", "--q", "2", "--m", "2", "--d", "1:99")
     assert code == 2
@@ -98,10 +92,12 @@ def test_table_d_range_over_maximum_is_usage_error(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--q", "2,2", "--m", "1", "--d", "1"], "error: q values 2,2 repeat a field"),
     (["--q", "2", "--m", "3:1"], "error: m range 3:1 is empty"),
-], ids=["repeated-q", "empty-m-range"])
+    (["--q", "2", "--m", "1", "--d", "3:2"], "error: d range 3:2 is empty"),
+], ids=["repeated-q", "empty-m-range", "empty-d-range"])
 def test_sweep_that_would_repeat_or_plan_nothing_is_usage_error(capsys, command, flags, message):
-    # a repeated q would give every one of its checks two rows, and an
-    # empty m range would report 0 passed with nothing checked
+    # a repeated q would give every one of its checks two rows, an empty
+    # m range would report 0 passed with nothing checked, and an empty d
+    # range would report the rm rows alone
     code, out, err = run(capsys, command, *flags)
     assert code == 2
     assert out == ""

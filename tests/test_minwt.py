@@ -830,12 +830,13 @@ def test_fiber_check_equals_exhaustive_reference(q, d, m):
 
 def walk_classes(q, d, m):
     """Classes the one walk visits: [m+1, t] subspaces W, one L_t per
-    scalar orbit of nonzero cosets, for s != 0 every nonzero coset outside
-    <W, L_t> for L_{t+1}, and every scalar set."""
+    scalar orbit of nonzero cosets, for s != 0 one L_{t+1} per nonzero
+    coset of <W, L_t> (its translates L_{t+1} + a L_t give the same words),
+    and every scalar set."""
     t, s = divmod(d - 1, q - 1)
     cosets = q ** (m + 1 - t) - 1
     return (gaussian_binomial(m + 1, t, q) * cosets // (q - 1)
-            * (cosets - (q - 1) if s else 1) * binomial(q, s))
+            * (q ** (m - t) - 1 if s else 1) * binomial(q, s))
 
 
 GUARD_CASES = [

@@ -107,11 +107,11 @@ def test_oracle_guard_skips_say_needed_and_limit():
         (lambda: sweeps._rank(sweeps.Code(SweepConfig(rank_len_guard=3), F2, "prm", 2, 2)),
          r"rank guard: length 7 > 3"),
         (lambda: minwt.enumerate_witness_codewords(F3, 2, 2, guard=100),
-         r"witness guard: 936 classes > 100"),
+         r"witness guard: 312 classes > 100"),
         (lambda: minwt.enumerate_witness_codewords(F3, 3, 2, guard=51),
          r"witness guard: 52 classes > 51"),
         (lambda: minwt.support_fiber_check(F3, 2, 2, guard=5),
-         r"fiber guard: 936 classes > 5"),
+         r"fiber guard: 312 classes > 5"),
         (lambda: minwt.tau_bijection_check(F2, 2, 2, guard=5),
          r"tau guard: 21 classes > 5"),
     ],
@@ -301,13 +301,36 @@ def _incidence_rows(monkeypatch, attr, fake):
 
 
 def test_fiber_rows_fail_on_a_wrong_class_weight(monkeypatch):
-    # forgetting the q - 1 scalar multiples of each class halves every
-    # count over GF(3); the support count is read off the walk and agrees
-    rows = _incidence_rows(monkeypatch, "_class_size", lambda q, t: q ** (2 * t))
+    # forgetting the q translates L_{t+1} + a L_t of each class cuts every
+    # count to a third over GF(3); the support count is read off the walk
+    # and agrees
+    rows = _incidence_rows(monkeypatch, "_class_size", lambda q, t: (q - 1) * q ** (2 * t))
     assert (rows[2, "fibers"].status, rows[2, "fibers"].detail) == (
-        "FAIL", "|J|=936/1872 fibers=(12,)/24 count=156/156")
+        "FAIL", "|J|=624/1872 fibers=(8,)/24 count=156/156")
     assert (rows[4, "fibers"].status, rows[4, "fibers"].detail) == (
-        "FAIL", "|J|=8424/16848 fibers=(108,)/216 count=156/156")
+        "FAIL", "|J|=5616/16848 fibers=(72,)/216 count=156/156")
+    assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
+
+
+def test_fiber_rows_fail_when_two_translates_are_walked(monkeypatch):
+    # over GF(3), m = 2 the coefficient table that the L_{t+1} range reads
+    # gives X0 + X1 (table row 12) no X1, so for each L_t = X1 + c X2 it
+    # passes the range beside X0 - c X2, of which it is the translate by
+    # L_t.  Those classes are walked twice and |J| overshoots; the walk
+    # masks are real, so the witness sets and the tau rows still PASS.
+    real = minwt._subspaces
+
+    def one_more_translate(field, m, t):
+        vals, coeffs, walk = real(field, m, t)
+        coeffs = coeffs.copy()
+        coeffs[12, 1] = 0
+        return vals, coeffs, walk
+
+    rows = _incidence_rows(monkeypatch, "_subspaces", one_more_translate)
+    for d in (2, 4):
+        assert rows[d, "fibers"].status == "FAIL"
+        found, want = map(int, re.match(r"\|J\|=(\d+)/(\d+) ", rows[d, "fibers"].detail).groups())
+        assert found > want
     assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
 
 
@@ -356,10 +379,10 @@ def test_verify_fails_on_a_wrong_form_value(monkeypatch):
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     rows = {(r.d, r.check): r for r in rep.results if r.family == "prm"}
     assert rows[2, "witness-set"].status == "FAIL"
-    assert rows[2, "witness-set"].detail.startswith("witness set size 228, oracle count 156; ")
+    assert rows[2, "witness-set"].detail.startswith("witness set size 196, oracle count 156; ")
     assert rows[2, "fibers"].status == rows[4, "fibers"].status == "FAIL"
     assert rows[2, "fibers"].detail == (
-        "|J|=1872/1872 fibers=(2, 4, 8, 16, 20, 22, 24)/24 count=204/156")
+        "|J|=1872/1872 fibers=(6, 12, 18, 24)/24 count=180/156")
     assert rows[3, "tau"].status == rows[5, "tau"].status == "PASS"
     assert rep.counts()["SKIPPED"] == 0
 
