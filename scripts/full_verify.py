@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a wide verification sweep and the coverage grid (about 6 s of
+"""Run a wide verification sweep and the coverage grid (about 5 s of
 exhaustive checking on one core of a shared 2-vCPU x86-64 host; the
 stage times below are from there).
 
@@ -19,7 +19,7 @@ The last four are the coverage grid, one (q, m) each, where the guards
 start to bite:
 
 4. q = 2, m = 6 at default guards: 46 PASS, 9 SKIPPED (oracle), about
-   1.7 s;
+   0.9 s;
 5. q = 3, m = 4 at a witness guard of 2*10^5: 53 PASS, 18 SKIPPED
    (16 oracle, and the fiber rows of d = 4 and 6 at 377520 classes),
    about 1.0 s;

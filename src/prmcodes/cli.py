@@ -7,10 +7,11 @@ check-fibers and distribution print JSON only.  --guard N (codewords an
 exhaustive walk may visit, a positive int) is taken by verify, count-minwt
 and distribution, the commands that walk a code or its dual code;
 --witness-guard N (classes the witness and incidence walk may visit, a
-positive int) by verify and check-fibers; --seed N only by witness.  Guard
-defaults live in errors.py.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  Every command is deterministic given its flags;
-the witness command derives its randomness from --seed (default 0).
+positive int) by verify and check-fibers; --seed N only by witness.  genmat
+takes its order exactly once, as --d or as --order.  Guard defaults live
+in errors.py.  Exit codes: 0 success, 1 verification failure, 2 usage
+error.  Every command is deterministic given its flags; the witness
+command derives its randomness from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=("rm", "prm"), required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--d", type=int, default=None, help="order (projective family)")
-    sp.add_argument("--order", type=int, default=None, help="order (either family)")
+    order = sp.add_mutually_exclusive_group(required=True)
+    order.add_argument("--d", type=int, dest="order", help="order (projective family)")
+    order.add_argument("--order", type=int, help="order (either family)")
     _common_flags(sp)
 
     sp = sub.add_parser("reduce", help="projectively reduce a polynomial")
@@ -179,15 +181,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genmat(args) -> int:
-    order = args.order if args.order is not None else args.d
-    if order is None:
-        print("error: genmat needs --d or --order", file=sys.stderr)
-        return 2
     F = GF.from_q(args.q)
     if args.family == "prm":
-        g = codes.prm_generator_matrix(F, order, args.m)
+        g = codes.prm_generator_matrix(F, args.order, args.m)
     else:
-        g = codes.rm_generator_matrix(F, order, args.m)
+        g = codes.rm_generator_matrix(F, args.order, args.m)
     if args.format == "csv":
         _emit(codes.matrix_csv(g), args.out)
     else:

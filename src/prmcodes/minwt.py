@@ -17,10 +17,11 @@ that the s = 0 and s != 0 counting arguments rest on.
 The form-value table is one (q^(m+1), npts) numpy array indexed by form:
 row i holds the values over the point array of the form whose coefficients
 are the base-q digits of i (`product` order).  So a form is a row index,
-and a subspace is described by the forms that vanish on it: `_subspaces`
-reads E = V(W), the zeros of a canonical RREF basis W, as a boolean mask
-over the points, and takes the forms modulo W from the nonzero forms that
-vanish on W's pivot columns, a mask over the rows.
+and a subspace is described by the forms that vanish on it.  A canonical
+RREF basis W is t table rows, and `_subspaces` walks the bases one pivot
+set at a time: it reads E = V(W), the zeros of W, as a boolean mask over
+the points, and takes the forms modulo W from the nonzero forms that
+vanish on W's pivot columns, one mask over the rows for each pivot set.
 
 The witness enumeration and both incidence checks share one class walk
 and one class count (`_class_words`).  Every minimum-weight word is a
@@ -39,7 +40,7 @@ words, both deduplicated by `codes.distinct_words`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -249,18 +250,6 @@ def count_report(
 # -- the class walk ---------------------------------------------------------------
 
 
-def _rows(q: int, forms) -> list[int]:
-    """Table rows of the given forms: each coefficient tuple read as a
-    base-q number."""
-    out = []
-    for form in forms:
-        i = 0
-        for c in form:
-            i = i * q + c
-        out.append(i)
-    return out
-
-
 def _form_values(field: GF, m: int, pts: np.ndarray) -> np.ndarray:
     """The (q^(m+1), npts) value table of every form over the (npts, m + 1)
     point array, forms in `product` order, in the smallest unsigned dtype
@@ -269,45 +258,37 @@ def _form_values(field: GF, m: int, pts: np.ndarray) -> np.ndarray:
     return linalg.mat_mul(field, digits(q, m + 1), pts.T).astype(np.min_scalar_type(q - 1))
 
 
-def _rref_bases(field: GF, ambient: int, k: int):
-    """Canonical RREF bases of every k-dimensional subspace of q^ambient."""
-    q = field.q
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(ambient), k):
-        free = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, ambient)
-            if c not in pivots
-        ]
-        for fill in product(range(q), repeat=len(free)):
-            rows = [[0] * ambient for _ in range(k)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free, fill):
-                rows[r][c] = v
-            yield tuple(tuple(r) for r in rows)
-
-
 def _subspaces(field: GF, m: int, t: int):
     """(vals, coeffs, walk): the form-value table over the projective
     points, the (q^(m+1), m + 1) digit table of the forms, and a walk over
     the canonical RREF bases W of every t-dimensional span of forms.  For
     each W the walk yields the mask of the points of E = V(W), where every
     form of W vanishes, and the mask of the nonzero forms that vanish on
-    W's pivot columns: one representative of each nonzero coset modulo W."""
+    W's pivot columns: one representative of each nonzero coset modulo W.
+
+    A basis is t table rows.  The walk goes one pivot set at a time: row r
+    is 1 at pivot r and free at the later columns that are not pivots, so
+    the (nW, t) rows of the set are the pivot rows plus every digit fill
+    of the free cells, in `product` order.  The coset mask depends only on
+    the pivots and is built once per set."""
     q = field.q
     vals = _form_values(field, m, projective_points(field, m))
     coeffs = digits(q, m + 1)
     nonzero = coeffs.any(axis=1)
-    walk = (
-        (~vals[_rows(q, basis)].any(axis=0),
-         nonzero & ~coeffs[:, [row.index(1) for row in basis]].any(axis=1))
-        for basis in _rref_bases(field, m + 1, t)
-    )
-    return vals, coeffs, walk
+
+    def walk():
+        for pivots in combinations(range(m + 1), t):
+            free = [(r, c) for r in range(t) for c in range(pivots[r] + 1, m + 1)
+                    if c not in pivots]
+            place = np.zeros((len(free), t), dtype=np.int64)
+            for i, (r, c) in enumerate(free):
+                place[i, r] = q ** (m - c)
+            rows = q ** (m - np.array(pivots, dtype=np.int64)) + digits(q, len(free)) @ place
+            comp = nonzero & ~coeffs[:, list(pivots)].any(axis=1)
+            for zeros in ~vals[rows].any(axis=1):
+                yield zeros, comp
+
+    return vals, coeffs, walk()
 
 
 def _inverses(field: GF) -> np.ndarray:

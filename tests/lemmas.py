@@ -2,10 +2,12 @@
 
 The standard representative of a projective point, the support of a word,
 a word array as a set, the coordinate witness polynomial, the zero-set
-bound and the bounded compositions: the tests check the library against
-them, and nothing in the library calls them.  Not collected: the file
-name has no test_ prefix.
+bound, the bounded compositions and the canonical RREF bases as tuples:
+the tests check the library against them, and nothing in the library
+calls them.  Not collected: the file name has no test_ prefix.
 """
+
+from itertools import combinations, product
 
 from prmcodes.combinat import binomial, p_k
 from prmcodes.gf import GF
@@ -80,3 +82,25 @@ def bounded_compositions(a: int, n: int, b: int) -> int:
         * binomial(a - j * (b + 1) + n - 1, a - j * (b + 1))
         for j in range(n + 1)
     )
+
+
+def rref_bases(field: GF, ambient: int, k: int):
+    """Canonical RREF bases of every k-dimensional subspace of q^ambient."""
+    q = field.q
+    if k == 0:
+        yield ()
+        return
+    for pivots in combinations(range(ambient), k):
+        free = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, ambient)
+            if c not in pivots
+        ]
+        for fill in product(range(q), repeat=len(free)):
+            rows = [[0] * ambient for _ in range(k)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), v in zip(free, fill):
+                rows[r][c] = v
+            yield tuple(tuple(r) for r in rows)

@@ -49,9 +49,12 @@ def test_genmat_json_and_order_flag(capsys):
 
 
 def test_genmat_missing_order(capsys):
-    code, _, err = run(capsys, "genmat", "--family", "prm", "--q", "2", "--m", "2")
-    assert code == 2
-    assert "order" in err
+    # the order is given exactly once, by --d or --order
+    for orders in ([], ["--d", "1", "--order", "2"]):
+        with pytest.raises(SystemExit) as e:
+            main(["genmat", "--family", "prm", "--q", "2", "--m", "1", *orders])
+        assert e.value.code == 2
+        assert "order" in capsys.readouterr().err
 
 
 def test_table_csv(capsys):

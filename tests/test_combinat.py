@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from prmcodes.combinat import binomial, gaussian_binomial, p_k
 from prmcodes.dimension import rho
 from prmcodes.gf import GF
-from prmcodes.minwt import _rref_bases
 
-from lemmas import bounded_compositions
+from lemmas import bounded_compositions, rref_bases
 
 
 def brute_bounded(a, n, b):
@@ -61,7 +60,7 @@ def test_gaussian_binomial_counts_subspaces(q):
     for a in range(5):
         for b in range(a + 1):
             assert gaussian_binomial(a, b, q) == sum(
-                1 for _ in _rref_bases(F, a, b)
+                1 for _ in rref_bases(F, a, b)
             ), (a, b, q)
 
 

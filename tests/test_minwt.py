@@ -23,7 +23,6 @@ from prmcodes.minwt import (
     TSDecomp,
     _form_values,
     _inverses,
-    _rref_bases,
     _subspaces,
     count_report,
     enumerate_witness_codewords,
@@ -42,7 +41,14 @@ from prmcodes.minwt import (
 from prmcodes.oracle import brute_min_weight_words
 from prmcodes.poly import Poly, reduced_monomials_projective
 
-from lemmas import canonical_min_poly, max_zero_bound, normalize_point, support, word_set
+from lemmas import (
+    canonical_min_poly,
+    max_zero_bound,
+    normalize_point,
+    rref_bases,
+    support,
+    word_set,
+)
 
 F2, F3, F4, F5 = GF(2), GF(3), GF(2, 2), GF(5)
 
@@ -443,6 +449,26 @@ def dict_cosets(vals, basis):
     return [c for c in vals if any(c) and not any(c[j] for j in pivots)]
 
 
+WALK_CASES = [(2, 1), (2, 3), (2, 4), (3, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("q,m", WALK_CASES, ids=[f"q{q}-m{m}" for q, m in WALK_CASES])
+def test_subspace_walk_equals_scalar_masks_in_rref_order(q, m):
+    # the tau check reports the first wrong support size in walk order, so
+    # the walk must yield the masks of the canonical RREF bases in order
+    F = GF.from_q(q)
+    pts = projective_points(F, m)
+    vals = dict_form_values(F, m, pts)
+    for t in range(m + 2):
+        walk = [(zeros.tolist(), comp.tolist()) for zeros, comp in _subspaces(F, m, t)[2]]
+        expected = []
+        for basis in rref_bases(F, m + 1, t):
+            zeros = dict_zeros(vals, basis, len(pts))
+            cosets = set(dict_cosets(vals, basis))
+            expected.append(([i in zeros for i in range(len(pts))], [c in cosets for c in vals]))
+        assert walk == expected, t
+
+
 def scalar_witness_codewords(F, d, m):
     q = F.q
     t, s = divmod(d - 1, q - 1)
@@ -456,7 +482,7 @@ def scalar_witness_codewords(F, d, m):
             for w in omegas:
                 row[r] = F.mul(row[r], F.sub(r, w))
     out = set()
-    for basis in _rref_bases(F, m + 1, t):
+    for basis in rref_bases(F, m + 1, t):
         zeros = dict_zeros(vals, basis, npts)
         comp = dict_cosets(vals, basis)
         for lt in comp:
@@ -632,7 +658,7 @@ def span_fiber_check(F, d, m):
     vals = dict_form_values(F, m, pts)
     fibers = {}
     j_size = 0
-    for basis in _rref_bases(F, m + 1, m - t + 1):
+    for basis in rref_bases(F, m + 1, m - t + 1):
         epts = sorted(_span_points(F, basis, pidx))
         for lt in vals:
             vt = vals[lt]
@@ -697,9 +723,9 @@ def span_tau_check(F, d, m):
     supports = set()
     sizes = []
     pair_count = 0
-    for ebasis in _rref_bases(F, m + 1, k):
+    for ebasis in rref_bases(F, m + 1, k):
         epts = _span_points(F, ebasis, pidx)
-        for hcoeff in _rref_bases(F, k, k - 1):
+        for hcoeff in rref_bases(F, k, k - 1):
             hbasis = linalg.mat_mul(F, hcoeff, ebasis).tolist() if hcoeff else []
             supp = epts - _span_points(F, hbasis, pidx)
             supports.add(supp)
@@ -742,7 +768,7 @@ def scalar_fiber_check(F, d, m):
     npts = len(pts)
     fibers = {}
     j_size = 0
-    for basis in _rref_bases(F, m + 1, t):
+    for basis in rref_bases(F, m + 1, t):
         epts = dict_zeros(vals, basis, npts)
         for lt in vals:
             vt = vals[lt]
@@ -878,7 +904,7 @@ def scalar_tau_check(F, d, m):
     supports = set()
     sizes = []
     pair_count = 0
-    for basis in _rref_bases(F, m + 1, t):
+    for basis in rref_bases(F, m + 1, t):
         epts = dict_zeros(vals, basis, npts)
         for form in dict_cosets(vals, basis):
             if next(x for x in form if x) != 1:

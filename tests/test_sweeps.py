@@ -247,14 +247,14 @@ def test_affine_codes_over_both_walks_are_refused_before_g_is_built(monkeypatch)
 
 
 def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
-    real = minwt._rref_bases
+    real = minwt._subspaces
 
-    def dropped(field, ambient, k):
-        bases = real(field, ambient, k)
-        next(bases)
-        yield from bases
+    def dropped(field, m, t):
+        vals, coeffs, walk = real(field, m, t)
+        next(walk)
+        return vals, coeffs, walk
 
-    monkeypatch.setattr(minwt, "_rref_bases", dropped)
+    monkeypatch.setattr(minwt, "_subspaces", dropped)
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     rows = {(r.d, r.check): r for r in rep.results if r.check in ("fibers", "tau")}
     assert {key: r.status for key, r in rows.items()} == {
