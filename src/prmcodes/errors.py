@@ -3,7 +3,7 @@
 POINT_GUARD = 10 ** 5      # points in one affine or projective point array
 ORACLE_GUARD = 1 << 24     # codewords one exhaustive walk may visit
 WITNESS_GUARD = 10 ** 7    # classes of the witness and incidence walk
-RANK_LEN_GUARD = 400       # code length up to which a sweep builds and ranks G
+RANK_LEN_GUARD = 400       # code length up to which a sweep ranks or reduces G
 
 
 class GuardExceeded(ValueError):

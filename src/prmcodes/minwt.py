@@ -239,9 +239,7 @@ def count_report(
     q = field.q
     brute = None
     if with_oracle:
-        g = prm_generator_matrix(field, d, m)
-        dist = oracle.distribution(g, guard)
-        brute = dist.counts[dist.dmin]
+        brute = oracle.min_weight(prm_generator_matrix(field, d, m), guard).count
     return CountReport(
         q, d, m, prm_min_weight_count(q, d, m), prm_min_weight_count_alt(q, d, m), brute
     )
@@ -317,10 +315,9 @@ def _class_words(field: GF, d: int, m: int, guard: int, name: str):
     L_t up to a scalar (a form vanishing on W's pivot columns, one per
     nonzero coset, whose first nonzero coefficient is 1), and for s != 0
     one L_{t+1} per nonzero coset of <W, L_t> (the one that also vanishes
-    at L_t's leading 1) and one S.  So the walk visits
-    [m+1, t]_q (c - 1)/(q - 1) (q^(m-t) - 1 if s else 1) C(q, s) classes,
-    c = q^(m+1-t), and that one count is the guard `name`, checked before
-    any table is built.
+    at L_t's leading 1) and one S.  So the walk visits _class_count
+    classes, and that one count is the guard `name`, checked when the walk
+    is made, before any table is built.
 
     For s = 0 it yields one block per W, the words L_t [V(W)].  For s != 0
     it yields one block per (W, L_t): the words of every L_{t+1} and S,
@@ -328,14 +325,27 @@ def _class_words(field: GF, d: int, m: int, guard: int, name: str):
     is v^(s+1) prod_{w in S} (r - w) = symbols[S, v, r], which is 0 at
     v = 0; for v != 0 it is nonzero exactly when r is not in S, so a
     word's support is the support the fiber check counts."""
-    q = field.q
+    classes = _class_count(field.q, d, m)
+    if classes > guard:
+        raise GuardExceeded(name, f"{classes} classes", guard)
+    return _class_blocks(field, d, m)
+
+
+def _class_count(q: int, d: int, m: int) -> int:
+    """[m+1, t]_q (c - 1)/(q - 1) (q^(m-t) - 1 if s else 1) C(q, s), with
+    c = q^(m+1-t): the classes of _class_words, one word each."""
     ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
     c = q ** (m + 1 - t)
     classes = gaussian_binomial(m + 1, t, q) * (c - 1) // (q - 1)
-    classes *= (q ** (m - t) - 1 if s else 1) * binomial(q, s)
-    if classes > guard:
-        raise GuardExceeded(name, f"{classes} classes", guard)
+    return classes * (q ** (m - t) - 1 if s else 1) * binomial(q, s)
+
+
+def _class_blocks(field: GF, d: int, m: int):
+    """The blocks of rows of _class_words, past its guard."""
+    q = field.q
+    ts = ts_decompose(d, q, "prm", m)
+    t, s = ts.t, ts.s
     vals, coeffs, walk = _subspaces(field, m, t)
     leading_one = _leading_one(q, m)
     if not s:
@@ -401,9 +411,18 @@ def _support_counts(field: GF, d: int, m: int, guard: int, name: str):
     """(counts, sizes): how many classes of _class_words give each distinct
     support, and the support size of each class word in walk order.  Each
     block's supports are packed to bit rows, 8 points a byte, as it is
-    walked; a packed row is deduplicated as a word over the 256 bytes."""
-    packed = np.concatenate([np.zeros((0, (p_k(field.q, m) + 7) // 8), np.uint8), *(
-        np.packbits(block != 0, axis=1) for block in _class_words(field, d, m, guard, name))])
+    walked, into one array of a row per class; a packed row is
+    deduplicated as a word over the 256 bytes."""
+    blocks = _class_words(field, d, m, guard, name)        # the guard first
+    packed = np.empty((_class_count(field.q, d, m), (p_k(field.q, m) + 7) // 8), np.uint8)
+    filled = 0
+    for block in blocks:
+        rows = np.packbits(block != 0, axis=1)
+        if filled + len(rows) > len(packed):    # a wrong walk: its checks see every row
+            packed = np.concatenate([packed, np.empty_like(rows)])
+        packed[filled:filled + len(rows)] = rows
+        filled += len(rows)
+    packed = packed[:filled]
     _, counts = distinct_words(packed, 256, return_counts=True)
     return counts, np.bitwise_count(packed).sum(axis=1)
 

@@ -29,22 +29,46 @@ Partitioning the space differently would merge to the same distribution,
 so results are deterministic and independent of the split.  Both walkers
 raise unless the multipliers times the rows walked add up to q^k.
 
-`distribution` is what the verifier calls.  A code C whose q^k words are
-over the guard, but whose dual code has q^(n-k) words within it, is not
-walked itself (`route` decides).  The dual code, spanned by the rows of a
-parity-check matrix H, is walked instead, and the MacWilliams identity
-(MacWilliams & Sloane, ch. 5) turns its distribution B into C's:
-A_i = q^-(n-k) sum_j B_j K_i(j), with the Krawtchouk numbers K_i(j), in
-integers.  H comes from exact elimination on G, not from a duality
-theorem about the codes, so the route stays independent of the formulas
-it checks.  It raises, under python -O too, unless G H^T = 0, every
-division is exact and the counts add up to q^k.  `weight_distribution`
-stays the primal walk and the reference in tests.
+`min_weight` is what the verifier calls: d_min and A_dmin of a code, from
+the first route of three that fits the guard (`route` decides).
 
-The verifier reads one `distribution` per code.  `brute_min_weight_words`
-(one walk that keeps the words at the running minimum weight, returned as
-one `codes.distinct_words` array) is called only to name a minimum-weight
-word that a wrong witness set lacks.
+1. The smaller of the two walks, the code's own q^k codewords (taken on a
+   tie) or the q^(n-k) words of its dual code, as `distribution` does.
+   The dual code, spanned by the rows of a parity-check matrix H, is
+   walked, and the MacWilliams identity (MacWilliams & Sloane, ch. 5)
+   turns its distribution B into C's: A_i = q^-(n-k) sum_j B_j K_i(j),
+   with the Krawtchouk numbers K_i(j), in integers.  H comes from exact
+   elimination on G, not from a duality theorem about the codes, so the
+   route stays independent of the formulas it checks.  It raises, under
+   python -O too, unless G H^T = 0, every division is exact and the
+   counts add up to q^k.  `weight_distribution` stays the primal walk and
+   the reference in tests.
+2. When neither walk fits, the information-set route of Brouwer and
+   Zimmermann (K.-H. Zimmermann, TU Hamburg-Harburg report 3-96, 1996;
+   M. Grassl, "Searching for linear codes with large minimum distance",
+   2006).  Reduced row echelon forms G_j of column-permuted G have
+   disjoint sets of r_j fresh pivots.  Level p weighs the codewords of
+   the weight-p messages of each G_j, one per scalar orbit, as pairs of
+   half-message words through the walk's packed kernel.  Stopping rule:
+   a codeword no level <= p gave has weight at least
+   sum_j max(0, p + 1 - (k - r_j)), so once that bound exceeds U, the
+   least weight seen, every word of weight U has been seen: d_min = U,
+   and A_dmin counts the distinct words and their multiples.  Guard
+   unit: codewords covered, q - 1 per orbit representative, as the
+   walk's q^k counts them.  The work up to the level where the bound
+   first exceeds the least row weight of the G_j is predicted and
+   checked before that level is walked; a refusal names the least need
+   of the three routes.  It raises, under python -O too, unless the bound
+   exceeds U where it stops, every word kept is a codeword of weight U
+   (H c^T = 0), and the orbit representatives weighed add up to the work
+   of the levels walked.
+
+`distribution` keeps the full weight distribution for the walk routes
+and the `distribution` command.  `brute_min_weight_words` (one walk that
+keeps the words at the running minimum weight, returned as one
+`codes.distinct_words` array) is called only to name a minimum-weight
+word that a wrong witness set lacks, when the primal walk fits; the
+information-set route keeps those words itself.
 """
 
 from __future__ import annotations
@@ -195,15 +219,14 @@ def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> Weight
 
 
 def route(q: int, k: int, n: int, guard: int) -> str:
-    """The walk `distribution` takes for a code of dimension k and length
-    n: "primal" when its q^k codewords fit the guard, else "dual" when the
-    q^(n-k) words of its dual code do.  GuardExceeded names the smaller
-    walk when neither fits."""
-    if q ** k <= guard:
-        return "primal"
-    if q ** (n - k) <= guard:
-        return "dual"
-    raise GuardExceeded("oracle", f"{q}^{min(k, n - k)} codewords", guard)
+    """The route `min_weight` takes for a code of dimension k and length n:
+    the smaller walk when it fits the guard, "primal" over the q^k
+    codewords (ties included) or "dual" over the q^(n-k) words of the dual
+    code, else "information-set", which checks its own predicted work
+    against the guard."""
+    if q ** min(k, n - k) > guard:
+        return "information-set"
+    return "primal" if k <= n - k else "dual"
 
 
 def parity_check(g: GeneratorMatrix) -> np.ndarray:
@@ -269,9 +292,14 @@ def distribution(
     g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
 ) -> WeightDistribution:
     """Exact codeword count at every Hamming weight, from a walk of the
-    code itself or, when only the dual code fits the guard, of the dual,
-    spanned by h when a caller already holds parity_check(g)."""
-    if route(g.field.q, g.k, g.n, guard) == "primal":
+    code itself or of its dual, whichever is smaller, the dual spanned by h
+    when a caller already holds parity_check(g).  GuardExceeded names the
+    smaller walk when neither fits."""
+    q, k, n = g.field.q, g.k, g.n
+    way = route(q, k, n, guard)
+    if way == "information-set":
+        raise GuardExceeded("oracle", f"{q}^{min(k, n - k)} codewords", guard)
+    if way == "primal":
         return weight_distribution(g, guard)
     return _dual_distribution(g, guard, h)
 
@@ -303,3 +331,227 @@ def brute_min_weight_words(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> np.
         raise ValueError("the zero code has no minimum distance")
     words = [g.field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]
     return distinct_words(np.concatenate(words), g.field.q)
+
+
+# -- the information-set route ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MinWeight:
+    """d_min and A_dmin of a code, with every minimum-weight codeword as one
+    `codes.distinct_words` array when the route keeps them (the
+    information-set route does, the walks do not)."""
+
+    dmin: int
+    count: int
+    words: np.ndarray | None = None
+
+
+def _information_sets(g: GeneratorMatrix) -> list[tuple[np.ndarray, int]]:
+    """(G_j, r_j) of each systematic generator matrix, in the code's column
+    order.  G_j is G in reduced row echelon form after a column permutation
+    that puts first the fresh columns, those where no earlier G_i has a
+    pivot; r_j of its k pivots are fresh, so these pivot sets are disjoint.
+    The codeword m G_j of a message m equals m on the k pivots.  The sets
+    end when the fresh columns have rank 0."""
+    field = g.field
+    fresh = np.ones(g.n, dtype=bool)
+    sets = []
+    while fresh.any():
+        order = np.concatenate([np.flatnonzero(fresh), np.flatnonzero(~fresh)])
+        red, pivots = linalg.rref(field, g.rows[:, order])
+        r = int(np.searchsorted(pivots, np.count_nonzero(fresh)))
+        if not r:
+            break
+        rows = np.empty_like(red)
+        rows[:, order] = red
+        sets.append((rows, r))
+        fresh[order[pivots[:r]]] = False
+    return sets
+
+
+def _bound(k: int, ranks: list[int], p: int) -> int:
+    """A lower bound on the weight of a codeword that no G_j gives from a
+    message of weight <= p: its message under G_j has weight >= p + 1, so
+    at least p + 1 - (k - r_j) of its nonzero symbols lie on G_j's fresh
+    pivots, and those pivot sets are disjoint."""
+    return sum(max(0, p + 1 - (k - r)) for r in ranks)
+
+
+@functools.cache
+def _side_index(q: int, size: int, top: int) -> tuple:
+    """For each weight a = 1..min(top, size), the (scaled, prev, first,
+    lead) index arrays of _side_words over `size` rows: word i of weight a
+    is row scaled[i] = (c - 1) * size + j of the table of c part[j] plus
+    word prev[i] of weight a - 1, first[i] = j is its first nonzero
+    position, and lead picks the words whose symbol there is c = 1.
+
+    The words of weight a are grouped by j, then by c, so the words of
+    weight a - 1 after j are a tail of those of weight a - 1 (the one word
+    of weight 0 comes after every j)."""
+    out = []
+    starts, count = np.zeros(size + 1, dtype=np.intp), 1      # weight 0
+    for a in range(1, min(top, size) + 1):
+        tails = count - starts[1:]                 # words of weight a - 1 after j
+        sizes = (q - 1) * tails
+        j = np.repeat(np.arange(size), sizes)
+        c, t = np.divmod(np.arange(len(j)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                         tails[j])
+        out.append((c * size + j, starts[1:][j] + t, j, np.flatnonzero(c == 0)))
+        starts, count = np.concatenate([[0], np.cumsum(sizes)]), len(j)
+    return tuple(out)
+
+
+def _side_words(field, part: np.ndarray, top: int):
+    """(every, lead, first) over the rows of part, for each weight
+    a <= min(top, len(part)): every[a] holds the words sum_i c_i part[i] of
+    all messages c of weight a, in the smallest unsigned dtype that holds a
+    symbol, first[a] the first nonzero position of each message, and
+    lead[a], for a >= 1, the words whose symbol there is 1, one of each
+    scalar orbit.  Each word is one field addition, by _side_index."""
+    q, (size, n) = field.q, part.shape
+    symbol = np.min_scalar_type(q - 1)
+    scaled = field.vmul(np.arange(1, q)[:, None, None], part[None]).reshape(-1, n)
+    every, lead, first = [np.zeros((1, n), dtype=symbol)], [None], [None]
+    for rows, prev, j, ones in _side_index(q, size, top):
+        every.append(field.vadd(scaled[rows], every[-1][prev]).astype(symbol))
+        lead.append(every[-1][ones])
+        first.append(j)
+    return every, lead, first
+
+
+def _packed(field, arrays: list[np.ndarray], negate: bool = False) -> list:
+    """(words, planes) for each array, the planes of all of them, or of
+    their negatives, packed in one pass."""
+    words = np.concatenate(arrays)
+    if negate:
+        words = field.vmul(field.p - 1, words)
+    symbol = np.min_scalar_type(field.q - 1)
+    planes = _pack(words.astype(symbol, copy=False), (field.q - 1).bit_length())
+    bounds = np.cumsum([0] + [len(x) for x in arrays]).tolist()
+    return [(x, planes[..., lo:hi]) for x, lo, hi in zip(arrays, bounds, bounds[1:])]
+
+
+def _level_pairs(field, rows: np.ndarray, top: int):
+    """For p = 2..top, yield the (prefixes, -prefix planes, block, block
+    planes, valid) pairs whose sums block[r] + prefix[i] are the codewords
+    of G_j (rows) from the weight-p messages, one per scalar orbit, where
+    valid[i, r] is true (every pair when valid is None).
+
+    A message is split into its first k // 2 symbols and the rest.  When
+    both parts are nonzero, a left word of weight a with a leading 1 goes
+    with every right word of weight p - a.  When one part is zero, the
+    other's rows are the prefixes (the leading 1 at row j) and its words
+    of weight p - 1 the block, valid where they start after j.  So no word
+    of weight p is built, and each half's words are built and packed
+    once."""
+    k, n = rows.shape
+    half = k // 2
+    (left, lead, lfirst), (right, _, rfirst) = (
+        _side_words(field, part, top - 1) for part in (rows[:half], rows[half:]))
+    prefixes = _packed(field, [*lead[1:], rows[:half], rows[half:]], negate=True)
+    lead, lrows, rrows = [None, *prefixes[:-2]], *prefixes[-2:]
+    blocks = _packed(field, [*right, *left[1:]])
+    right, left = blocks[:len(right)], [None, *blocks[len(right):]]
+    for p in range(2, top + 1):
+        pairs = [(*lead[a], *right[p - a], None)
+                 for a in range(max(1, p - (k - half)), min(p - 1, half) + 1)]
+        for heads, words, first, size in ((lrows, left, lfirst, half),
+                                          (rrows, right, rfirst, k - half)):
+            if p <= size:
+                pairs.append((*heads, *words[p - 1], first[p - 1] > np.arange(size)[:, None]))
+        yield pairs
+
+
+def information_set_min_weight(
+    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
+) -> MinWeight:
+    """d_min, A_dmin and the minimum-weight words of g by the
+    Brouwer-Zimmermann method (Zimmermann 1996; Grassl 2006), the words
+    checked against h (parity_check(g) when not given).
+
+    Level 1 is the rows of every G_j, and U_1, their least weight, bounds
+    d_min.  Level p > 1 weighs the weight-p messages of the G_j, one per
+    scalar orbit, and the walk stops at the first level p where U, the
+    least weight seen, is below _bound(p): every codeword of weight U has
+    then been seen.  The guard counts codewords covered, q - 1 for each
+    orbit representative.  The work up to the level where _bound first
+    exceeds U_1 is predicted and checked before any level past 1, and only
+    the G_j whose fresh pivots count at that level go past level 1.
+    GuardExceeded names the smaller of that work and the smaller walk.  It
+    raises, under python -O too, unless the bound exceeds U where it stops,
+    every word kept is a codeword of weight U, and the orbit
+    representatives weighed add up to the work of the levels walked."""
+    field, n, k = g.field, g.n, g.k
+    q = field.q
+    sets = _information_sets(g)
+    level1 = np.concatenate([rows for rows, _ in sets])
+    row_weights = np.count_nonzero(level1, axis=1)
+    u = int(row_weights.min())
+    top = next((p for p in range(1, k) if _bound(k, [r for _, r in sets], p) > u), k)
+    chosen = [(rows, r) for rows, r in sets if _bound(k, [r], top)]
+    ranks = [r for _, r in chosen]
+
+    def work(levels: int) -> int:
+        """Codewords covered by level 1 of every G_j and levels 2..levels
+        of the chosen ones."""
+        return (q - 1) * (len(level1) + len(chosen) * sum(
+            comb(k, w) * (q - 1) ** (w - 1) for w in range(2, levels + 1)))
+
+    need = work(top)
+    if need > guard:
+        walk = q ** min(k, n - k)
+        shown = f"{need}" if need < walk else f"{q}^{min(k, n - k)}"
+        raise GuardExceeded("oracle", f"{shown} codewords", guard)
+    # the words at weight u, as (prefix, block) summands gathered per chunk
+    lightest = level1[row_weights == u]
+    kept = [(lightest, np.zeros_like(lightest))]
+    covered, p = (q - 1) * len(level1), 1
+    levels = zip(*(_level_pairs(field, rows, top) for rows, _ in chosen))
+    while _bound(k, ranks, p) <= u and p < top:
+        p += 1
+        for pairs in next(levels):
+            for prefix, negp, block, planes, valid in pairs:
+                size = max(1, _CHUNK_WORDS // planes[0].size)
+                for start in range(0, len(prefix), size):
+                    w = _weights(planes, negp[..., start:start + size])
+                    if valid is None:
+                        covered += (q - 1) * w.size
+                    else:
+                        covered += (q - 1) * int(np.count_nonzero(valid[start:start + size]))
+                        w = np.where(valid[start:start + size], w, n + 1)
+                    low = int(w.min())
+                    if low < u:
+                        u, kept = low, []
+                    if low == u:
+                        pi, ri = np.nonzero(w == u)
+                        kept.append((prefix[start + pi], block[ri]))
+    if _bound(k, ranks, p) <= u and p < k:
+        raise RuntimeError(f"information sets stopped at level {p}, "
+                           f"bound {_bound(k, ranks, p)} <= best weight {u}")
+    if covered != work(p):
+        raise RuntimeError(f"information sets covered {covered} of {work(p)} codewords")
+    found = field.vadd(*(np.concatenate(side) for side in zip(*kept)))
+    # each word scaled so its first nonzero symbol is 1: one per orbit
+    lead = found[np.arange(len(found)), np.argmax(found != 0, axis=1)]
+    inverse = np.array([0] + [field.inv(a) for a in range(1, q)])
+    found = distinct_words(field.vmul(inverse[lead][:, None], found), q)
+    if h is None:
+        h = parity_check(g)
+    if linalg.mat_mul(field, found, h.T).any() or (np.count_nonzero(found, axis=1) != u).any():
+        raise RuntimeError(f"an information-set word is not a codeword of weight {u}")
+    words = distinct_words(np.concatenate(
+        [field.vmul(lam, found) for lam in range(1, q)]), q)
+    return MinWeight(u, len(found) * (q - 1), words)
+
+
+def min_weight(
+    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
+) -> MinWeight:
+    """d_min and A_dmin of g from the route `route` picks: the smaller walk
+    when it fits the guard (h as in `distribution`), else the
+    information-set route, which also keeps the words."""
+    if route(g.field.q, g.k, g.n, guard) == "information-set":
+        return information_set_min_weight(g, guard, h)
+    dist = distribution(g, guard, h)
+    return MinWeight(dist.dmin, dist.counts[dist.dmin])

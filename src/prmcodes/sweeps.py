@@ -3,13 +3,14 @@
 Everything here is a plain library function returning data, so the CLI
 stays a thin formatting layer and the fault-injection tests can drive the
 verifier directly.  Library calls go through the module objects on
-purpose (dimension.dim_alpha, oracle.distribution, not from-imports) so a
+purpose (dimension.dim_alpha, oracle.min_weight, not from-imports) so a
 corrupted or wrapped function is the one the verifier calls.
 
 The distance, count and witness-set rows rest on one oracle result per
-code, `oracle.distribution`, which walks the code itself or, when only
-its dual code fits the guard, the dual code (`oracle.route`).  The
-witness-set row is the same on both routes: every witness word has
+code, `oracle.min_weight`: d_min and A_dmin from a walk of the code or of
+its dual code, whichever is smaller, or, when neither walk fits the
+guard, from the information-set route (`oracle.route`).  The
+witness-set row is the same on every route: every witness word has
 H c^T = 0 for the parity-check matrix H of G and weight d_min, and there
 are A_dmin of them, which together make the witness set the minimum-weight
 set.  The rank row reads the rank off the same H.
@@ -189,11 +190,10 @@ class VerifyReport:
 class Code:
     """One code of a sweep: (family, q, m, order).
 
-    Its generator matrix, parity-check matrix and weight distribution are
-    each made at most once, on first use.  When the rank-length guard
-    (projective codes only) or the oracle guard refuses, the access raises
-    GuardExceeded instead; an affine code is refused before its matrix is
-    evaluated.
+    Its generator matrix, parity-check matrix and minimum-weight result
+    are each made at most once, on first use.  When the rank-length guard
+    (projective codes, and affine codes on the information-set route) or
+    the oracle guard refuses, the access raises GuardExceeded instead.
     """
 
     def __init__(self, cfg: SweepConfig, field: GF, family: str, m: int, order: int):
@@ -236,15 +236,34 @@ class Code:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The parity-check matrix of G, shared by the rank row, the dual
-        walk and the witness-set row."""
+        """The parity-check matrix of G, shared by the rank row, the
+        minimum-weight result off the primal walk and the witness-set
+        row."""
         return oracle.parity_check(self.gm)
 
     @cached_property
-    def dist(self) -> oracle.WeightDistribution:
-        # route first: an affine code is refused before G is built
-        h = self.h if self.route == "dual" else None
-        return oracle.distribution(self.gm, self.cfg.guard, h)
+    def _min_weight(self) -> oracle.MinWeight | GuardExceeded:
+        # a refusal is kept too, so the rows of a refused code predict
+        # their work once (cached_property does not cache an exception)
+        n, limit = self.q ** self.m, self.cfg.rank_len_guard
+        try:
+            if self.route == "information-set" and n > limit:
+                # that route reduces G several times: an affine code is
+                # held to the rank-length guard there (a projective one
+                # always is, by gm)
+                raise GuardExceeded("rank", f"length {n}", limit)
+            return oracle.min_weight(self.gm, self.cfg.guard,
+                                     self.h if self.route != "primal" else None)
+        except GuardExceeded as exc:
+            return exc
+
+    @property
+    def min_weight(self) -> oracle.MinWeight:
+        """The code's one oracle result, d_min and A_dmin; GuardExceeded,
+        the same one each time, when every route is over the guard."""
+        if isinstance(self._min_weight, GuardExceeded):
+            raise self._min_weight
+        return self._min_weight
 
 
 # A runner returns None for PASS or the FAIL detail; GuardExceeded skips.
@@ -263,7 +282,7 @@ def _rank(c: Code) -> str | None:
 
 
 def _distance(c: Code) -> str | None:
-    dmin = c.dist.dmin
+    dmin = c.min_weight.dmin
     formula = c.formula("min_distance")
     return None if dmin == formula else f"oracle={dmin} formula={formula}"
 
@@ -275,7 +294,7 @@ _COUNT_FORMULAS = {
 
 
 def _count(c: Code) -> str | None:
-    brute = c.dist.counts[c.dist.dmin]
+    brute = c.min_weight.count
     main, *alt = (c.formula(name) for name in _COUNT_FORMULAS[c.family])
     if brute == main and all(a == brute for a in alt):
         return None
@@ -285,10 +304,11 @@ def _count(c: Code) -> str | None:
 def _witness_set(c: Code) -> str | None:
     """Every witness word is a codeword (H c^T = 0) of weight d_min, and
     there are A_dmin distinct ones.  A FAIL names the least word that breaks
-    the first two, or else, on the primal route, the least minimum-weight
-    word with no witness."""
-    dmin = c.dist.dmin  # oracle first: its guard refuses before any enumeration
-    count = c.dist.counts[dmin]
+    the first two, or else the least minimum-weight word with no witness,
+    from the information-set words or, when the primal walk fits the
+    guard, from that walk."""
+    result = c.min_weight  # oracle first: its guard refuses before any enumeration
+    dmin, count = result.dmin, result.count
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
     words = codes.distinct_words(wit, c.q)
     syndromes = linalg.mat_mul(c.field, words, c.h.T)
@@ -299,8 +319,10 @@ def _witness_set(c: Code) -> str | None:
         return f"{sizes}; not minimum weight: {','.join(map(str, word))}"
     if len(words) == count:
         return None
-    if len(words) < count and c.route == "primal":
+    brute = result.words
+    if brute is None and len(words) < count and c.q ** c.gm.k <= c.cfg.guard:
         brute = oracle.brute_min_weight_words(c.gm, c.cfg.guard)
+    if brute is not None:
         missing = set(map(tuple, brute.tolist())) - set(map(tuple, words.tolist()))
         if missing:
             return f"{sizes}; no witness: {','.join(map(str, min(missing)))}"

@@ -169,6 +169,13 @@ def test_count_minwt(capsys):
     )
     assert code == 0
     assert json.loads(out)["brute_count"] == "1040"
+    # at guard 476 both walks of prm(3,2,2) are over it, and the count
+    # comes from its information sets
+    code, out, _ = run(
+        capsys, "count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle", "--guard", "476"
+    )
+    assert code == 0
+    assert json.loads(out)["brute_count"] == "156"
 
 
 def test_count_minwt_exits_1_on_disagreement(capsys, monkeypatch):

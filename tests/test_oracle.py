@@ -381,9 +381,13 @@ def test_distribution_routes_and_refusal():
     assert dist.counts[3] == 1040 and dist.total == 3 ** 36
     full = distribution(prm_generator_matrix(F3, 7, 3))
     assert full.counts == {i: comb(40, i) * 2 ** i for i in range(41)}
-    small = prm_generator_matrix(F2, 2, 2)
+    # the simplex code prm(2,2,1) has 2^3 codewords and a dual of 2^4: the
+    # smaller side is walked, and a tie goes to the primal walk
+    small = prm_generator_matrix(F2, 1, 2)
     assert oracle.route(2, small.k, small.n, 64) == "primal"
     assert distribution(small, 64) == weight_distribution(small, 64)
+    assert oracle.route(3, 20, 40, 3 ** 20) == "primal"
+    assert oracle.route(2, 6, 7, 64) == "dual"
     # neither walk fits: the refusal names the smaller one
     with pytest.raises(GuardExceeded, match=r"^oracle guard: 3\^20 codewords > 16777216$"):
         distribution(prm_generator_matrix(F3, 3, 3))
@@ -425,3 +429,55 @@ def test_wrong_krawtchouk_entry_raises(monkeypatch, j, i):
     monkeypatch.setattr(oracle, "_krawtchouk", wrong)
     with pytest.raises(RuntimeError, match="MacWilliams transform"):
         oracle._dual_distribution(prm_generator_matrix(F3, 5, 3))
+
+
+# -- the information-set route ------------------------------------------------------
+
+
+def test_information_sets_equal_the_walk():
+    # every code whose two walks fit 2^14 also fits its information-set
+    # route there; both give the same d_min, A_dmin and word set.  Those
+    # are short codes over prime fields and GF(4), so rm(3,4,1) (length
+    # 81, two uint64 words a plane) and prm(9,1,3) (GF(9)) come too.
+    wide = [(rm_generator_matrix(F3, 1, 4), ("rm", 3, 4, 1)),
+            (prm_generator_matrix(GF(3, 2), 3, 1), ("prm", 9, 1, 3))]
+    cases = 0
+    for g, case in [*_small_codes(1 << 14), *wide]:
+        isd = oracle.information_set_min_weight(g, 1 << 14)
+        words = brute_min_weight_words(g)
+        assert (isd.dmin, isd.count) == (np.count_nonzero(words[0]), len(words)), case
+        assert word_set(isd.words) == word_set(words), case
+        cases += 1
+    assert cases == 48
+
+
+def test_information_set_refusal_at_its_need():
+    # prm(3,2,2): 3^6 codewords, a dual of 3^7, and G_j of ranks 6, 6, 1;
+    # its rows weigh at least 6, so the bound 2(p + 1) first exceeds 6 at
+    # p = 3, where the rank-1 set does not count: 2 * (18 rows + 2 sets *
+    # (C(6,2) 2 + C(6,3) 4)) = 476 codewords
+    g = prm_generator_matrix(F3, 2, 2)
+    assert oracle.route(3, g.k, g.n, 476) == "information-set"
+    result = oracle.min_weight(g, 476)
+    assert (result.dmin, result.count) == (6, 156)
+    with pytest.raises(GuardExceeded, match=r"^oracle guard: 476 codewords > 475$"):
+        oracle.min_weight(g, 475)
+
+
+def test_corrupted_information_set_row_raises(monkeypatch):
+    # one symbol of a lightest row of G_2 set to 0: that row, lighter than
+    # d_min, is kept, and the check against H raises (an explicit raise,
+    # so under python -O too)
+    real = oracle._information_sets
+
+    def corrupted(g):
+        sets = real(g)
+        rows, r = sets[1]
+        rows = rows.copy()
+        i = int(np.argmin(np.count_nonzero(rows, axis=1)))
+        rows[i, np.flatnonzero(rows[i])[-1]] = 0
+        return [sets[0], (rows, r), *sets[2:]]
+
+    monkeypatch.setattr(oracle, "_information_sets", corrupted)
+    with pytest.raises(RuntimeError, match="not a codeword of weight 5"):
+        oracle.information_set_min_weight(prm_generator_matrix(F3, 2, 2), 476)

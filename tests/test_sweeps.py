@@ -41,20 +41,22 @@ def planned_keys(cfg):
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, skipped",
     [
-        SweepConfig(qs=(3,), m_lo=2, m_hi=2, guard=100),
-        SweepConfig(qs=(3,), m_lo=3, m_hi=3, d_lo=3, d_hi=3),
+        # prm(3,2,2) is over the guard on all three routes; prm(3,3,3), over
+        # both walks, takes the information-set route
+        (SweepConfig(qs=(3,), m_lo=2, m_hi=2, guard=100), 3),
+        (SweepConfig(qs=(3,), m_lo=3, m_hi=3, d_lo=3, d_hi=3), 0),
     ],
     ids=["q3-m2-guard100", "q3-m3-d3"],
 )
-def test_one_row_per_planned_check(cfg):
+def test_one_row_per_planned_check(cfg, skipped):
     rep = run_verify(cfg)
     rows = Counter((r.family, r.q, r.m, r.d, r.check) for r in rep.results)
     want = planned_keys(cfg)
     assert len(want) == len(set(want))
     assert rows == Counter(want)
-    assert any(r.status == "SKIPPED" for r in rep.results)
+    assert rep.counts()["SKIPPED"] == skipped
     assert rep.ok
 
 
@@ -86,13 +88,20 @@ def test_rank_guard_skips_name_the_rank_guard():
 
 
 def test_oracle_guard_skips_say_needed_and_limit():
+    # prm(3,2,2) has 3^6 codewords and a dual of 3^7, and the
+    # information-set route needs 476: the refusal names the least of the
+    # three; at guard 26 the dual walk of prm(3,2,3), 3^3 words, is over
+    # the guard and still needs less than that route
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2, guard=100))
     skipped = [r for r in rep.results if r.status == "SKIPPED"]
-    assert skipped
+    assert {(r.family, r.d) for r in skipped} == {("prm", 2)}
     for r in skipped:
-        assert re.fullmatch(r"oracle guard: 3\^\d+ codewords > 100", r.detail), r.detail
+        assert r.detail == "oracle guard: 476 codewords > 100", r.detail
     witness = [r for r in skipped if r.check == "witness-set"]
-    assert witness                     # refused with the walk, not left out
+    assert witness                     # refused with the oracle, not left out
+    walks = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2, d_lo=3, d_hi=3, guard=26))
+    (row,) = [r for r in walks.results if r.family == "prm" and r.check == "distance"]
+    assert row.detail == "oracle guard: 3^3 codewords > 26"
 
 
 @pytest.mark.parametrize(
@@ -226,7 +235,9 @@ def test_witness_set_rejects_a_non_codeword(monkeypatch, guard):
 
 def test_affine_codes_over_both_walks_are_refused_before_g_is_built(monkeypatch):
     # rm(2,8,nu) for nu = 2..5 has 2^37..2^219 words and a dual of
-    # 2^219..2^37: neither walk fits, so its matrix is never evaluated
+    # 2^219..2^37: neither walk fits, and the information-set route, which
+    # reduces G, is held to the rank-length guard, here below the length
+    # 256, so its matrix is never evaluated
     built = []
     real = codes.rm_generator_matrix
 
@@ -235,13 +246,13 @@ def test_affine_codes_over_both_walks_are_refused_before_g_is_built(monkeypatch)
         return real(field, nu, m)
 
     monkeypatch.setattr(codes, "rm_generator_matrix", recording)
-    rep = run_verify(SweepConfig(qs=(2,), m_lo=8, m_hi=8, d_lo=1, d_hi=1))
+    rep = run_verify(SweepConfig(qs=(2,), m_lo=8, m_hi=8, d_lo=1, d_hi=1, rank_len_guard=255))
     rm = {(r.d, r.check): r for r in rep.results if r.family == "rm"}
     assert sorted(built) == [0, 1, 6, 7, 8]
-    for nu, k in ((2, 37), (3, 93), (4, 163), (5, 219)):
+    for nu in (2, 3, 4, 5):
         for check in ("distance", "count"):
             assert rm[nu, check].status == "SKIPPED"
-            assert rm[nu, check].detail == f"oracle guard: 2^{min(k, 256 - k)} codewords > 16777216"
+            assert rm[nu, check].detail == "rank guard: length 256 > 255"
     assert all(rm[nu, check].status == "PASS" for nu in (0, 1, 6, 7, 8)
                for check in ("distance", "count"))
 
@@ -418,8 +429,10 @@ def test_tau_rows_fail_on_a_value_flipped_to_zero(monkeypatch):
 
 
 def test_dual_route_builds_the_parity_check_once(monkeypatch):
-    # prm(2,2,2) and rm(2,2,2) under guard 8 are walked through their duals:
-    # the walk and the witness membership check of prm(2,2,2) read one H
+    # under guard 8 prm(2,2,2) (2^6 words, dual 2^1), rm(2,2,1) (2^3,
+    # dual 2^1) and rm(2,2,2) (2^4, dual 2^0) are walked through their
+    # duals: the walk and the witness membership check of prm(2,2,2) read
+    # one H
     calls = []
     real = oracle.parity_check
 
@@ -430,7 +443,7 @@ def test_dual_route_builds_the_parity_check_once(monkeypatch):
     monkeypatch.setattr(oracle, "parity_check", counting)
     rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=8))
     assert rep.ok and rep.counts()["SKIPPED"] == 0
-    assert calls == [("prm", 2), ("rm", 2)]
+    assert calls == [("prm", 2), ("rm", 1), ("rm", 2)]
 
 
 def test_primal_route_walks_each_projective_code_once(monkeypatch):
@@ -474,13 +487,16 @@ def test_witness_set_fails_on_a_wrong_oracle_count(monkeypatch, guard, delta):
 
 
 def test_a_pass_sweep_does_no_work_twice(monkeypatch):
-    # H is built once per projective code and gives its rank too, and no
-    # PASS row walks a code for its minimum-weight words
+    # H is built once per projective code, and gives its rank too, and once
+    # per affine code walked through its dual (rm(3,2,nu) for nu = 2..4,
+    # k = 6, 8, 9 of n = 9); no PASS row walks a code for its
+    # minimum-weight words
     calls = Counter()
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            calls[name] += 1
+            code = args[0]          # a generator matrix, or the field for rank
+            calls[name, getattr(code, "family", None), getattr(code, "order", None)] += 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -490,4 +506,34 @@ def test_a_pass_sweep_does_no_work_twice(monkeypatch):
                         counting("brute_min_weight_words", oracle.brute_min_weight_words))
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     assert rep.ok and rep.counts()["SKIPPED"] == 0
-    assert calls == {"parity_check": 5}
+    assert calls == Counter([("parity_check", "prm", d) for d in range(1, 6)]
+                            + [("parity_check", "rm", nu) for nu in (2, 3, 4)])
+
+
+def test_a_refused_code_predicts_its_work_once(monkeypatch):
+    # prm(3,2,2) is over the guard on all three routes; its distance, count
+    # and witness-set rows re-raise one refusal
+    calls = Counter()
+    real = oracle._information_sets
+
+    def counting(g):
+        calls[g.family, g.order] += 1
+        return real(g)
+
+    monkeypatch.setattr(oracle, "_information_sets", counting)
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=100))
+    assert [r.detail for r in rep.results if r.status == "SKIPPED"] == [
+        "oracle guard: 476 codewords > 100"] * 3
+    assert calls == {("prm", 2): 1}
+
+
+def test_information_sets_stopped_a_level_early_fail(monkeypatch):
+    # a bound one level ahead stops prm(3,2,2) at p = 2: it sees d_min = 6
+    # but only 120 of the 156 words of that weight
+    real = oracle._bound
+    monkeypatch.setattr(oracle, "_bound", lambda k, ranks, p: real(k, ranks, p + 1))
+    rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=476))
+    rows = {r.check: r for r in rep.results if r.family == "prm"}
+    assert {c for c, r in rows.items() if r.status != "PASS"} == {"count", "witness-set"}
+    assert rows["count"].detail == "oracle=120 formula=156 alt=156"
+    assert rows["witness-set"].detail == "witness set size 156, oracle count 120"
