@@ -75,21 +75,16 @@ def ev_vector(f: Poly, pts: np.ndarray) -> Codeword:
     return tuple(f.evaluate(p) for p in pts.tolist())
 
 
-def distinct_words(words: np.ndarray, q: int, return_counts: bool = False):
+def distinct_words(words: np.ndarray, q: int) -> np.ndarray:
     """The distinct rows of an (N, n) array of words over GF(q), in one fixed
     order, in the smallest unsigned dtype that holds a symbol.  Each row is
     compared as one opaque block of bytes, which sorts far faster than
     np.unique(axis=0); that byte order need not be lexicographic, so
-    nothing may rely on the order beyond its being fixed.  With
-    return_counts, as in np.unique, also the number of times each distinct
-    row occurs."""
+    nothing may rely on the order beyond its being fixed."""
     words = np.ascontiguousarray(words, dtype=np.min_scalar_type(q - 1))
     n = words.shape[1]
-    out = np.unique(words.view(f"V{n * words.itemsize}").ravel(), return_counts=return_counts)
-    if not return_counts:
-        return out.view(words.dtype).reshape(-1, n)
-    keys, counts = out
-    return keys.view(words.dtype).reshape(-1, n), counts
+    out = np.unique(words.view(f"V{n * words.itemsize}").ravel())
+    return out.view(words.dtype).reshape(-1, n)
 
 
 @dataclass(frozen=True, eq=False)

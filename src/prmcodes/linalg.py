@@ -5,8 +5,11 @@ also takes a list of equal-length rows.  rank and rref run one Gaussian
 elimination on an int64 copy, one row operation per field array op
 (`GF.vmul`, `GF.vadd`): rank clears each pivot column below the pivot,
 rref above it too, and rref returns the array.  mat_mul is one integer
-product mod p over a prime field, else one broadcast multiply-add per
-inner index.  So desk-scale sweeps (a few hundred rows) stay fast.
+product mod p over a prime field.  Over GF(p^e) it builds, per inner index
+j, the q rows T_j[v] = v b[j, :] and gathers them at a[:, j], adding the
+gathered rows in integers: XOR of symbols for p = 2, base-p digits in
+uint16 for odd p, reduced mod p at the end.  So desk-scale sweeps (a few
+hundred rows) and the syndromes of a whole witness set stay fast.
 """
 
 from __future__ import annotations
@@ -62,12 +65,42 @@ def is_independent(field: GF, rows) -> bool:
 def mat_mul(field: GF, a, b) -> np.ndarray:
     """The product a b as an int64 array; a is (r, n), b is (n, c).  Over a
     prime field it is one integer product reduced mod p, exact while the
-    n (p-1)^2 of a sum fits in int64."""
+    n (p-1)^2 of a sum fits in int64.  Otherwise, for each inner index j,
+    the products a[i, j] b[j, :] are the rows of the table
+    T_j[v] = v b[j, :] gathered at a[:, j] (or multiplied directly when a
+    has fewer rows than T_j), and added as integers: by XOR of uint8 (or
+    uint16) symbols for p = 2, else digit by digit in base p, in uint16
+    for p < 256, reduced mod p only where another sum could overflow and
+    once at the end."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if field.e == 1 and a.shape[1] * (field.p - 1) ** 2 < 2 ** 63:
-        return a @ b % field.p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for j in range(a.shape[1]):
-        out = field.vadd(out, field.vmul(a[:, j, None], b[None, j, :]))
-    return out
+    p, q, e = field.p, field.q, field.e
+    (r, inner), c = a.shape, b.shape[1]
+    if e == 1 and inner * (p - 1) ** 2 < 2 ** 63:
+        return a @ b % p
+    if p == 2:
+        out = np.zeros((r, c), dtype=np.min_scalar_type(q - 1))
+    else:
+        out = np.zeros((r, c, e), dtype=np.uint16 if p < 256 else np.int64)
+        place = p ** np.arange(e)
+        # sums of p - 1 that fit on top of a reduced digit
+        room = np.iinfo(out.dtype).max // (p - 1) - 1
+
+    def products(rows, j):
+        prod = field.vmul(rows, b[j])
+        if p == 2:
+            return prod.astype(out.dtype)
+        return (prod[..., None] // place % p).astype(out.dtype)
+
+    values = np.arange(q)[:, None]
+    for j in range(inner):
+        prod = products(values, j)[a[:, j]] if r >= q else products(a[:, j, None], j)
+        if p == 2:
+            out ^= prod
+            continue
+        if j and j % room == 0:
+            out %= p
+        out += prod
+    if p == 2:
+        return out.astype(np.int64)
+    return (out % p).astype(np.int64) @ place

@@ -33,8 +33,8 @@ up to a scalar, L_{t+1} modulo <W, L_t>, S), since the translate
 blocks of rows.  The number of classes is the guard of all three, checked
 before any table is built and refused as `<check> guard: N classes >
 limit`.  The witness set is the class words and their scalar multiples,
-and the fiber and tau checks count the packed supports of the class
-words, both deduplicated by `codes.distinct_words`.
+deduplicated by `codes.distinct_words`, and the fiber and tau checks
+count the packed supports of the class words, sorted in place.
 """
 
 from __future__ import annotations
@@ -407,12 +407,18 @@ def enumerate_witness_codewords(
 # -- incidence checks -------------------------------------------------------------
 
 
+# packed rows popcounted at once when the support sizes are read
+_SLICE_ROWS = 1 << 16
+
+
 def _support_counts(field: GF, d: int, m: int, guard: int, name: str):
     """(counts, sizes): how many classes of _class_words give each distinct
-    support, and the support size of each class word in walk order.  Each
-    block's supports are packed to bit rows, 8 points a byte, as it is
-    walked, into one array of a row per class; a packed row is
-    deduplicated as a word over the 256 bytes."""
+    support, in no fixed order, and the support size of each class word in
+    walk order.  Each block's supports are packed to bit rows, 8 points a
+    byte, as it is walked, into one array of a row per class.  The sizes
+    are read first, a slice of rows at a time; then the packed rows, each
+    one opaque block of bytes, are sorted in place and the runs of equal
+    rows counted, so no copy of the array is made."""
     blocks = _class_words(field, d, m, guard, name)        # the guard first
     packed = np.empty((_class_count(field.q, d, m), (p_k(field.q, m) + 7) // 8), np.uint8)
     filled = 0
@@ -423,8 +429,15 @@ def _support_counts(field: GF, d: int, m: int, guard: int, name: str):
         packed[filled:filled + len(rows)] = rows
         filled += len(rows)
     packed = packed[:filled]
-    _, counts = distinct_words(packed, 256, return_counts=True)
-    return counts, np.bitwise_count(packed).sum(axis=1)
+    sizes = np.empty(filled, dtype=np.intp)
+    for start in range(0, filled, _SLICE_ROWS):
+        stop = start + _SLICE_ROWS
+        sizes[start:stop] = np.bitwise_count(packed[start:stop]).sum(axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    keys.sort()
+    change = np.ones(len(keys) + 1, dtype=bool)   # where a run starts, and the end
+    change[1:-1] = keys[1:] != keys[:-1]
+    return np.diff(np.flatnonzero(change)), sizes
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,12 @@ chunk of P of its prefixes is weighed in one pass: the (P, R) weights of
 every prefix against every row are the popcount of the OR over planes of
 block XOR -prefix, with P chosen so that a chunk compares at most 2^16
 (prefix, row, word) triples, or P = 1.  The compare is the same for
-every field, since it tests symbol equality only.
+every field, since it tests symbol equality only.  `weight_distribution`
+counts a one-word chunk's uint8 weights two at a time while n <= 255:
+adjacent weights a, b read as one uint16 key a + 256 b, one bincount over
+half as many keys into a joint table of (n + 1) * 256 pairs, folded once
+per walk.  The first chunk, and wider weights summed over several words,
+are counted one at a time, so a walk of one chunk builds no table.
 
 The walk is quotiented by scalars: the nonzero multiples lambda*c of a
 codeword all have its weight, and a message whose leading symbols are not
@@ -205,13 +210,50 @@ def _walk(g: GeneratorMatrix, guard: int):
     return block, steps()
 
 
+def _count_pairs(table: np.ndarray, tail: np.ndarray, mult: int, w: np.ndarray) -> None:
+    """Add mult times the uint8 weights w: each adjacent pair a, b as the
+    key a + 256 b to table, and an odd last weight to tail."""
+    even = len(w) & ~1
+    pairs = np.bincount(w[:even].view("<u2"))
+    table[: len(pairs)] += pairs if mult == 1 else mult * pairs
+    if even < len(w):
+        tail[w[-1]] += mult
+
+
+def _histogram(chunks, n: int) -> np.ndarray:
+    """The (n + 1) int64 sum of mult * bincount(weights) over the (mult,
+    weights) chunks.  While n <= 255, the uint8 weights (the one-word
+    walk's) of every chunk after the first are read two at a time as
+    uint16 keys a + 256 b, counted by one bincount over half as many keys
+    into a joint table of (n + 1) * 256 pairs, and folded once at the end;
+    a chunk's odd last weight goes to the tail.  The first chunk, wider
+    weights and every weight of a code longer than 255 are counted one at
+    a time into the tail: a walk of one chunk, as most small codes are,
+    builds no table, and casting wide weights to uint8 costs more than the
+    pairs save."""
+    table = None
+    tail = np.zeros(n + 1, dtype=np.int64)
+    for i, (mult, w) in enumerate(chunks):
+        w = w.ravel()
+        if i and n <= 255 and w.dtype == np.uint8:
+            if table is None:
+                table = np.zeros((n + 1) * 256, dtype=np.int64)
+            _count_pairs(table, tail, mult, w)
+        else:
+            counts = np.bincount(w, minlength=n + 1)
+            tail += counts if mult == 1 else mult * counts
+    if table is None:
+        return tail
+    # the row sums of the joint table count each b, its column sums each a
+    joint = table.reshape(n + 1, 256)
+    return joint.sum(axis=1) + joint.sum(axis=0)[: n + 1] + tail
+
+
 def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
     """Exact codeword count at every Hamming weight, from a walk of all q^k
-    codewords."""
-    hist = np.zeros(g.n + 1, dtype=np.int64)
+    codewords, its weights counted two at a time while n <= 255."""
     _, steps = _walk(g, guard)
-    for mult, _, w in steps:
-        hist += mult * np.bincount(w.ravel(), minlength=g.n + 1)
+    hist = _histogram(((mult, w) for mult, _, w in steps), g.n)
     total = int(hist.sum())        # the sum over chunks of multiplier * P * R
     _check_coverage(g, total)
     counts = {w: int(c) for w, c in enumerate(hist) if c}

@@ -260,21 +260,43 @@ def test_rref_equals_python_elimination(q):
         assert linalg.rank(F, rows) == len(pivots)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 1031])
+def _scalar_product(F, a, b):
+    r, c = len(a), b.shape[1]
+    want = [[0] * c for _ in range(r)]
+    for i in range(r):
+        for j in range(c):
+            for x, y in zip(a[i].tolist(), b[:, j].tolist()):
+                want[i][j] = F.add(want[i][j], F.mul(x, y))
+    return want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 1031])
 def test_mat_mul_equals_scalar_sums(q):
-    # the integer product mod p of a prime field and the multiply-add loop
-    # of an extension field against sums of scalar products, empty inner
-    # and outer dimensions included
+    # the integer product mod p of a prime field and the table gathers of
+    # an extension field (XOR for p = 2, base-p digits for odd p) against
+    # sums of scalar products, empty inner and outer dimensions included;
+    # a has fewer rows than q on the small shapes, at least q on the last
+    # (and on the one before for q <= 9), so both ways of forming the
+    # products run
     F = GF.from_q(q)
     rng = np.random.default_rng(q)
-    for r, n, c in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (5, 7, 4), (9, 40, 30)]:
+    for r, n, c in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (5, 7, 4), (9, 40, 30),
+                    (20, 12, 6)]:
         a = rng.integers(0, q, size=(r, n))
         b = rng.integers(0, q, size=(n, c))
-        want = [[0] * c for _ in range(r)]
-        for i in range(r):
-            for j in range(c):
-                for x, y in zip(a[i].tolist(), b[:, j].tolist()):
-                    want[i][j] = F.add(want[i][j], F.mul(x, y))
         got = linalg.mat_mul(F, a, b)
         assert got.dtype == np.int64 and got.shape == (r, c)
-        assert got.tolist() == want, (q, r, n, c)
+        assert got.tolist() == _scalar_product(F, a, b), (q, r, n, c)
+
+
+def test_mat_mul_reduces_digit_sums_before_they_overflow():
+    # over GF(251^2) a uint16 digit holds 262 sums of 250: an inner
+    # dimension of 600 needs two reductions on the way, and the products
+    # 250 * 1 of the first row and column are each the largest digit
+    F = GF(251, 2)
+    rng = np.random.default_rng(0)
+    a = np.full((2, 600), 250)
+    a[1] = rng.integers(0, F.q, size=600)
+    b = np.ones((600, 2), dtype=np.int64)
+    b[:, 1] = rng.integers(0, F.q, size=600)
+    assert linalg.mat_mul(F, a, b).tolist() == _scalar_product(F, a, b)

@@ -14,7 +14,7 @@ from prmcodes.codes import (
     weight,
 )
 from prmcodes.combinat import binomial, gaussian_binomial, p_k
-from prmcodes.errors import GuardExceeded
+from prmcodes.errors import WITNESS_GUARD, GuardExceeded
 from prmcodes.gf import GF
 from prmcodes.minwt import (
     FiberReport,
@@ -758,6 +758,24 @@ TAU_CASES = [
 def test_tau_check_equals_span_reference(q, d, m):
     F = GF.from_q(q)
     assert tau_bijection_check(F, d, m) == span_tau_check(F, d, m)
+
+
+SUPPORT_CASES = [*FIBER_CASES, (3, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "q,d,m", SUPPORT_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in SUPPORT_CASES]
+)
+def test_support_counts_equal_a_counter_over_packed_rows(monkeypatch, q, d, m):
+    # a few rows a slice, so the support sizes are read across slices
+    monkeypatch.setattr(minwt, "_SLICE_ROWS", 7)
+    F = GF.from_q(q)
+    name = "fiber" if (d - 1) % (q - 1) else "tau"
+    blocks = list(minwt._class_words(F, d, m, WITNESS_GUARD, name))
+    packed = np.concatenate([np.packbits(b != 0, axis=1) for b in blocks])
+    counts, sizes = minwt._support_counts(F, d, m, WITNESS_GUARD, name)
+    assert sorted(counts.tolist()) == sorted(Counter(map(bytes, packed)).values())
+    assert sizes.tolist() == np.concatenate([np.count_nonzero(b, axis=1) for b in blocks]).tolist()
 
 
 def scalar_fiber_check(F, d, m):

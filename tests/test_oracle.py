@@ -327,6 +327,46 @@ def test_walk_that_drops_a_chunk_raises(monkeypatch, drop):
         brute_min_weight_words(g)
 
 
+# chunk shapes (P, R) of 0, 1, odd and even weights
+CHUNK_SHAPES = [(0, 5), (1, 1), (3, 7), (1, 2187), (2, 2048)]
+
+
+@pytest.mark.parametrize("mult", [1, 8], ids=["mult-1", "mult-q-1"])
+@pytest.mark.parametrize("n", [8, 63, 85, 255, 256, 511])
+def test_pair_count_equals_bincount(n, mult):
+    # after a walk's first chunk, the one-word walk's uint8 weights are
+    # counted in pairs while n <= 255, wider weights one at a time; the
+    # chunks hold the weights 0 and n
+    rng = np.random.default_rng(n)
+    for dtype in (np.uint8, np.intp) if n <= 255 else (np.intp,):
+        first = (1, np.array([[n, 0, 1]], dtype=dtype))
+        chunks = [first]
+        for shape in CHUNK_SHAPES:
+            w = rng.integers(0, n + 1, size=shape).astype(dtype)
+            w.flat[:2] = (0, n)[: w.size]
+            chunks.append((mult, w))
+
+        def want(chunks):
+            return sum(m * np.bincount(w.ravel(), minlength=n + 1) for m, w in chunks).tolist()
+
+        for chunk in chunks:
+            assert oracle._histogram([first, chunk], n).tolist() == want([first, chunk])
+        got = oracle._histogram(chunks, n)
+        assert got.dtype == np.int64 and got.tolist() == want(chunks), dtype
+
+
+def test_pair_count_that_drops_the_odd_weight_raises(monkeypatch):
+    # prm(3,3,2) is walked as chunks of 2187 uint8 weights: after the
+    # first, each of the three others is counted in pairs and its odd last
+    # weight on its own, with multiplier 2.  A pair count that loses that
+    # weight is caught by the coverage check, under python -O too
+    count_pairs = oracle._count_pairs
+    monkeypatch.setattr(oracle, "_count_pairs",
+                        lambda table, tail, mult, w: count_pairs(table, tail, mult, w[:-1]))
+    with pytest.raises(RuntimeError, match=r"covered 59043 of 3\^10 codewords"):
+        weight_distribution(prm_generator_matrix(F3, 3, 2))
+
+
 # -- the MacWilliams dual route ---------------------------------------------------
 
 
