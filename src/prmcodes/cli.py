@@ -4,8 +4,9 @@ Subcommands: table, verify, genmat, reduce, witness, count-minwt,
 check-fibers, distribution.  Every command takes --out PATH, and the five
 with a CSV or text form also take --format {json,csv}; count-minwt,
 check-fibers and distribution print JSON only.  --guard N (codewords an
-exhaustive walk may visit, a positive int) is taken by verify, count-minwt
-and distribution, the commands that walk a code or its dual code;
+oracle route may cover, a positive int) is taken by verify, count-minwt
+and distribution, the commands that walk a code or its dual code (verify
+and count-minwt also take the information-set route);
 --witness-guard N (classes the witness and incidence walk may visit, a
 positive int) by verify and check-fibers; --seed N only by witness.  genmat
 takes its order exactly once, as --d or as --order.  Guard defaults live
@@ -70,7 +71,7 @@ def _common_flags(sp: argparse.ArgumentParser, with_format: bool = True) -> None
 
 def _guard_flag(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--guard", type=_positive_int, default=ORACLE_GUARD,
-                    help="max codewords an exhaustive enumeration may visit")
+                    help="max codewords an oracle route may cover")
 
 
 def _witness_guard_flag(sp: argparse.ArgumentParser) -> None:

@@ -54,12 +54,12 @@ the first route of three that fits the guard (`route` decides).
    2006).  Reduced row echelon forms G_j of column-permuted G have
    disjoint sets of r_j fresh pivots.  Level p weighs the codewords of
    the weight-p messages of each G_j, one per scalar orbit, as pairs of
-   half-message words through the walk's packed kernel.  Stopping rule:
-   a codeword no level <= p gave has weight at least
-   sum_j max(0, p + 1 - (k - r_j)), so once that bound exceeds U, the
-   least weight seen, every word of weight U has been seen: d_min = U,
-   and A_dmin counts the distinct words and their multiples.  Guard
-   unit: codewords covered, q - 1 per orbit representative, as the
+   half-message words through the walk's chunk loop and running-minimum
+   scan.  Stopping rule: a codeword no level <= p gave has weight at
+   least sum_j max(0, p + 1 - (k - r_j)), so once that bound exceeds U,
+   the least weight seen, every word of weight U has been seen:
+   d_min = U, and A_dmin counts the distinct words and their multiples.
+   Guard unit: codewords covered, q - 1 per orbit representative, as the
    walk's q^k counts them.  The work up to the level where the bound
    first exceeds the least row weight of the G_j is predicted and
    checked before that level is walked; a refusal names the least need
@@ -73,7 +73,7 @@ and the `distribution` command.  `brute_min_weight_words` (one walk that
 keeps the words at the running minimum weight, returned as one
 `codes.distinct_words` array) is called only to name a minimum-weight
 word that a wrong witness set lacks, when the primal walk fits; the
-information-set route keeps those words itself.
+information-set route keeps those words itself, by the same scan.
 """
 
 from __future__ import annotations
@@ -164,6 +164,18 @@ def _weights(planes: np.ndarray, negp: np.ndarray) -> np.ndarray:
     return counts.sum(axis=0, dtype=np.intp)
 
 
+def _chunks(mult: int, prefixes: np.ndarray, negp: np.ndarray, planes: np.ndarray):
+    """Yield (mult, prefixes, weights) for each chunk of P of the prefixes,
+    where weights[p, r] is the Hamming weight of block[r] + prefixes[p],
+    from the (bits, W, R) planes of the block and the (bits, W, P) planes
+    negp of -prefixes.  P is chosen so that a chunk compares at most
+    _CHUNK_WORDS (prefix, row, word) triples, or P = 1."""
+    size = max(1, _CHUNK_WORDS // planes[0].size)
+    for start in range(0, len(prefixes), size):
+        stop = start + size
+        yield mult, prefixes[start:stop], _weights(planes, negp[..., start:stop])
+
+
 def _check_coverage(g: GeneratorMatrix, covered: int) -> None:
     """Raise unless the walk's multipliers times its rows cover all q^k
     codewords."""
@@ -202,10 +214,7 @@ def _walk(g: GeneratorMatrix, guard: int):
 
     def steps():
         for mult, prefixes in _prefixes(field, scaled, k - lo, batch):
-            negp = _pack(field.vmul(minus_one, prefixes), bits)
-            for start in range(0, len(prefixes), size):
-                stop = start + size
-                yield mult, prefixes[start:stop], _weights(planes, negp[..., start:stop])
+            yield from _chunks(mult, prefixes, _pack(field.vmul(minus_one, prefixes), bits), planes)
 
     return block, steps()
 
@@ -350,29 +359,45 @@ def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
     return weight_distribution(g, guard).dmin
 
 
+def _lightest(field, chunks, u: int, kept: list) -> tuple[int, list, int]:
+    """(u, kept, covered) after the (block, mult, prefixes, weights)
+    chunks, given the least nonzero weight u so far and the (mult, words)
+    kept at it: u becomes the least nonzero weight seen, kept the words
+    block[r] + prefixes[p] at that weight, gathered per chunk and dropped
+    whenever a lower weight appears, each with its chunk's mult, and
+    covered is the sum over chunks of mult * P * R."""
+    covered, kept = 0, list(kept)
+    for block, mult, prefixes, w in chunks:
+        covered += mult * w.size
+        low = int(w.min(initial=block.shape[1] + 1, where=w > 0))     # n + 1: none
+        if low < u:
+            u, kept = low, []
+        if low == u:
+            pi, ri = np.nonzero(w == u)
+            kept.append((mult, field.vadd(block[ri].astype(np.int64),
+                                          prefixes[pi].astype(np.int64))))
+    return u, kept, covered
+
+
+def _multiples(field, kept: list) -> np.ndarray:
+    """The distinct words of the kept (mult, rows), each row times the
+    scalars 1..mult, in the order of codes.distinct_words."""
+    return distinct_words(np.concatenate(
+        [field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]), field.q)
+
+
 def brute_min_weight_words(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> np.ndarray:
     """The distinct codewords attaining the minimum nonzero weight, as one
-    (N, n) array in the order of codes.distinct_words, from one walk: each
-    chunk's (prefix, row) pairs at the running minimum are kept, and the
-    kept words dropped whenever a lower weight appears.  Words kept from an
+    (N, n) array in the order of codes.distinct_words, from one walk whose
+    words at the running minimum `_lightest` keeps.  Words kept from an
     orbit chunk are expanded into their scalar multiples at the end."""
-    n = g.n
-    covered, dmin = 0, n + 1          # n + 1: no nonzero weight seen yet
-    kept: list[tuple[int, np.ndarray]] = []
     block, steps = _walk(g, guard)
-    for mult, prefixes, w in steps:
-        covered += mult * w.size      # the sum over chunks of multiplier * P * R
-        low = int(w.min(initial=n + 1, where=w > 0))
-        if low < dmin:
-            dmin, kept = low, []
-        if low == dmin <= n:
-            pi, ri = np.nonzero(w == dmin)
-            kept.append((mult, g.field.vadd(block[ri].astype(np.int64), prefixes[pi])))
+    # no weight exceeds n, and no word is kept until one is seen
+    _, kept, covered = _lightest(g.field, ((block, *step) for step in steps), g.n, [])
     _check_coverage(g, covered)
-    if dmin > n:
+    if not kept:
         raise ValueError("the zero code has no minimum distance")
-    words = [g.field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]
-    return distinct_words(np.concatenate(words), g.field.q)
+    return _multiples(g.field, kept)
 
 
 # -- the information-set route ------------------------------------------------
@@ -420,46 +445,27 @@ def _bound(k: int, ranks: list[int], p: int) -> int:
     return sum(max(0, p + 1 - (k - r)) for r in ranks)
 
 
-@functools.cache
-def _side_index(q: int, size: int, top: int) -> tuple:
-    """For each weight a = 1..min(top, size), the (scaled, prev, first,
-    lead) index arrays of _side_words over `size` rows: word i of weight a
-    is row scaled[i] = (c - 1) * size + j of the table of c part[j] plus
-    word prev[i] of weight a - 1, first[i] = j is its first nonzero
-    position, and lead picks the words whose symbol there is c = 1.
-
-    The words of weight a are grouped by j, then by c, so the words of
-    weight a - 1 after j are a tail of those of weight a - 1 (the one word
-    of weight 0 comes after every j)."""
-    out = []
-    starts, count = np.zeros(size + 1, dtype=np.intp), 1      # weight 0
-    for a in range(1, min(top, size) + 1):
-        tails = count - starts[1:]                 # words of weight a - 1 after j
-        sizes = (q - 1) * tails
-        j = np.repeat(np.arange(size), sizes)
-        c, t = np.divmod(np.arange(len(j)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
-                         tails[j])
-        out.append((c * size + j, starts[1:][j] + t, j, np.flatnonzero(c == 0)))
-        starts, count = np.concatenate([[0], np.cumsum(sizes)]), len(j)
-    return tuple(out)
-
-
 def _side_words(field, part: np.ndarray, top: int):
-    """(every, lead, first) over the rows of part, for each weight
-    a <= min(top, len(part)): every[a] holds the words sum_i c_i part[i] of
+    """(words, lead, after) over the rows of part, for each weight
+    a <= min(top, len(part)): words[a] holds the words sum_i c_i part[i] of
     all messages c of weight a, in the smallest unsigned dtype that holds a
-    symbol, first[a] the first nonzero position of each message, and
-    lead[a], for a >= 1, the words whose symbol there is 1, one of each
-    scalar orbit.  Each word is one field addition, by _side_index."""
+    symbol, grouped by their first nonzero position j in ascending order,
+    so words[a][after[a][j]:] are those that start after j; lead[a], for
+    a >= 1, holds the words whose symbol at j is 1, one of each scalar
+    orbit.  The group at j is c part[j], c = 1..q-1, plus each word of
+    weight a - 1 after j: one field addition per j.  The one word of
+    weight 0 starts after every j."""
     q, (size, n) = field.q, part.shape
     symbol = np.min_scalar_type(q - 1)
-    scaled = field.vmul(np.arange(1, q)[:, None, None], part[None]).reshape(-1, n)
-    every, lead, first = [np.zeros((1, n), dtype=symbol)], [None], [None]
-    for rows, prev, j, ones in _side_index(q, size, top):
-        every.append(field.vadd(scaled[rows], every[-1][prev]).astype(symbol))
-        lead.append(every[-1][ones])
-        first.append(j)
-    return every, lead, first
+    scaled = field.vmul(np.arange(1, q)[None, :, None], part[:, None, :])
+    words, lead, after = [np.zeros((1, n), dtype=symbol)], [None], [np.zeros(size, dtype=np.intp)]
+    for _ in range(min(top, size)):
+        groups = [field.vadd(scaled[j][:, None, :], words[-1][after[-1][j]:][None]).astype(symbol)
+                  for j in range(size)]
+        words.append(np.concatenate([grp.reshape(-1, n) for grp in groups]))
+        lead.append(np.concatenate([grp[0] for grp in groups]))
+        after.append(np.cumsum([grp.shape[0] * grp.shape[1] for grp in groups]))
+    return words, lead, after
 
 
 def _packed(field, arrays: list[np.ndarray], negate: bool = False) -> list:
@@ -476,32 +482,32 @@ def _packed(field, arrays: list[np.ndarray], negate: bool = False) -> list:
 
 def _level_pairs(field, rows: np.ndarray, top: int):
     """For p = 2..top, yield the (prefixes, -prefix planes, block, block
-    planes, valid) pairs whose sums block[r] + prefix[i] are the codewords
-    of G_j (rows) from the weight-p messages, one per scalar orbit, where
-    valid[i, r] is true (every pair when valid is None).
+    planes) pairs whose sums block[r] + prefixes[i] are the codewords of
+    G_j (rows) from the weight-p messages, one per scalar orbit: those
+    whose first nonzero symbol is 1.
 
     A message is split into its first k // 2 symbols and the rest.  When
     both parts are nonzero, a left word of weight a with a leading 1 goes
-    with every right word of weight p - a.  When one part is zero, the
-    other's rows are the prefixes (the leading 1 at row j) and its words
-    of weight p - 1 the block, valid where they start after j.  So no word
-    of weight p is built, and each half's words are built and packed
-    once."""
+    with every right word of weight p - a.  When one part is zero and the
+    other's leading 1 is at its row j, row j goes with that part's words of
+    weight p - 1 that start after j, one slice.  So no word of weight p is
+    built, and each half's words are built and packed once."""
     k, n = rows.shape
     half = k // 2
-    (left, lead, lfirst), (right, _, rfirst) = (
+    (left, lead, lafter), (right, _, rafter) = (
         _side_words(field, part, top - 1) for part in (rows[:half], rows[half:]))
     prefixes = _packed(field, [*lead[1:], rows[:half], rows[half:]], negate=True)
     lead, lrows, rrows = [None, *prefixes[:-2]], *prefixes[-2:]
     blocks = _packed(field, [*right, *left[1:]])
     right, left = blocks[:len(right)], [None, *blocks[len(right):]]
     for p in range(2, top + 1):
-        pairs = [(*lead[a], *right[p - a], None)
+        pairs = [(*lead[a], *right[p - a])
                  for a in range(max(1, p - (k - half)), min(p - 1, half) + 1)]
-        for heads, words, first, size in ((lrows, left, lfirst, half),
-                                          (rrows, right, rfirst, k - half)):
-            if p <= size:
-                pairs.append((*heads, *words[p - 1], first[p - 1] > np.arange(size)[:, None]))
+        for (heads, negp), words, after in ((lrows, left, lafter), (rrows, right, rafter)):
+            if p - 1 < len(words):
+                block, planes = words[p - 1]
+                pairs.extend((heads[j:j + 1], negp[..., j:j + 1], block[start:], planes[..., start:])
+                             for j, start in enumerate(after[p - 1]) if start < len(block))
         yield pairs
 
 
@@ -514,16 +520,17 @@ def information_set_min_weight(
 
     Level 1 is the rows of every G_j, and U_1, their least weight, bounds
     d_min.  Level p > 1 weighs the weight-p messages of the G_j, one per
-    scalar orbit, and the walk stops at the first level p where U, the
-    least weight seen, is below _bound(p): every codeword of weight U has
-    then been seen.  The guard counts codewords covered, q - 1 for each
-    orbit representative.  The work up to the level where _bound first
-    exceeds U_1 is predicted and checked before any level past 1, and only
-    the G_j whose fresh pivots count at that level go past level 1.
-    GuardExceeded names the smaller of that work and the smaller walk.  It
-    raises, under python -O too, unless the bound exceeds U where it stops,
-    every word kept is a codeword of weight U, and the orbit
-    representatives weighed add up to the work of the levels walked."""
+    scalar orbit, through the walk's `_chunks` and `_lightest`, and the
+    walk stops at the first level p where U, the least weight seen, is
+    below _bound(p): every codeword of weight U has then been seen.  The
+    guard counts codewords covered, q - 1 for each orbit representative.
+    The work up to the level where _bound first exceeds U_1 is predicted
+    and checked before any level past 1, and only the G_j whose fresh
+    pivots count at that level go past level 1.  GuardExceeded names the
+    smaller of that work and the smaller walk.  It raises, under python -O
+    too, unless the bound exceeds U where it stops, every word kept is a
+    codeword of weight U, and the orbit representatives weighed add up to
+    the work of the levels walked."""
     field, n, k = g.field, g.n, g.k
     q = field.q
     sets = _information_sets(g)
@@ -545,46 +552,28 @@ def information_set_min_weight(
         walk = q ** min(k, n - k)
         shown = f"{need}" if need < walk else f"{q}^{min(k, n - k)}"
         raise GuardExceeded("oracle", f"{shown} codewords", guard)
-    # the words at weight u, as (prefix, block) summands gathered per chunk
-    lightest = level1[row_weights == u]
-    kept = [(lightest, np.zeros_like(lightest))]
+    kept = [(q - 1, level1[row_weights == u])]
     covered, p = (q - 1) * len(level1), 1
     levels = zip(*(_level_pairs(field, rows, top) for rows, _ in chosen))
     while _bound(k, ranks, p) <= u and p < top:
         p += 1
-        for pairs in next(levels):
-            for prefix, negp, block, planes, valid in pairs:
-                size = max(1, _CHUNK_WORDS // planes[0].size)
-                for start in range(0, len(prefix), size):
-                    w = _weights(planes, negp[..., start:start + size])
-                    if valid is None:
-                        covered += (q - 1) * w.size
-                    else:
-                        covered += (q - 1) * int(np.count_nonzero(valid[start:start + size]))
-                        w = np.where(valid[start:start + size], w, n + 1)
-                    low = int(w.min())
-                    if low < u:
-                        u, kept = low, []
-                    if low == u:
-                        pi, ri = np.nonzero(w == u)
-                        kept.append((prefix[start + pi], block[ri]))
+        chunks = ((block, *chunk) for pairs in next(levels)
+                  for prefixes, negp, block, planes in pairs
+                  for chunk in _chunks(q - 1, prefixes, negp, planes))
+        u, kept, walked = _lightest(field, chunks, u, kept)
+        covered += walked
     if _bound(k, ranks, p) <= u and p < k:
         raise RuntimeError(f"information sets stopped at level {p}, "
                            f"bound {_bound(k, ranks, p)} <= best weight {u}")
     if covered != work(p):
         raise RuntimeError(f"information sets covered {covered} of {work(p)} codewords")
-    found = field.vadd(*(np.concatenate(side) for side in zip(*kept)))
-    # each word scaled so its first nonzero symbol is 1: one per orbit
-    lead = found[np.arange(len(found)), np.argmax(found != 0, axis=1)]
-    inverse = np.array([0] + [field.inv(a) for a in range(1, q)])
-    found = distinct_words(field.vmul(inverse[lead][:, None], found), q)
     if h is None:
         h = parity_check(g)
+    found = np.concatenate([rows for _, rows in kept])
     if linalg.mat_mul(field, found, h.T).any() or (np.count_nonzero(found, axis=1) != u).any():
         raise RuntimeError(f"an information-set word is not a codeword of weight {u}")
-    words = distinct_words(np.concatenate(
-        [field.vmul(lam, found) for lam in range(1, q)]), q)
-    return MinWeight(u, len(found) * (q - 1), words)
+    words = _multiples(field, kept)
+    return MinWeight(u, len(words), words)
 
 
 def min_weight(

@@ -154,10 +154,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def is_homogeneous(self, d: int | None = None) -> bool:
         degs = {sum(e) for e in self.terms}
         if not degs:

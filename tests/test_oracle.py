@@ -521,3 +521,48 @@ def test_corrupted_information_set_row_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_information_sets", corrupted)
     with pytest.raises(RuntimeError, match="not a codeword of weight 5"):
         oracle.information_set_min_weight(prm_generator_matrix(F3, 2, 2), 476)
+
+
+@pytest.mark.parametrize("family,q,m,order", [
+    ("prm", 2, 2, 2), ("prm", 3, 2, 2), ("rm", 2, 3, 2), ("rm", 3, 2, 2), ("prm", 4, 1, 2)])
+def test_level_pairs_are_the_orbit_representatives_once(family, q, m, order):
+    # the sums block[r] + prefixes[i] over a level's pairs are the codewords
+    # m G of the weight-p messages whose first nonzero symbol is 1, each
+    # exactly once (sorted lists, so a word weighed twice fails too), and
+    # each pair's packed planes weigh those sums
+    F = GF.from_q(q)
+    make = prm_generator_matrix if family == "prm" else rm_generator_matrix
+    rows = linalg.rref(F, make(F, order, m).rows)[0]
+    k, n = rows.shape
+    messages = np.array(list(product(range(q), repeat=k)), dtype=np.int64)
+    lead = messages[np.arange(len(messages)), np.argmax(messages != 0, axis=1)]
+    words = np.zeros((len(messages), n), dtype=np.int64)
+    for i in range(k):
+        words = F.vadd(words, F.vmul(messages[:, i:i + 1], rows[i]))
+    weights = np.count_nonzero(messages, axis=1)
+    levels = 0
+    for p, pairs in enumerate(oracle._level_pairs(F, rows, k), start=2):
+        sums = []
+        for prefixes, negp, block, planes in pairs:
+            pair = F.vadd(prefixes[:, None, :], block[None].astype(np.int64))
+            assert (oracle._weights(planes, negp) == np.count_nonzero(pair, axis=2)).all()
+            sums += map(tuple, pair.reshape(-1, n).tolist())
+        expected = words[(weights == p) & (lead == 1)]
+        assert sorted(sums) == sorted(map(tuple, expected.tolist())), p
+        levels += 1
+    assert levels == k - 1
+
+
+def test_information_set_route_that_drops_a_pair_raises(monkeypatch):
+    # the last pair of level 2 of each G_j left out: the coverage check is
+    # an explicit raise, so it holds under python -O too
+    real = oracle._level_pairs
+
+    def dropping(field, rows, top):
+        levels = real(field, rows, top)
+        yield next(levels)[:-1]
+        yield from levels
+
+    monkeypatch.setattr(oracle, "_level_pairs", dropping)
+    with pytest.raises(RuntimeError, match=r"information sets covered \d+ of 476 codewords"):
+        oracle.information_set_min_weight(prm_generator_matrix(F3, 2, 2), 476)
