@@ -109,16 +109,22 @@ class GeneratorMatrix:
         return linalg.rank(self.field, self.rows)
 
 
+def power_table(field: GF, top: int) -> np.ndarray:
+    """The (top + 1, q) int64 table powers[a, x] = x^a with 0^0 = 1."""
+    powers = np.ones((top + 1, field.q), dtype=np.int64)
+    elements = np.arange(field.q)
+    for a in range(1, top + 1):
+        powers[a] = field.vmul(powers[a - 1], elements)
+    return powers
+
+
 def _evaluate(field: GF, basis, pts: np.ndarray) -> np.ndarray:
     """The read-only (k, n) int64 rows of G, one per exponent vector of
-    basis, evaluated at every point: powers[a, x] = x^a with 0^0 = 1, up to
-    the largest exponent, which for a projective basis can exceed q - 1."""
+    basis, evaluated at every point from the power table, up to the largest
+    exponent, which for a projective basis can exceed q - 1."""
     nvars = pts.shape[1]
     exps = np.array(basis, dtype=np.intp).reshape(len(basis), nvars)
-    powers = np.ones((int(exps.max(initial=0)) + 1, field.q), dtype=np.int64)
-    elements = np.arange(field.q)
-    for a in range(1, len(powers)):
-        powers[a] = field.vmul(powers[a - 1], elements)
+    powers = power_table(field, int(exps.max(initial=0)))
     vals = np.ones((len(basis), len(pts)), dtype=np.int64)
     for i in range(nvars):
         vals = field.vmul(vals, powers[exps[:, i, None], pts[None, :, i]])

@@ -17,12 +17,13 @@ chunk of P of its prefixes is weighed in one pass: the (P, R) weights of
 every prefix against every row are the popcount of the OR over planes of
 block XOR -prefix, with P chosen so that a chunk compares at most 2^16
 (prefix, row, word) triples, or P = 1.  The compare is the same for
-every field, since it tests symbol equality only.  `weight_distribution`
-counts a one-word chunk's uint8 weights two at a time while n <= 255:
-adjacent weights a, b read as one uint16 key a + 256 b, one bincount over
-half as many keys into a joint table of (n + 1) * 256 pairs, folded once
-per walk.  The first chunk, and wider weights summed over several words,
-are counted one at a time, so a walk of one chunk builds no table.
+every field, since it tests symbol equality only.  While n <= 255 a
+weight fits in uint8, summed over words there when a row takes several,
+and `weight_distribution` counts the weights two at a time: adjacent
+weights a, b read as one uint16 key a + 256 b, one bincount over half as
+many keys into a joint table of (n + 1) * 256 pairs, folded once per
+walk.  The first chunk, and the intp weights of a longer code, are
+counted one at a time, so a walk of one chunk builds no table.
 
 The walk is quotiented by scalars: the nonzero multiples lambda*c of a
 codeword all have its weight, and a message whose leading symbols are not
@@ -43,11 +44,17 @@ the first route of three that fits the guard (`route` decides).
    walked, and the MacWilliams identity (MacWilliams & Sloane, ch. 5)
    turns its distribution B into C's: A_i = q^-(n-k) sum_j B_j K_i(j),
    with the Krawtchouk numbers K_i(j), in integers.  H comes from exact
-   elimination on G, not from a duality theorem about the codes, so the
-   route stays independent of the formulas it checks.  It raises, under
-   python -O too, unless G H^T = 0, every division is exact and the
-   counts add up to q^k.  `weight_distribution` stays the primal walk and
-   the reference in tests.
+   linear algebra on G, not from a duality theorem about the codes, so
+   the route stays independent of the formulas it checks.  An affine
+   code's H is read off the inverse of its evaluation map, the Kronecker
+   power (V_1^-1)^(x m) with V_1[a, x] = x^a, at the exponent vectors
+   outside the basis, with no elimination of G; it raises unless
+   V_1 V_1^-1 = I and the rows of G are the evaluations of k distinct
+   exponent vectors.  A projective code's H comes from elimination on G.
+   Both raise, under python -O too, unless G H^T = 0, and the route
+   raises unless every division is exact and the counts add up to q^k.
+   `weight_distribution` stays the primal walk and the reference in
+   tests.
 2. When neither walk fits, the information-set route of Brouwer and
    Zimmermann (K.-H. Zimmermann, TU Hamburg-Harburg report 3-96, 1996;
    M. Grassl, "Searching for linear codes with large minimum distance",
@@ -84,7 +91,7 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
+from . import codes, linalg
 from .codes import GeneratorMatrix, distinct_words
 from .errors import ORACLE_GUARD, GuardExceeded
 
@@ -149,19 +156,21 @@ def _prefixes(field, scaled, lead: int, size: int):
             yield q - 1, prefixes
 
 
-def _weights(planes: np.ndarray, negp: np.ndarray) -> np.ndarray:
+def _weights(planes: np.ndarray, negp: np.ndarray, n: int | None = None) -> np.ndarray:
     """The (P, R) Hamming weights of block[r] + prefix[p], from the
     (bits, W, R) planes of the block and the (bits, W, P) planes of
-    -prefix: a column is nonzero exactly where some bit of block and
-    -prefix differs.  With one word a weight is its popcount, at most 64,
-    as uint8; over several words the counts are summed in intp."""
+    -prefix, both of length n: a column is nonzero exactly where some bit
+    of block and -prefix differs.  With one word a weight is its popcount,
+    at most 64, as uint8.  Over several words the counts are summed in
+    uint8 while n <= 255, since no weight exceeds n, and in intp otherwise
+    or when n is not given."""
     differ = planes[0][:, None, :] ^ negp[0][..., None]
     for b in range(1, len(planes)):
         differ |= planes[b][:, None, :] ^ negp[b][..., None]
     counts = np.bitwise_count(differ)
     if len(counts) == 1:
         return counts[0]
-    return counts.sum(axis=0, dtype=np.intp)
+    return counts.sum(axis=0, dtype=np.uint8 if n is not None and n <= 255 else np.intp)
 
 
 def _chunks(mult: int, prefixes: np.ndarray, negp: np.ndarray, planes: np.ndarray):
@@ -173,7 +182,7 @@ def _chunks(mult: int, prefixes: np.ndarray, negp: np.ndarray, planes: np.ndarra
     size = max(1, _CHUNK_WORDS // planes[0].size)
     for start in range(0, len(prefixes), size):
         stop = start + size
-        yield mult, prefixes[start:stop], _weights(planes, negp[..., start:stop])
+        yield mult, prefixes[start:stop], _weights(planes, negp[..., start:stop], prefixes.shape[1])
 
 
 def _check_coverage(g: GeneratorMatrix, covered: int) -> None:
@@ -231,13 +240,13 @@ def _count_pairs(table: np.ndarray, tail: np.ndarray, mult: int, w: np.ndarray) 
 
 def _histogram(chunks, n: int) -> np.ndarray:
     """The (n + 1) int64 sum of mult * bincount(weights) over the (mult,
-    weights) chunks.  While n <= 255, the uint8 weights (the one-word
-    walk's) of every chunk after the first are read two at a time as
-    uint16 keys a + 256 b, counted by one bincount over half as many keys
-    into a joint table of (n + 1) * 256 pairs, and folded once at the end;
-    a chunk's odd last weight goes to the tail.  The first chunk, wider
-    weights and every weight of a code longer than 255 are counted one at
-    a time into the tail: a walk of one chunk, as most small codes are,
+    weights) chunks.  While n <= 255, the uint8 weights (the walk's) of
+    every chunk after the first are read two at a time as uint16 keys
+    a + 256 b, counted by one bincount over half as many keys into a joint
+    table of (n + 1) * 256 pairs, and folded once at the end; a chunk's odd
+    last weight goes to the tail.  The first chunk, weights of a wider
+    dtype and every weight of a code longer than 255 are counted one at a
+    time into the tail: a walk of one chunk, as most small codes are,
     builds no table, and casting wide weights to uint8 costs more than the
     pairs save."""
     table = None
@@ -280,19 +289,65 @@ def route(q: int, k: int, n: int, guard: int) -> str:
     return "primal" if k <= n - k else "dual"
 
 
+def _kronecker_rows(field, table: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The rows prod_i table[e_i, x_i] of the m-th Kronecker power of a
+    q x q table at the (r, m) exponent vectors e, over all x in
+    {0..q-1}^m in lexicographic order, the order of `codes.affine_points`:
+    one outer product with the gathered rows table[e_i] per coordinate."""
+    rows = np.ones((len(exps), 1), dtype=np.int64)
+    for i in range(exps.shape[1]):
+        rows = field.vmul(rows[:, :, None], table[exps[:, i], None, :])
+        rows = rows.reshape(len(exps), rows.shape[1] * rows.shape[2])
+    return rows
+
+
+def _affine_parity_rows(g: GeneratorMatrix) -> np.ndarray:
+    """The rows of H for an affine code, with no elimination of G.  Its
+    evaluation map V[b, x] = x^b over all exponent vectors b in
+    {0..q-1}^m is the Kronecker power of V_1[a, x] = x^a (0^0 = 1, the
+    `codes.power_table` that G is evaluated from), so
+    V^-1 = (V_1^-1)^(x m), with V_1^-1 read off the reduced row echelon
+    form of [V_1 | I].  G is the rows of V at the basis, so the rows of
+    (V^-1)^T at the other exponent vectors,
+    H[b, x] = prod_i V_1^-1[x_i, b_i] in ascending order of b, are
+    orthogonal to G and independent.  Raises unless V_1 V_1^-1 = I and the
+    rows of G are the evaluations of k distinct exponent vectors, which
+    makes rank G = k."""
+    field, q, m = g.field, g.field.q, g.m
+    v1 = codes.power_table(field, q - 1)
+    identity = np.eye(q, dtype=np.int64)
+    inv = linalg.rref(field, np.hstack([v1, identity]))[0][:, q:]
+    if not np.array_equal(linalg.mat_mul(field, v1, inv), identity):
+        raise RuntimeError("V_1 times the inverse read off [V_1 | I] is not the identity")
+    exps = np.array(g.basis, dtype=np.intp).reshape(len(g.basis), m)
+    basis = np.zeros(q ** m, dtype=bool)
+    if ((exps >= 0) & (exps < q)).all():
+        basis[exps @ q ** np.arange(m - 1, -1, -1)] = True
+    if (np.count_nonzero(basis) != g.k
+            or not np.array_equal(g.rows, _kronecker_rows(field, v1, exps))):
+        raise RuntimeError("rm generator rows are not the evaluations of k distinct "
+                           "exponent vectors in [0, q - 1]^m")
+    return _kronecker_rows(field, inv.T, codes.digits(q, m)[~basis])
+
+
 def parity_check(g: GeneratorMatrix) -> np.ndarray:
     """H, an (n - r) x n int64 array whose rows span the dual code, r the
-    rank of G: with G in reduced row echelon form [I | A] on its pivot
+    rank of G.  For an affine code, the rows of the inverse evaluation map
+    at the exponent vectors outside the basis (`_affine_parity_rows`).
+    Otherwise, with G in reduced row echelon form [I | A] on its pivot
     columns, H = [-A^T | I] on the pivot and the free columns.  Its rows
-    are independent by the identity block, so it raises unless G H^T = 0,
-    which then makes span H the whole dual code."""
-    field, n = g.field, g.n
-    red, pivots = linalg.rref(field, g.rows)
-    free = sorted(set(range(n)) - set(pivots))
-    h = np.zeros((len(free), n), dtype=np.int64)
-    h[:, pivots] = field.vmul(field.p - 1, red[: len(pivots), free].T)
-    h[np.arange(len(free)), free] = 1
-    if linalg.mat_mul(field, g.rows, h.T).any():
+    are independent, so it raises unless G H^T = 0, which then makes span
+    H the whole dual code."""
+    if g.family == "rm":
+        h = _affine_parity_rows(g)
+    else:
+        field, n = g.field, g.n
+        red, pivots = linalg.rref(field, g.rows)
+        free = sorted(set(range(n)) - set(pivots))
+        h = np.zeros((len(free), n), dtype=np.int64)
+        h[:, pivots] = field.vmul(field.p - 1, red[: len(pivots), free].T)
+        h[np.arange(len(free)), free] = 1
+    if linalg.mat_mul(g.field, g.rows, h.T).any():
         raise RuntimeError("parity-check rows are not orthogonal to the generator rows")
     return h
 
@@ -369,13 +424,17 @@ def _lightest(field, chunks, u: int, kept: list) -> tuple[int, list, int]:
     covered, kept = 0, list(kept)
     for block, mult, prefixes, w in chunks:
         covered += mult * w.size
-        low = int(w.min(initial=block.shape[1] + 1, where=w > 0))     # n + 1: none
+        # the largest value of the weights' dtype stands for "no nonzero
+        # weight"; it is a weight only at n = 255, where the match below
+        # finds it
+        low = int(w.min(initial=np.iinfo(w.dtype).max, where=w > 0))
         if low < u:
             u, kept = low, []
         if low == u:
             pi, ri = np.nonzero(w == u)
-            kept.append((mult, field.vadd(block[ri].astype(np.int64),
-                                          prefixes[pi].astype(np.int64))))
+            if len(pi):
+                kept.append((mult, field.vadd(block[ri].astype(np.int64),
+                                              prefixes[pi].astype(np.int64))))
     return u, kept, covered
 
 

@@ -13,7 +13,11 @@ guard, from the information-set route (`oracle.route`).  The
 witness-set row is the same on every route: every witness word has
 H c^T = 0 for the parity-check matrix H of G and weight d_min, and there
 are A_dmin of them, which together make the witness set the minimum-weight
-set.  The rank row reads the rank off the same H.
+set.  The rank row reads the rank off the same H.  `oracle.parity_check`
+reads an affine code's H off the inverse Kronecker power (V_1^-1)^(x m)
+of its evaluation map, raising unless V_1 V_1^-1 = I, G is the
+evaluation of k distinct exponent vectors and G H^T = 0; a projective
+code's H still comes from elimination on G.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from math import comb
@@ -6,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from prmcodes import linalg, oracle
+from prmcodes import codes, linalg, oracle
 from prmcodes.codes import prm_generator_matrix, rm_generator_matrix
 from prmcodes.errors import GuardExceeded
 from prmcodes.gf import GF
@@ -234,6 +235,50 @@ def test_packed_weights_equal_nonzero_counts(q):
             assert got.tolist() == want.tolist(), (q, n, len(pre))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_multiword_weights_are_uint8_up_to_255(q):
+    # over several uint64 words the popcounts are summed in uint8 while
+    # n <= 255, and in intp at n = 256, where row 1 against the zero
+    # prefix has weight 256
+    rng = np.random.default_rng(q)
+    F = GF.from_q(q)
+    bits = (q - 1).bit_length()
+    for n, dtype in [(65, np.uint8), (85, np.uint8), (128, np.uint8), (255, np.uint8), (256, np.intp)]:
+        block = rng.integers(0, q, size=(40, n))
+        block[0] = 0
+        block[1] = rng.integers(1, q, size=n)
+        prefixes = rng.integers(0, q, size=(5, n))
+        prefixes[1] = 0
+        prefixes[2] = F.vmul(F.p - 1, block[2])
+        planes = oracle._pack(block.astype(np.min_scalar_type(q - 1)), bits)
+        want = np.count_nonzero(F.vadd(block[None], prefixes[:, None]), axis=2)
+        got = oracle._weights(planes, oracle._pack(F.vmul(F.p - 1, prefixes), bits), n)
+        assert got.dtype == dtype and got.tolist() == want.tolist(), (q, n)
+        assert want.max() == n
+
+
+@pytest.mark.parametrize("block,chunk", [(4096, 1 << 16), (1, 1 << 16), (2, 1 << 16), (2, 8)],
+                         ids=["one-chunk", "zero-block", "block-q", "chunks-of-one"])
+def test_simplex_code_of_length_255(monkeypatch, block, chunk):
+    # prm(2,7,1) is the simplex code of length 255: 255 nonzero words, all
+    # of weight 128, weighed in uint8 over four uint64 words.  A block of
+    # one row makes a first chunk of the zero word alone, where the
+    # running-minimum scan sees no nonzero weight at its sentinel 255 = n,
+    # and so does the zero code of that length; chunks of one prefix are
+    # counted in pairs
+    g = prm_generator_matrix(F2, 1, 7)
+    assert (g.n, g.k) == (255, 8)
+    naive = list(_naive_codewords(g))
+    counts = Counter(sum(1 for x in cw if x) for cw in naive)
+    assert counts == {0: 1, 128: 255}
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "_CHUNK_WORDS", chunk)
+    assert weight_distribution(g).counts == counts
+    assert word_set(brute_min_weight_words(g)) == {cw for cw in naive if any(cw)}
+    with pytest.raises(ValueError, match="^the zero code has no minimum distance$"):
+        brute_min_weight_words(replace(g, basis=(), rows=np.zeros((0, 255), dtype=np.int64)))
+
+
 @pytest.mark.parametrize("q,d,m", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 3, 1), (9, 3, 1)])
 @pytest.mark.parametrize("small", [False, True], ids=["default-block", "block-q"])
 def test_orbit_walk_work(monkeypatch, q, d, m, small):
@@ -410,6 +455,77 @@ def test_parity_check_spans_the_dual():
         assert h.shape == (g.n - g.k, g.n), case
         assert linalg.rank(g.field, h.tolist()) == g.n - g.k, case
         assert not linalg.mat_mul(g.field, g.rows, h.T).any(), case
+
+
+@pytest.mark.parametrize("q,codes_with_n_up_to_729",
+                         [(2, 54), (3, 48), (4, 34), (5, 44), (7, 39), (8, 45), (9, 51)])
+def test_affine_parity_check_equals_elimination(q, codes_with_n_up_to_729):
+    # the H read off the inverse evaluation map against the H of the
+    # elimination, [-A^T | I] from the reduced row echelon form [I | A] of
+    # G, on every rm code over GF(q) with n <= 729: the same shape and the
+    # same reduced row echelon form.  The forms are compared with the free
+    # columns first, where the elimination H is already reduced; equal
+    # forms in one column order mean equal row spaces, and so equal forms
+    # in every order
+    F = GF.from_q(q)
+    cases = [(m, nu) for m in range(1, 10) if q ** m <= 729 for nu in range(m * (q - 1) + 1)]
+    assert len(cases) == codes_with_n_up_to_729
+    for m, nu in cases:
+        g, case = rm_generator_matrix(F, nu, m), (q, m, nu)
+        n = g.n
+        red, pivots = linalg.rref(F, g.rows)
+        free = sorted(set(range(n)) - set(pivots))
+        want = np.zeros((len(free), n), dtype=np.int64)
+        want[:, pivots] = F.vmul(F.p - 1, red[: len(pivots), free].T)
+        want[np.arange(len(free)), free] = 1
+        h = oracle.parity_check(g)
+        assert h.shape == want.shape == (n - g.k, n), case
+        order = free + pivots
+        got, want = linalg.rref(F, h[:, order]), linalg.rref(F, want[:, order])
+        assert got[1] == want[1] and np.array_equal(got[0], want[0]), case
+
+
+@pytest.mark.parametrize("F,nu,m", [(F2, 2, 3), (F3, 3, 2), (F4, 5, 2), (GF(3, 2), 7, 1)])
+@pytest.mark.parametrize("entry", [(0, -1), (-1, -1), (1, -2)], ids=["first-row", "last-row", "inner"])
+def test_wrong_inverse_evaluation_entry_raises(monkeypatch, F, nu, m, entry):
+    # an affine code's H is read off V_1^-1, the right half of the reduced
+    # form of [V_1 | I]; one wrong entry there fails V_1 V_1^-1 = I, an
+    # explicit raise that holds under python -O too.  Each code takes the
+    # dual route, so distribution raises as well
+    real = linalg.rref
+
+    def corrupted(field, rows):
+        red, pivots = real(field, rows)
+        red[entry] = field.add(int(red[entry]), 1)
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "rref", corrupted)
+    g = rm_generator_matrix(F, nu, m)
+    assert oracle.route(F.q, g.k, g.n, 1 << 24) == "dual"
+    message = r"^V_1 times the inverse read off \[V_1 \| I\] is not the identity$"
+    with pytest.raises(RuntimeError, match=message):
+        oracle.parity_check(g)
+    with pytest.raises(RuntimeError, match="is not the identity"):
+        distribution(g)
+
+
+def test_changed_affine_generator_row_raises():
+    # rm(3,2,3) has k = 8 of n = 9: H is the one row of (V^-1)^T at the
+    # exponent vector (2, 2).  G with one symbol changed, one row replaced
+    # by another of V, or one row and its basis entry repeated is no longer
+    # the evaluation of k distinct exponent vectors, and parity_check raises
+    # instead of returning an H
+    g = rm_generator_matrix(F3, 3, 2)
+    changed = g.rows.copy()
+    changed[1, 0] = F3.add(int(changed[1, 0]), 1)
+    top = codes._evaluate(F3, [(2, 2)], g.points)
+    repeated = np.concatenate([g.rows[:-1], g.rows[:1]])
+    for bad in (replace(g, rows=changed),
+                replace(g, rows=np.concatenate([g.rows[:-1], top])),
+                replace(g, basis=g.basis[:-1] + g.basis[:1], rows=repeated)):
+        with pytest.raises(RuntimeError, match="not the evaluations of k distinct exponent vectors"):
+            oracle.parity_check(bad)
+    assert oracle.parity_check(g).shape == (1, 9)
 
 
 def test_distribution_routes_and_refusal():
