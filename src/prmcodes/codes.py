@@ -13,11 +13,24 @@ matrix is evaluated in one array pass: a table of every power x^a of every
 field element, gathered at the (row, point) pairs of each variable's
 exponents and coordinates, and the gathers multiplied together.  Its point
 and row arrays are read-only, since every check of a code shares them.
+
+The parity-check matrix H of a code, whose rows span its dual code, is
+`GeneratorMatrix.h`, built on first read and kept by that instance.  H
+comes from exact linear algebra on G, not from a duality theorem about the
+codes, so the oracle routes and verify rows that read it stay independent
+of the formulas they check.  An affine code's H is read off the inverse of
+its evaluation map, the Kronecker power (V_1^-1)^(x m) with
+V_1[a, x] = x^a, at the exponent vectors outside the basis, by the same
+kernel that evaluates G, with no elimination of G; it raises unless
+V_1 V_1^-1 = I and the rows of G are the evaluations of k distinct
+exponent vectors.  A projective code's H comes from elimination on G.
+Both raise, under python -O too, unless G H^T = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +121,13 @@ class GeneratorMatrix:
     def rank(self) -> int:
         return linalg.rank(self.field, self.rows)
 
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The parity-check matrix `parity_check(self)`, built once per
+        instance; `dataclasses.replace` makes a new instance, so a G with
+        changed rows gets its own H."""
+        return parity_check(self)
+
 
 def power_table(field: GF, top: int) -> np.ndarray:
     """The (top + 1, q) int64 table powers[a, x] = x^a with 0^0 = 1."""
@@ -118,16 +138,15 @@ def power_table(field: GF, top: int) -> np.ndarray:
     return powers
 
 
-def _evaluate(field: GF, basis, pts: np.ndarray) -> np.ndarray:
-    """The read-only (k, n) int64 rows of G, one per exponent vector of
-    basis, evaluated at every point from the power table, up to the largest
-    exponent, which for a projective basis can exceed q - 1."""
+def _evaluate(field: GF, table: np.ndarray, basis, pts: np.ndarray) -> np.ndarray:
+    """The read-only (r, n) int64 rows prod_i table[e_i, x_i], one per
+    exponent vector e of basis, at every point x of pts: one gather of
+    table and one field product per coordinate."""
     nvars = pts.shape[1]
     exps = np.array(basis, dtype=np.intp).reshape(len(basis), nvars)
-    powers = power_table(field, int(exps.max(initial=0)))
     vals = np.ones((len(basis), len(pts)), dtype=np.int64)
     for i in range(nvars):
-        vals = field.vmul(vals, powers[exps[:, i, None], pts[None, :, i]])
+        vals = field.vmul(vals, table[exps[:, i, None], pts[None, :, i]])
     vals.flags.writeable = False
     return vals
 
@@ -138,7 +157,7 @@ def rm_generator_matrix(field: GF, nu: int, m: int) -> GeneratorMatrix:
     ts_decompose(nu, field.q, "rm", m)
     pts = affine_points(field, m)
     basis = tuple(reduced_monomials_affine(field.q, nu, m))
-    rows = _evaluate(field, basis, pts)
+    rows = _evaluate(field, power_table(field, field.q - 1), basis, pts)
     return GeneratorMatrix("rm", field, nu, m, pts, basis, rows)
 
 
@@ -148,8 +167,60 @@ def prm_generator_matrix(field: GF, d: int, m: int) -> GeneratorMatrix:
     ts_decompose(d, field.q, "prm", m)
     pts = projective_points(field, m)
     basis = tuple(reduced_monomials_projective(field.q, d, m))
-    rows = _evaluate(field, basis, pts)
+    rows = _evaluate(field, power_table(field, d), basis, pts)
     return GeneratorMatrix("prm", field, d, m, pts, basis, rows)
+
+
+def _affine_parity_rows(g: GeneratorMatrix) -> np.ndarray:
+    """The rows of H for an affine code, with no elimination of G.  Its
+    evaluation map V[b, x] = x^b over all exponent vectors b in
+    {0..q-1}^m is the Kronecker power of V_1[a, x] = x^a (0^0 = 1, the
+    `power_table` that G is evaluated from), so V^-1 = (V_1^-1)^(x m), with
+    V_1^-1 read off the reduced row echelon form of [V_1 | I].  G is the
+    rows of V at the basis, so the rows of (V^-1)^T at the other exponent
+    vectors, H[b, x] = prod_i V_1^-1[x_i, b_i] in ascending order of b, are
+    orthogonal to G and independent.  Raises unless V_1 V_1^-1 = I and the
+    rows of G are the evaluations of k distinct exponent vectors, which
+    makes rank G = k."""
+    field, q, m = g.field, g.field.q, g.m
+    v1 = power_table(field, q - 1)
+    identity = np.eye(q, dtype=np.int64)
+    inv = linalg.rref(field, np.hstack([v1, identity]))[0][:, q:]
+    if not np.array_equal(linalg.mat_mul(field, v1, inv), identity):
+        raise RuntimeError("V_1 times the inverse read off [V_1 | I] is not the identity")
+    exps = np.array(g.basis, dtype=np.intp).reshape(len(g.basis), m)
+    basis = np.zeros(q ** m, dtype=bool)
+    if ((exps >= 0) & (exps < q)).all():
+        basis[exps @ q ** np.arange(m - 1, -1, -1)] = True
+    if (np.count_nonzero(basis) != g.k
+            or not np.array_equal(g.rows, _evaluate(field, v1, exps, g.points))):
+        raise RuntimeError("rm generator rows are not the evaluations of k distinct "
+                           "exponent vectors in [0, q - 1]^m")
+    return _evaluate(field, inv.T, digits(q, m)[~basis], g.points)
+
+
+def parity_check(g: GeneratorMatrix) -> np.ndarray:
+    """H, an (n - r) x n int64 array whose rows span the dual code, r the
+    rank of G.  For an affine code, the rows of the inverse evaluation map
+    at the exponent vectors outside the basis (`_affine_parity_rows`).
+    Otherwise, with G in reduced row echelon form [I | A] on its pivot
+    columns, H = [-A^T | I] on the pivot and the free columns.  Its rows
+    are independent, so it raises unless G H^T = 0, which then makes span
+    H the whole dual code.  H is read-only, since every check of the code
+    shares it through `GeneratorMatrix.h`."""
+    if g.family == "rm":
+        h = _affine_parity_rows(g)
+    else:
+        field, n = g.field, g.n
+        red, pivots = linalg.rref(field, g.rows)
+        free = sorted(set(range(n)) - set(pivots))
+        h = np.zeros((len(free), n), dtype=np.int64)
+        h[:, pivots] = field.vmul(field.p - 1, red[: len(pivots), free].T)
+        h[np.arange(len(free)), free] = 1
+    if linalg.mat_mul(g.field, g.rows, h.T).any():
+        raise RuntimeError("parity-check rows are not orthogonal to the generator rows")
+    h.flags.writeable = False
+    return h
 
 
 def weight(c: Codeword) -> int:

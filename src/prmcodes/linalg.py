@@ -3,9 +3,10 @@
 A matrix is a 2-D integer array of canonical element ints; each function
 also takes a list of equal-length rows.  rank and rref run one Gaussian
 elimination on an int64 copy, one row operation per field array op
-(`GF.vmul`, `GF.vadd`): rank clears each pivot column below the pivot,
-rref above it too, and rref returns the array.  mat_mul is one integer
-product mod p over a prime field.  Over GF(p^e) it builds, per inner index
+(`GF.vmul`, `GF.vadd`) on the columns from the pivot's on, since the
+pivot row is zero left of its pivot: rank clears each pivot column below
+the pivot, rref above it too, and rref returns the array.  mat_mul is one
+integer product mod p over a prime field.  Over GF(p^e) it builds, per inner index
 j, the q rows T_j[v] = v b[j, :] and gathers them at a[:, j], adding the
 gathered rows in integers: XOR of symbols for p = 2, base-p digits in
 uint16 for odd p, reduced mod p at the end.  So desk-scale sweeps (a few
@@ -35,14 +36,16 @@ def _eliminate(field: GF, rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
         pr = r + int(found[0])
         if pr != r:
             mat[[r, pr]] = mat[[pr, r]]
-        mat[r] = field.vmul(field.inv(int(mat[r, c])), mat[r])
+        # rows r.. are zero left of c, so row r scaled, and added to any
+        # row, changes only columns c..
+        mat[r, c:] = field.vmul(field.inv(int(mat[r, c])), mat[r, c:])
         top = 0 if reduced else r + 1
         clear = top + np.nonzero(mat[top:, c])[0]
         clear = clear[clear != r]
         if clear.size:
             factors = field.vmul(field.p - 1, mat[clear, c])
-            prod = field.vmul(factors[:, None], mat[r][None, :])
-            mat[clear] = field.vadd(mat[clear], prod)
+            prod = field.vmul(factors[:, None], mat[r, c:][None, :])
+            mat[clear, c:] = field.vadd(mat[clear, c:], prod)
         pivots.append(c)
         if len(pivots) == nrows:
             break

@@ -40,19 +40,13 @@ the first route of three that fits the guard (`route` decides).
 
 1. The smaller of the two walks, the code's own q^k codewords (taken on a
    tie) or the q^(n-k) words of its dual code, as `distribution` does.
-   The dual code, spanned by the rows of a parity-check matrix H, is
-   walked, and the MacWilliams identity (MacWilliams & Sloane, ch. 5)
+   The dual code, spanned by the rows of the parity-check matrix H =
+   `g.h` (built and checked in `codes`, from linear algebra on G alone),
+   is walked, and the MacWilliams identity (MacWilliams & Sloane, ch. 5)
    turns its distribution B into C's: A_i = q^-(n-k) sum_j B_j K_i(j),
-   with the Krawtchouk numbers K_i(j), in integers.  H comes from exact
-   linear algebra on G, not from a duality theorem about the codes, so
-   the route stays independent of the formulas it checks.  An affine
-   code's H is read off the inverse of its evaluation map, the Kronecker
-   power (V_1^-1)^(x m) with V_1[a, x] = x^a, at the exponent vectors
-   outside the basis, with no elimination of G; it raises unless
-   V_1 V_1^-1 = I and the rows of G are the evaluations of k distinct
-   exponent vectors.  A projective code's H comes from elimination on G.
-   Both raise, under python -O too, unless G H^T = 0, and the route
-   raises unless every division is exact and the counts add up to q^k.
+   with the Krawtchouk numbers K_i(j), in integers.  The route raises,
+   under python -O too, unless every division is exact and the counts
+   add up to q^k.
    `weight_distribution` stays the primal walk and the reference in
    tests.
 2. When neither walk fits, the information-set route of Brouwer and
@@ -91,7 +85,7 @@ from math import comb
 
 import numpy as np
 
-from . import codes, linalg
+from . import linalg
 from .codes import GeneratorMatrix, distinct_words
 from .errors import ORACLE_GUARD, GuardExceeded
 
@@ -156,21 +150,20 @@ def _prefixes(field, scaled, lead: int, size: int):
             yield q - 1, prefixes
 
 
-def _weights(planes: np.ndarray, negp: np.ndarray, n: int | None = None) -> np.ndarray:
+def _weights(planes: np.ndarray, negp: np.ndarray, n: int) -> np.ndarray:
     """The (P, R) Hamming weights of block[r] + prefix[p], from the
     (bits, W, R) planes of the block and the (bits, W, P) planes of
     -prefix, both of length n: a column is nonzero exactly where some bit
     of block and -prefix differs.  With one word a weight is its popcount,
     at most 64, as uint8.  Over several words the counts are summed in
-    uint8 while n <= 255, since no weight exceeds n, and in intp otherwise
-    or when n is not given."""
+    uint8 while n <= 255, since no weight exceeds n, and in intp otherwise."""
     differ = planes[0][:, None, :] ^ negp[0][..., None]
     for b in range(1, len(planes)):
         differ |= planes[b][:, None, :] ^ negp[b][..., None]
     counts = np.bitwise_count(differ)
     if len(counts) == 1:
         return counts[0]
-    return counts.sum(axis=0, dtype=np.uint8 if n is not None and n <= 255 else np.intp)
+    return counts.sum(axis=0, dtype=np.uint8 if n <= 255 else np.intp)
 
 
 def _chunks(mult: int, prefixes: np.ndarray, negp: np.ndarray, planes: np.ndarray):
@@ -289,69 +282,6 @@ def route(q: int, k: int, n: int, guard: int) -> str:
     return "primal" if k <= n - k else "dual"
 
 
-def _kronecker_rows(field, table: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """The rows prod_i table[e_i, x_i] of the m-th Kronecker power of a
-    q x q table at the (r, m) exponent vectors e, over all x in
-    {0..q-1}^m in lexicographic order, the order of `codes.affine_points`:
-    one outer product with the gathered rows table[e_i] per coordinate."""
-    rows = np.ones((len(exps), 1), dtype=np.int64)
-    for i in range(exps.shape[1]):
-        rows = field.vmul(rows[:, :, None], table[exps[:, i], None, :])
-        rows = rows.reshape(len(exps), rows.shape[1] * rows.shape[2])
-    return rows
-
-
-def _affine_parity_rows(g: GeneratorMatrix) -> np.ndarray:
-    """The rows of H for an affine code, with no elimination of G.  Its
-    evaluation map V[b, x] = x^b over all exponent vectors b in
-    {0..q-1}^m is the Kronecker power of V_1[a, x] = x^a (0^0 = 1, the
-    `codes.power_table` that G is evaluated from), so
-    V^-1 = (V_1^-1)^(x m), with V_1^-1 read off the reduced row echelon
-    form of [V_1 | I].  G is the rows of V at the basis, so the rows of
-    (V^-1)^T at the other exponent vectors,
-    H[b, x] = prod_i V_1^-1[x_i, b_i] in ascending order of b, are
-    orthogonal to G and independent.  Raises unless V_1 V_1^-1 = I and the
-    rows of G are the evaluations of k distinct exponent vectors, which
-    makes rank G = k."""
-    field, q, m = g.field, g.field.q, g.m
-    v1 = codes.power_table(field, q - 1)
-    identity = np.eye(q, dtype=np.int64)
-    inv = linalg.rref(field, np.hstack([v1, identity]))[0][:, q:]
-    if not np.array_equal(linalg.mat_mul(field, v1, inv), identity):
-        raise RuntimeError("V_1 times the inverse read off [V_1 | I] is not the identity")
-    exps = np.array(g.basis, dtype=np.intp).reshape(len(g.basis), m)
-    basis = np.zeros(q ** m, dtype=bool)
-    if ((exps >= 0) & (exps < q)).all():
-        basis[exps @ q ** np.arange(m - 1, -1, -1)] = True
-    if (np.count_nonzero(basis) != g.k
-            or not np.array_equal(g.rows, _kronecker_rows(field, v1, exps))):
-        raise RuntimeError("rm generator rows are not the evaluations of k distinct "
-                           "exponent vectors in [0, q - 1]^m")
-    return _kronecker_rows(field, inv.T, codes.digits(q, m)[~basis])
-
-
-def parity_check(g: GeneratorMatrix) -> np.ndarray:
-    """H, an (n - r) x n int64 array whose rows span the dual code, r the
-    rank of G.  For an affine code, the rows of the inverse evaluation map
-    at the exponent vectors outside the basis (`_affine_parity_rows`).
-    Otherwise, with G in reduced row echelon form [I | A] on its pivot
-    columns, H = [-A^T | I] on the pivot and the free columns.  Its rows
-    are independent, so it raises unless G H^T = 0, which then makes span
-    H the whole dual code."""
-    if g.family == "rm":
-        h = _affine_parity_rows(g)
-    else:
-        field, n = g.field, g.n
-        red, pivots = linalg.rref(field, g.rows)
-        free = sorted(set(range(n)) - set(pivots))
-        h = np.zeros((len(free), n), dtype=np.int64)
-        h[:, pivots] = field.vmul(field.p - 1, red[: len(pivots), free].T)
-        h[np.arange(len(free)), free] = 1
-    if linalg.mat_mul(g.field, g.rows, h.T).any():
-        raise RuntimeError("parity-check rows are not orthogonal to the generator rows")
-    return h
-
-
 @functools.cache
 def _krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     """table[j][i] = K_i(j), the coefficient of z^i in
@@ -368,17 +298,13 @@ def _krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _dual_distribution(
-    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
-) -> WeightDistribution:
+def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
     """C's weight distribution from an exhaustive walk of its dual code,
-    spanned by h (parity_check(g) when not given):
-    A_i = (sum_j B_j K_i(j)) / |dual|.  Raises unless every division is exact
-    with a nonnegative quotient and the counts add up to q^k."""
+    spanned by g.h: A_i = (sum_j B_j K_i(j)) / |dual|.  Raises unless every
+    division is exact with a nonnegative quotient and the counts add up to
+    q^k."""
     q, n = g.field.q, g.n
-    if h is None:
-        h = parity_check(g)
-    dual = weight_distribution(replace(g, basis=(), rows=h), guard)
+    dual = weight_distribution(replace(g, basis=(), rows=g.h), guard)
     table = _krawtchouk(n, q)
     counts = {}
     for i in range(n + 1):
@@ -394,20 +320,17 @@ def _dual_distribution(
     return WeightDistribution(g.family, q, g.order, g.m, counts, total)
 
 
-def distribution(
-    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
-) -> WeightDistribution:
+def distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
     """Exact codeword count at every Hamming weight, from a walk of the
-    code itself or of its dual, whichever is smaller, the dual spanned by h
-    when a caller already holds parity_check(g).  GuardExceeded names the
-    smaller walk when neither fits."""
+    code itself or of its dual (spanned by g.h), whichever is smaller.
+    GuardExceeded names the smaller walk when neither fits."""
     q, k, n = g.field.q, g.k, g.n
     way = route(q, k, n, guard)
     if way == "information-set":
         raise GuardExceeded("oracle", f"{q}^{min(k, n - k)} codewords", guard)
     if way == "primal":
         return weight_distribution(g, guard)
-    return _dual_distribution(g, guard, h)
+    return _dual_distribution(g, guard)
 
 
 def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
@@ -570,12 +493,10 @@ def _level_pairs(field, rows: np.ndarray, top: int):
         yield pairs
 
 
-def information_set_min_weight(
-    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
-) -> MinWeight:
+def information_set_min_weight(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> MinWeight:
     """d_min, A_dmin and the minimum-weight words of g by the
     Brouwer-Zimmermann method (Zimmermann 1996; Grassl 2006), the words
-    checked against h (parity_check(g) when not given).
+    checked against g.h.
 
     Level 1 is the rows of every G_j, and U_1, their least weight, bounds
     d_min.  Level p > 1 weighs the weight-p messages of the G_j, one per
@@ -626,22 +547,18 @@ def information_set_min_weight(
                            f"bound {_bound(k, ranks, p)} <= best weight {u}")
     if covered != work(p):
         raise RuntimeError(f"information sets covered {covered} of {work(p)} codewords")
-    if h is None:
-        h = parity_check(g)
     found = np.concatenate([rows for _, rows in kept])
-    if linalg.mat_mul(field, found, h.T).any() or (np.count_nonzero(found, axis=1) != u).any():
+    if linalg.mat_mul(field, found, g.h.T).any() or (np.count_nonzero(found, axis=1) != u).any():
         raise RuntimeError(f"an information-set word is not a codeword of weight {u}")
     words = _multiples(field, kept)
     return MinWeight(u, len(words), words)
 
 
-def min_weight(
-    g: GeneratorMatrix, guard: int = ORACLE_GUARD, h: np.ndarray | None = None
-) -> MinWeight:
+def min_weight(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> MinWeight:
     """d_min and A_dmin of g from the route `route` picks: the smaller walk
-    when it fits the guard (h as in `distribution`), else the
-    information-set route, which also keeps the words."""
+    when it fits the guard, else the information-set route, which also
+    keeps the words."""
     if route(g.field.q, g.k, g.n, guard) == "information-set":
-        return information_set_min_weight(g, guard, h)
-    dist = distribution(g, guard, h)
+        return information_set_min_weight(g, guard)
+    dist = distribution(g, guard)
     return MinWeight(dist.dmin, dist.counts[dist.dmin])

@@ -13,11 +13,9 @@ guard, from the information-set route (`oracle.route`).  The
 witness-set row is the same on every route: every witness word has
 H c^T = 0 for the parity-check matrix H of G and weight d_min, and there
 are A_dmin of them, which together make the witness set the minimum-weight
-set.  The rank row reads the rank off the same H.  `oracle.parity_check`
-reads an affine code's H off the inverse Kronecker power (V_1^-1)^(x m)
-of its evaluation map, raising unless V_1 V_1^-1 = I, G is the
-evaluation of k distinct exponent vectors and G H^T = 0; a projective
-code's H still comes from elimination on G.
+set.  The rank row reads the rank off the same H.  H is `gm.h`, the
+parity-check matrix that `codes.parity_check` builds once per generator
+matrix, and only when a row or an oracle route reads it.
 """
 
 from __future__ import annotations
@@ -194,10 +192,11 @@ class VerifyReport:
 class Code:
     """One code of a sweep: (family, q, m, order).
 
-    Its generator matrix, parity-check matrix and minimum-weight result
-    are each made at most once, on first use.  When the rank-length guard
-    (projective codes, and affine codes on the information-set route) or
-    the oracle guard refuses, the access raises GuardExceeded instead.
+    Its generator matrix (with its parity-check matrix `gm.h`) and
+    minimum-weight result are each made at most once, on first use.  When
+    the rank-length guard (projective codes, and affine codes on the
+    information-set route) or the oracle guard refuses, the access raises
+    GuardExceeded instead.
     """
 
     def __init__(self, cfg: SweepConfig, field: GF, family: str, m: int, order: int):
@@ -239,13 +238,6 @@ class Code:
         return oracle.route(self.q, k, n, self.cfg.guard)
 
     @cached_property
-    def h(self) -> np.ndarray:
-        """The parity-check matrix of G, shared by the rank row, the
-        minimum-weight result off the primal walk and the witness-set
-        row."""
-        return oracle.parity_check(self.gm)
-
-    @cached_property
     def _min_weight(self) -> oracle.MinWeight | GuardExceeded:
         # a refusal is kept too, so the rows of a refused code predict
         # their work once (cached_property does not cache an exception)
@@ -256,8 +248,7 @@ class Code:
                 # held to the rank-length guard there (a projective one
                 # always is, by gm)
                 raise GuardExceeded("rank", f"length {n}", limit)
-            return oracle.min_weight(self.gm, self.cfg.guard,
-                                     self.h if self.route != "primal" else None)
+            return oracle.min_weight(self.gm, self.cfg.guard)
         except GuardExceeded as exc:
             return exc
 
@@ -281,7 +272,7 @@ def _dims(c: Code) -> str | None:
 
 
 def _rank(c: Code) -> str | None:
-    rank, gamma = c.gm.n - len(c.h), c.dims[2]
+    rank, gamma = c.gm.n - len(c.gm.h), c.dims[2]
     return None if rank == gamma else f"rank={rank} gamma={gamma}"
 
 
@@ -315,7 +306,7 @@ def _witness_set(c: Code) -> str | None:
     dmin, count = result.dmin, result.count
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
     words = codes.distinct_words(wit, c.q)
-    syndromes = linalg.mat_mul(c.field, words, c.h.T)
+    syndromes = linalg.mat_mul(c.field, words, c.gm.h.T)
     bad = syndromes.any(axis=1) | (np.count_nonzero(words, axis=1) != dmin)
     sizes = f"witness set size {len(words)}, oracle count {count}"
     if bad.any():

@@ -168,6 +168,24 @@ def test_points_and_rows_are_read_only_arrays():
                 arr[0, 0] = 1
 
 
+def test_parity_check_is_built_once_per_instance():
+    # g.h is built on first read and kept by g, read-only like G; a G made
+    # by replace with a changed row builds its own H, which raises, even
+    # after the H of g was read
+    g = rm_generator_matrix(F3, 3, 2)
+    h = g.h
+    assert g.h is h and h.shape == (1, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = 1
+    changed = g.rows.copy()
+    changed[1, 0] = F3.add(int(changed[1, 0]), 1)
+    with pytest.raises(RuntimeError, match="not the evaluations of k distinct exponent vectors"):
+        replace(g, rows=changed).h
+    assert g.h is h
+    p = prm_generator_matrix(F3, 2, 2)
+    assert p.h is p.h and p.h.shape == (p.n - p.k, p.n)
+
+
 @pytest.mark.parametrize("q, dtype", [(2, np.uint8), (256, np.uint8), (1031, np.uint16)])
 def test_distinct_words(q, dtype):
     # repeated rows go, one of each stays, in one order for any input order

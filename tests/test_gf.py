@@ -253,6 +253,16 @@ def test_rref_equals_python_elimination(q):
         if nrows > 2:
             mat[-1] = F.vadd(mat[0], F.vmul(int(rng.integers(q)), mat[1]))
         cases.append(mat.tolist())
+    # up to 40 columns, the leading ones zero, so the first pivots sit
+    # right of column 0 and every row operation starts past them
+    for _ in range(15):
+        nrows, ncols = int(rng.integers(1, 21)), int(rng.integers(2, 41))
+        mat = rng.integers(0, q, size=(nrows, ncols))
+        mat[:, : rng.integers(1, ncols)] = 0
+        mat[:, rng.integers(ncols)] = 0
+        if nrows > 2:
+            mat[-1] = F.vadd(mat[0], F.vmul(int(rng.integers(q)), mat[1]))
+        cases.append(mat.tolist())
     for rows in cases:
         red, pivots = linalg.rref(F, rows)
         assert red.dtype == np.int64

@@ -434,13 +434,13 @@ def test_dual_route_builds_the_parity_check_once(monkeypatch):
     # duals: the walk and the witness membership check of prm(2,2,2) read
     # one H
     calls = []
-    real = oracle.parity_check
+    real = codes.parity_check
 
     def counting(g):
         calls.append((g.family, g.order))
         return real(g)
 
-    monkeypatch.setattr(oracle, "parity_check", counting)
+    monkeypatch.setattr(codes, "parity_check", counting)
     rep = run_verify(SweepConfig(qs=(2,), m_lo=2, m_hi=2, d_lo=2, d_hi=2, guard=8))
     assert rep.ok and rep.counts()["SKIPPED"] == 0
     assert calls == [("prm", 2), ("rm", 1), ("rm", 2)]
@@ -471,8 +471,8 @@ def test_witness_set_fails_on_a_wrong_oracle_count(monkeypatch, guard, delta):
     # right, so the row gives the two sizes and names no word
     real = oracle.distribution
 
-    def miscounted(g, guard, h=None):
-        dist = real(g, guard, h)
+    def miscounted(g, guard):
+        dist = real(g, guard)
         counts = dict(dist.counts)
         counts[dist.dmin] += delta
         return replace(dist, counts=counts)
@@ -500,7 +500,7 @@ def test_a_pass_sweep_does_no_work_twice(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(oracle, "parity_check", counting("parity_check", oracle.parity_check))
+    monkeypatch.setattr(codes, "parity_check", counting("parity_check", codes.parity_check))
     monkeypatch.setattr(linalg, "rank", counting("rank", linalg.rank))
     monkeypatch.setattr(oracle, "brute_min_weight_words",
                         counting("brute_min_weight_words", oracle.brute_min_weight_words))
