@@ -182,11 +182,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genmat(args) -> int:
-    F = GF.from_q(args.q)
-    if args.family == "prm":
-        g = codes.prm_generator_matrix(F, args.order, args.m)
-    else:
-        g = codes.rm_generator_matrix(F, args.order, args.m)
+    g = codes.generator_matrix(args.family, GF.from_q(args.q), args.order, args.m)
     if args.format == "csv":
         _emit(codes.matrix_csv(g), args.out)
     else:
@@ -246,11 +242,7 @@ def cmd_check_fibers(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    F = GF.from_q(args.q)
-    if args.family == "prm":
-        g = codes.prm_generator_matrix(F, args.order, args.m)
-    else:
-        g = codes.rm_generator_matrix(F, args.order, args.m)
+    g = codes.generator_matrix(args.family, GF.from_q(args.q), args.order, args.m)
     dist = oracle.distribution(g, args.guard)
     _emit(json.dumps(dist.as_dict(), indent=2) + "\n", args.out)
     return 0

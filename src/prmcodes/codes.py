@@ -171,6 +171,17 @@ def prm_generator_matrix(field: GF, d: int, m: int) -> GeneratorMatrix:
     return GeneratorMatrix("prm", field, d, m, pts, basis, rows)
 
 
+def generator_matrix(family: str, field: GF, order: int, m: int) -> GeneratorMatrix:
+    """`rm_generator_matrix` or `prm_generator_matrix` by family name; a
+    ValueError for any other name.  The builder is read from the module at
+    call time, so a wrapper set on either one sees every build."""
+    if family == "rm":
+        return rm_generator_matrix(field, order, m)
+    if family == "prm":
+        return prm_generator_matrix(field, order, m)
+    raise ValueError(f"unknown code family {family!r}: expected 'rm' or 'prm'")
+
+
 def _affine_parity_rows(g: GeneratorMatrix) -> np.ndarray:
     """The rows of H for an affine code, with no elimination of G.  Its
     evaluation map V[b, x] = x^b over all exponent vectors b in

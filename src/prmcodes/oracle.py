@@ -97,10 +97,6 @@ _CHUNK_WORDS = 1 << 16
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    family: str
-    q: int
-    order: int
-    m: int
     counts: dict[int, int]      # weight -> number of codewords
     total: int                  # q^k
 
@@ -268,7 +264,7 @@ def weight_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> Weight
     total = int(hist.sum())        # the sum over chunks of multiplier * P * R
     _check_coverage(g, total)
     counts = {w: int(c) for w, c in enumerate(hist) if c}
-    return WeightDistribution(g.family, g.field.q, g.order, g.m, counts, total)
+    return WeightDistribution(counts, total)
 
 
 def route(q: int, k: int, n: int, guard: int) -> str:
@@ -317,7 +313,7 @@ def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightD
     total = sum(counts.values())
     if total != q ** g.k:
         raise RuntimeError(f"MacWilliams transform gives {total} codewords, not {q}^{g.k}")
-    return WeightDistribution(g.family, q, g.order, g.m, counts, total)
+    return WeightDistribution(counts, total)
 
 
 def distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:

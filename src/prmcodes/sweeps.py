@@ -223,8 +223,7 @@ class Code:
         n, limit = p_k(self.q, self.m), self.cfg.rank_len_guard
         if self.family == "prm" and n > limit:
             raise GuardExceeded("rank", f"length {n}", limit)
-        build = getattr(codes, f"{self.family}_generator_matrix")
-        return build(self.field, self.order, self.m)
+        return codes.generator_matrix(self.family, self.field, self.order, self.m)
 
     @cached_property
     def route(self) -> str:

@@ -334,6 +334,13 @@ def test_table_csv_with_rank_column(capsys):
     assert lines[1] == "2,2,1,7,3,3,3,3,4,7,3,True"
 
 
+def test_table_with_rank_matches_golden(capsys):
+    # q <= 9 and m <= 4 over every order, with the rank of G: 338 rows
+    code, out, _ = run(capsys, "table", "--q", "2,3,4,5,7,8,9", "--m", "1:4", "--with-rank")
+    assert code == 0
+    assert out == (Path(__file__).with_name("golden") / "dimension_table.csv").read_text()
+
+
 def test_table_with_rank_names_the_rank_guard(capsys):
     code, out, _ = run(capsys, "table", "--q", "2", "--m", "9", "--d", "1:2", "--with-rank")
     assert code == 0

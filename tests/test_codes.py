@@ -239,6 +239,23 @@ def test_prm_generator_examples():
         prm_generator_matrix(F2, 1, 0)
 
 
+def test_generator_matrix_dispatches_on_family(monkeypatch):
+    for family, build in (("rm", rm_generator_matrix), ("prm", prm_generator_matrix)):
+        for F in (F2, F3, F4):
+            g, want = codes.generator_matrix(family, F, 2, 2), build(F, 2, 2)
+            assert (g.family, g.order, g.m, g.basis) == (family, 2, 2, want.basis)
+            assert np.array_equal(g.points, want.points)
+            assert np.array_equal(g.rows, want.rows)
+    with pytest.raises(ValueError, match=r"^unknown code family 'xyz': expected 'rm' or 'prm'$"):
+        codes.generator_matrix("xyz", F2, 1, 2)
+    # the builder is read at call time, so a wrapper set on it sees the build
+    built = []
+    monkeypatch.setattr(codes, "prm_generator_matrix",
+                        lambda *args: built.append(args) or prm_generator_matrix(*args))
+    codes.generator_matrix("prm", F3, 2, 2)
+    assert built == [(F3, 2, 2)]
+
+
 def test_nondegenerate_columns():
     # every column of every generator matrix is nonzero
     for F in (F2, F3, F4):
