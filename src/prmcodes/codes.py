@@ -68,8 +68,8 @@ def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> np.ndarray
     coordinate: the representatives of P^i are (0, r) for every
     representative r of P^(i-1), then (1, 0, ..., 0), then (a, r) for
     a = 1 .. q - 1 and every r."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     q, n = field.q, p_k(field.q, m)
     if n > guard:
         raise GuardExceeded("point", f"{n} projective points", guard)

@@ -14,15 +14,6 @@ constructs and validates witnesses, enumerates the full witness codeword
 set at desk scale, and runs the two incidence-counting consistency checks
 that the s = 0 and s != 0 counting arguments rest on.
 
-The form-value table is one (q^(m+1), npts) numpy array indexed by form:
-row i holds the values over the point array of the form whose coefficients
-are the base-q digits of i (`product` order).  So a form is a row index,
-and a subspace is described by the forms that vanish on it.  A canonical
-RREF basis W is t table rows, and `_subspaces` walks the bases one pivot
-set at a time: it reads E = V(W), the zeros of W, as a boolean mask over
-the points, and takes the forms modulo W from the nonzero forms that
-vanish on W's pivot columns, one mask over the rows for each pivot set.
-
 The witness enumeration and both incidence checks share one class walk
 and one class count (`_class_words`).  Every minimum-weight word is a
 class word L_t [V(W)] prod_{w in S} (L_{t+1} - w L_t), and both counting
@@ -35,6 +26,15 @@ before any table is built and refused as `<check> guard: N classes >
 limit`.  The witness set is the class words and their scalar multiples,
 deduplicated by `codes.distinct_words`, and the fiber and tau checks
 count the packed supports of the class words, sorted in place.
+
+The class walk is two walks.  `_flats` walks the canonical RREF bases W
+of the t-dimensional spans of forms, one pivot set at a time, and gives
+the points of each flat E = V(W), a copy of P^(m-t): the point x of E is
+fixed by its free coordinates, a point of P^(m-t).  A form modulo W is a
+form in those coordinates, so the class words on E are the t = 0 class
+words of P^(m-t) (`_flat_words`), read from one form-value table over
+P^(m-t), whose row i holds the form with the base-q digits of i as
+coefficients (`product` order).  They are made once and placed on each E.
 """
 
 from __future__ import annotations
@@ -248,50 +248,35 @@ def count_report(
 # -- the class walk ---------------------------------------------------------------
 
 
-def _form_values(field: GF, m: int, pts: np.ndarray) -> np.ndarray:
-    """The (q^(m+1), npts) value table of every form over the (npts, m + 1)
-    point array, forms in `product` order, in the smallest unsigned dtype
-    that holds a symbol."""
+def _form_values(field: GF, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (len(coeffs), npts) values over the point array, one point a
+    row, of the forms whose coefficients are the rows of coeffs, in the
+    smallest unsigned dtype that holds a symbol."""
+    return linalg.mat_mul(field, coeffs, pts.T).astype(np.min_scalar_type(field.q - 1))
+
+
+def _flats(field: GF, m: int, t: int):
+    """The flats E = V(W) of P^m, one per canonical RREF basis W of a
+    t-dimensional span of forms, in order: a pivot set at a time, then the
+    digit fills of its rows' free cells in `product` order.  A flat is the
+    P^m indices of its points, the i-th the x with x_F = y_i and
+    x_P = -W_F y_i, for y_i the i-th point of P^(m-t) and F the columns
+    that are not pivots; x is standard when y_i is, since x_p reads only
+    the free coordinates after p.  An index is where the base-q code of x
+    falls in the ascending codes of P^m."""
     q = field.q
-    return linalg.mat_mul(field, digits(q, m + 1), pts.T).astype(np.min_scalar_type(q - 1))
-
-
-def _subspaces(field: GF, m: int, t: int):
-    """(vals, coeffs, walk): the form-value table over the projective
-    points, the (q^(m+1), m + 1) digit table of the forms, and a walk over
-    the canonical RREF bases W of every t-dimensional span of forms.  For
-    each W the walk yields the mask of the points of E = V(W), where every
-    form of W vanishes, and the mask of the nonzero forms that vanish on
-    W's pivot columns: one representative of each nonzero coset modulo W.
-
-    A basis is t table rows.  The walk goes one pivot set at a time: row r
-    is 1 at pivot r and free at the later columns that are not pivots, so
-    the (nW, t) rows of the set are the pivot rows plus every digit fill
-    of the free cells, in `product` order.  The coset mask depends only on
-    the pivots and is built once per set."""
-    q = field.q
-    vals = _form_values(field, m, projective_points(field, m))
-    coeffs = digits(q, m + 1)
-    nonzero = coeffs.any(axis=1)
-
-    def walk():
-        for pivots in combinations(range(m + 1), t):
-            free = [(r, c) for r in range(t) for c in range(pivots[r] + 1, m + 1)
-                    if c not in pivots]
-            place = np.zeros((len(free), t), dtype=np.int64)
-            for i, (r, c) in enumerate(free):
-                place[i, r] = q ** (m - c)
-            rows = q ** (m - np.array(pivots, dtype=np.int64)) + digits(q, len(free)) @ place
-            comp = nonzero & ~coeffs[:, list(pivots)].any(axis=1)
-            for zeros in ~vals[rows].any(axis=1):
-                yield zeros, comp
-
-    return vals, coeffs, walk()
-
-
-def _inverses(field: GF) -> np.ndarray:
-    """inv[a] = 1/a for a != 0, and inv[0] = 0."""
-    return np.array([0] + [field.inv(a) for a in range(1, field.q)], dtype=np.int64)
+    ys = projective_points(field, m - t)
+    place = q ** np.arange(m, -1, -1)
+    codes = projective_points(field, m) @ place
+    neg = np.array([field.neg(a) for a in range(q)])
+    for pivots in combinations(range(m + 1), t):
+        free = [c for c in range(m + 1) if c not in pivots]
+        cells = [(r, j) for r in range(t) for j, c in enumerate(free) if c > pivots[r]]
+        fills = digits(q, len(cells))
+        wf = np.zeros((len(fills), t, len(free)), dtype=np.int64)     # -W_F of every fill
+        wf[:, [r for r, _ in cells], [j for _, j in cells]] = neg[fills]
+        xp = linalg.mat_mul(field, wf.reshape(-1, len(free)), ys.T).reshape(len(fills), t, len(ys))
+        yield from np.searchsorted(codes, ys @ place[free] + place[list(pivots)] @ xp)
 
 
 def _leading_one(q: int, m: int) -> np.ndarray:
@@ -312,15 +297,17 @@ def _class_words(field: GF, d: int, m: int, guard: int, name: str):
     L_0..L_{t-1}.  It depends only on W, on L_t and L_{t+1} modulo W, and
     on the scalar set S, and the translate (L_t, L_{t+1} + a L_t, S + a)
     gives the same word.  A class is one W (a canonical RREF basis), one
-    L_t up to a scalar (a form vanishing on W's pivot columns, one per
-    nonzero coset, whose first nonzero coefficient is 1), and for s != 0
-    one L_{t+1} per nonzero coset of <W, L_t> (the one that also vanishes
-    at L_t's leading 1) and one S.  So the walk visits _class_count
-    classes, and that one count is the guard `name`, checked when the walk
-    is made, before any table is built.
+    L_t up to a scalar, and for s != 0 one L_{t+1} modulo <W, L_t> and one
+    S.  Modulo W a form is a form in W's free coordinates, the coordinates
+    of E = V(W) as a copy of P^(m-t): L_t is one with first nonzero
+    coefficient 1, L_{t+1} one per nonzero coset of <L_t> (the one that
+    vanishes at L_t's leading 1).  So the walk visits _class_count classes,
+    and that one count is the guard `name`, checked when the walk is made,
+    before any table is built.
 
-    For s = 0 it yields one block per W, the words L_t [V(W)].  For s != 0
-    it yields one block per (W, L_t): the words of every L_{t+1} and S,
+    The words on each E are the t = 0 words of P^(m-t), made once.  For
+    s = 0 it yields one block per W, the words L_t [V(W)].  For s != 0 it
+    yields one block per (W, L_t): the words of every L_{t+1} and S,
     read from one symbol table.  Where L_t = v and L_{t+1} = r v the word
     is v^(s+1) prod_{w in S} (r - w) = symbols[S, v, r], which is 0 at
     v = 0; for v != 0 it is nonzero exactly when r is not in S, so a
@@ -342,35 +329,46 @@ def _class_count(q: int, d: int, m: int) -> int:
 
 
 def _class_blocks(field: GF, d: int, m: int):
-    """The blocks of rows of _class_words, past its guard."""
+    """The blocks of rows of _class_words, past its guard: the words of
+    P^(m-t) placed on each flat, the zero vector's column off the flat."""
     q = field.q
     ts = ts_decompose(d, q, "prm", m)
     t, s = ts.t, ts.s
-    vals, coeffs, walk = _subspaces(field, m, t)
-    leading_one = _leading_one(q, m)
+    # made once for every flat; at t = 0 the one flat is P^m, and they stream
+    words = list(_flat_words(field, m - t, s)) if t else None
+    npts = p_k(q, m - t)
+    for on_e in _flats(field, m, t):
+        pos = np.full(p_k(q, m), npts)
+        pos[on_e] = np.arange(npts)
+        for block in words if t else _flat_words(field, m, s):
+            yield block.take(pos, axis=1)
+
+
+def _flat_words(field: GF, k: int, s: int):
+    """The t = 0 class words of order s + 1 on P^k, over its points and the
+    zero vector, where every word is 0: one block of the words L_t for
+    s = 0, else one block per L_t, of its L_{t+1} and S."""
+    q = field.q
+    coeffs = digits(q, k + 1)
+    pts = np.vstack([projective_points(field, k), np.zeros((1, k + 1), dtype=np.int64)])
+    vals = _form_values(field, coeffs, pts)
+    leading = np.flatnonzero(_leading_one(q, k))
     if not s:
-        for zeros, comp in walk:
-            yield vals[comp & leading_one] * zeros
+        yield vals[leading]
         return
-    elements = np.arange(q)
     lead = np.array([field.pow(v, s + 1) for v in range(q)])
     symbols = np.empty((binomial(q, s), q, q), dtype=vals.dtype)
-    for k, sset in enumerate(combinations(range(q), s)):
+    for j, sset in enumerate(combinations(range(q), s)):
         prod = np.ones(q, dtype=np.int64)
         for w in sset:
-            prod = field.vmul(prod, field.vadd(elements, field.neg(w)))
-        symbols[k] = field.vmul(lead[:, None], prod)
-    inv = _inverses(field)
-    npts = vals.shape[1]
-    for zeros, comp in walk:
-        epts = np.flatnonzero(zeros)
-        on_e = vals[:, epts]
-        for lt in np.flatnonzero(comp & leading_one):
-            cosets = comp & (coeffs[:, np.flatnonzero(coeffs[lt])[0]] == 0)
-            ratios = field.vmul(on_e[cosets], inv[on_e[lt]])
-            block = np.zeros((len(symbols), len(ratios), npts), dtype=vals.dtype)
-            block[..., epts] = symbols[:, on_e[lt], ratios]
-            yield block.reshape(-1, npts)
+            prod = field.vmul(prod, field.vadd(np.arange(q), field.neg(w)))
+        symbols[j] = field.vmul(lead[:, None], prod)
+    inv = np.array([0] + [field.inv(a) for a in range(1, q)])      # 1/0 read as 0
+    nonzero = coeffs.any(axis=1)
+    for lt in leading:
+        cosets = nonzero & (coeffs[:, np.flatnonzero(coeffs[lt])[0]] == 0)
+        ratios = field.vmul(vals[cosets], inv[vals[lt]])
+        yield symbols[:, vals[lt], ratios].reshape(-1, len(pts))
 
 
 # -- witness enumeration ----------------------------------------------------------

@@ -44,7 +44,8 @@ the first route of three that fits the guard (`route` decides).
    `g.h` (built and checked in `codes`, from linear algebra on G alone),
    is walked, and the MacWilliams identity (MacWilliams & Sloane, ch. 5)
    turns its distribution B into C's: A_i = q^-(n-k) sum_j B_j K_i(j),
-   with the Krawtchouk numbers K_i(j), in integers.  The route raises,
+   with the Krawtchouk numbers K_i(j), in integers, walked up i by their
+   recurrence for each weight j of the dual.  The route raises,
    under python -O too, unless every division is exact and the counts
    add up to q^k.
    `weight_distribution` stays the primal walk and the reference in
@@ -79,7 +80,6 @@ information-set route keeps those words itself, by the same scan.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -278,20 +278,17 @@ def route(q: int, k: int, n: int, guard: int) -> str:
     return "primal" if k <= n - k else "dual"
 
 
-@functools.cache
-def _krawtchouk(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """table[j][i] = K_i(j), the coefficient of z^i in
-    (1 + (q-1) z)^(n-j) (1 - z)^j: column 0 is C(n, i) (q-1)^i, and each
-    next column follows from (1 + (q-1) z) P_(j+1) = (1 - z) P_j."""
-    col = [comb(n, i) * (q - 1) ** i for i in range(n + 1)]
-    table = [tuple(col)]
-    for _ in range(n):
-        nxt = [1]
-        for i in range(1, n + 1):
-            nxt.append(col[i] - col[i - 1] - (q - 1) * nxt[i - 1])
-        col = nxt
-        table.append(tuple(col))
-    return tuple(table)
+def _krawtchouk(n: int, q: int, j: int):
+    """Column j of the Krawtchouk numbers, K_0(j) .. K_n(j) in turn: the
+    coefficients of (1 + (q-1) z)^(n-j) (1 - z)^j, by the three-term
+    recurrence in i (MacWilliams & Sloane, ch. 5) from K_-1 = 0, K_0 = 1:
+    (i+1) K_(i+1) = ((q-1)(n-i) + i - q j) K_i - (q-1)(n-i+1) K_(i-1),
+    the division exact."""
+    prev, cur = 0, 1
+    for i in range(n + 1):
+        yield cur
+        prev, cur = cur, (((q - 1) * (n - i) + i - q * j) * cur
+                          - (q - 1) * (n - i + 1) * prev) // (i + 1)
 
 
 def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightDistribution:
@@ -301,10 +298,9 @@ def _dual_distribution(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> WeightD
     q^k."""
     q, n = g.field.q, g.n
     dual = weight_distribution(replace(g, basis=(), rows=g.h), guard)
-    table = _krawtchouk(n, q)
     counts = {}
-    for i in range(n + 1):
-        num = sum(b * table[j][i] for j, b in dual.counts.items())
+    for i, ks in enumerate(zip(*[_krawtchouk(n, q, j) for j in dual.counts])):
+        num = sum(b * k for b, k in zip(dual.counts.values(), ks))
         a, rem = divmod(num, dual.total)
         if rem or a < 0:
             raise RuntimeError(f"MacWilliams transform: A_{i} = {num}/{dual.total} is not a count")

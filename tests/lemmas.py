@@ -2,13 +2,19 @@
 
 The standard representative of a projective point, the support of a word,
 a word array as a set, the coordinate witness polynomial, the zero-set
-bound, the bounded compositions and the canonical RREF bases as tuples:
-the tests check the library against them, and nothing in the library
-calls them.  Not collected: the file name has no test_ prefix.
+bound, the bounded compositions, the canonical RREF bases as tuples, the
+form-value table, the class walk over the form table of all of P^m and
+the full Krawtchouk table: the tests check the library against them, and
+nothing in the library calls them.  Not collected: the file name has no
+test_ prefix.
 """
 
 from itertools import combinations, product
+from math import comb
 
+import numpy as np
+
+from prmcodes.codes import digits, projective_points
 from prmcodes.combinat import binomial, p_k
 from prmcodes.gf import GF
 from prmcodes.minwt import _check_omegas, ts_decompose
@@ -104,3 +110,93 @@ def rref_bases(field: GF, ambient: int, k: int):
             for (r, c), v in zip(free, fill):
                 rows[r][c] = v
             yield tuple(tuple(r) for r in rows)
+
+
+def form_values(field: GF, m: int, pts) -> np.ndarray:
+    """The (q^(m+1), npts) int64 values of every form over the point array,
+    forms in `product` order, added up one coordinate at a time."""
+    q = field.q
+    points = np.array(pts, dtype=np.int64).reshape(len(pts), m + 1)
+    scalars = np.arange(q)[:, None]
+    vals = np.zeros((1, len(pts)), dtype=np.int64)
+    for j in reversed(range(m + 1)):
+        terms = field.vmul(scalars, points[:, j])
+        vals = field.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, len(pts))
+    return vals
+
+
+def subspace_walk(field: GF, m: int, t: int):
+    """(vals, coeffs, walk): the form-value table over all of P^m, in the
+    smallest unsigned dtype that holds a symbol, the digit table of the
+    forms, and for each canonical RREF basis W, in order, the mask of the
+    points of E = V(W) and the mask of the nonzero forms that vanish on
+    W's pivot columns, one per nonzero coset modulo W.  A basis is t table
+    rows: the pivot rows plus every digit fill of the free cells."""
+    q = field.q
+    vals = form_values(field, m, projective_points(field, m)).astype(np.min_scalar_type(q - 1))
+    coeffs = digits(q, m + 1)
+    nonzero = coeffs.any(axis=1)
+
+    def walk():
+        for pivots in combinations(range(m + 1), t):
+            free = [(r, c) for r in range(t) for c in range(pivots[r] + 1, m + 1)
+                    if c not in pivots]
+            place = np.zeros((len(free), t), dtype=np.int64)
+            for i, (r, c) in enumerate(free):
+                place[i, r] = q ** (m - c)
+            rows = q ** (m - np.array(pivots, dtype=np.int64)) + digits(q, len(free)) @ place
+            comp = nonzero & ~coeffs[:, list(pivots)].any(axis=1)
+            for zeros in ~vals[rows].any(axis=1):
+                yield zeros, comp
+
+    return vals, coeffs, walk()
+
+
+def class_blocks(field: GF, d: int, m: int):
+    """The class words of prm(q, d, m) in the blocks and order of
+    minwt._class_words, each E read as a mask over the form table of all
+    of P^m: for s = 0 one block per W, the words L_t [V(W)]; for s != 0
+    one per (W, L_t), the word v^(s+1) prod_{w in S} (r - w) at every
+    point of E with L_t = v and L_{t+1} = r v."""
+    q = field.q
+    t, s = divmod(d - 1, q - 1)
+    vals, coeffs, walk = subspace_walk(field, m, t)
+    leading = np.array([next((x for x in c if x), 0) == 1 for c in coeffs.tolist()])
+    if not s:
+        for zeros, comp in walk:
+            yield vals[comp & leading] * zeros
+        return
+    elements = np.arange(q)
+    lead = np.array([field.pow(v, s + 1) for v in range(q)])
+    symbols = np.empty((binomial(q, s), q, q), dtype=vals.dtype)
+    for k, sset in enumerate(combinations(range(q), s)):
+        prod = np.ones(q, dtype=np.int64)
+        for w in sset:
+            prod = field.vmul(prod, field.vadd(elements, field.neg(w)))
+        symbols[k] = field.vmul(lead[:, None], prod)
+    inv = np.array([0] + [field.inv(a) for a in range(1, q)])
+    npts = vals.shape[1]
+    for zeros, comp in walk:
+        epts = np.flatnonzero(zeros)
+        on_e = vals[:, epts]
+        for lt in np.flatnonzero(comp & leading):
+            cosets = comp & (coeffs[:, np.flatnonzero(coeffs[lt])[0]] == 0)
+            ratios = field.vmul(on_e[cosets], inv[on_e[lt]])
+            block = np.zeros((len(symbols), len(ratios), npts), dtype=vals.dtype)
+            block[..., epts] = symbols[:, on_e[lt], ratios]
+            yield block.reshape(-1, npts)
+
+
+def krawtchouk_table(n: int, q: int) -> list[list[int]]:
+    """table[j][i] = K_i(j), the coefficient of z^i in
+    (1 + (q-1) z)^(n-j) (1 - z)^j: column 0 is C(n, i) (q-1)^i, and each
+    next column follows from (1 + (q-1) z) P_(j+1) = (1 - z) P_j."""
+    col = [comb(n, i) * (q - 1) ** i for i in range(n + 1)]
+    table = [col]
+    for _ in range(n):
+        nxt = [1]
+        for i in range(1, n + 1):
+            nxt.append(col[i] - col[i - 1] - (q - 1) * nxt[i - 1])
+        col = nxt
+        table.append(col)
+    return table

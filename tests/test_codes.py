@@ -103,6 +103,11 @@ def test_projective_points_small():
     assert pts == ((0, 1), (1, 0), (1, 1))
     assert len(projective_points(F3, 2)) == 13
     assert len(projective_points(F2, 2)) == 7
+    # P^0 is one point, the flat of a class walk at t = m
+    for F in (F2, F3, F4):
+        assert projective_points(F, 0).tolist() == [[1]]
+    with pytest.raises(ValueError, match=r"^m must be nonnegative$"):
+        projective_points(F2, -1)
 
 
 def filtered_projective_points(field: GF, m: int) -> tuple:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -22,8 +23,6 @@ from prmcodes.minwt import (
     TauReport,
     TSDecomp,
     _form_values,
-    _inverses,
-    _subspaces,
     count_report,
     enumerate_witness_codewords,
     prm_min_distance,
@@ -43,6 +42,8 @@ from prmcodes.poly import Poly, reduced_monomials_projective
 
 from lemmas import (
     canonical_min_poly,
+    class_blocks,
+    form_values,
     max_zero_bound,
     normalize_point,
     rref_bases,
@@ -406,7 +407,7 @@ def scalar_form_values(F, m, pts, forms):
 def test_form_values_equal_scalar(q, m):
     F = GF.from_q(q)
     pts = projective_points(F, m)
-    vals = _form_values(F, m, pts)
+    vals = _form_values(F, digits(q, m + 1), pts)
     forms = list(product(range(q), repeat=m + 1))
     assert vals.shape == (len(forms), len(pts))
     assert vals.dtype == np.min_scalar_type(q - 1)
@@ -429,15 +430,8 @@ def test_form_values_equal_scalar(q, m):
 def dict_form_values(F, m, pts):
     """Value tuple over the point list for every coefficient tuple, keys in
     `product` order, from one int64 evaluation of all forms."""
-    q = F.q
-    coeffs = list(product(range(q), repeat=m + 1))
-    points = np.array(pts, dtype=np.int64).reshape(len(pts), m + 1)
-    scalars = np.arange(q)[:, None]
-    vals = np.zeros((1, len(pts)), dtype=np.int64)
-    for j in reversed(range(m + 1)):
-        terms = F.vmul(scalars, points[:, j])
-        vals = F.vadd(terms[:, None, :], vals[None, :, :]).reshape(-1, len(pts))
-    return {c: tuple(row.tolist()) for c, row in zip(coeffs, vals)}
+    coeffs = product(range(F.q), repeat=m + 1)
+    return {c: tuple(row) for c, row in zip(coeffs, form_values(F, m, pts).tolist())}
 
 
 def dict_zeros(vals, basis, npts):
@@ -455,18 +449,46 @@ WALK_CASES = [(2, 1), (2, 3), (2, 4), (3, 2), (4, 2)]
 @pytest.mark.parametrize("q,m", WALK_CASES, ids=[f"q{q}-m{m}" for q, m in WALK_CASES])
 def test_subspace_walk_equals_scalar_masks_in_rref_order(q, m):
     # the tau check reports the first wrong support size in walk order, so
-    # the walk must yield the masks of the canonical RREF bases in order
+    # the flats must come in the order of the canonical RREF bases; the
+    # i-th point of a flat is the one whose coordinates off W's pivots are
+    # the i-th point of P^(m-t), so each E is a copy of P^(m-t)
     F = GF.from_q(q)
     pts = projective_points(F, m)
     vals = dict_form_values(F, m, pts)
-    for t in range(m + 2):
-        walk = [(zeros.tolist(), comp.tolist()) for zeros, comp in _subspaces(F, m, t)[2]]
-        expected = []
-        for basis in rref_bases(F, m + 1, t):
-            zeros = dict_zeros(vals, basis, len(pts))
-            cosets = set(dict_cosets(vals, basis))
-            expected.append(([i in zeros for i in range(len(pts))], [c in cosets for c in vals]))
-        assert walk == expected, t
+    for t in range(m + 1):
+        flats = list(minwt._flats(F, m, t))
+        bases = list(rref_bases(F, m + 1, t))
+        assert len(flats) == len(bases), t
+        for on_e, basis in zip(flats, bases):
+            assert set(on_e.tolist()) == dict_zeros(vals, basis, len(pts)), (t, basis)
+            pivots = {row.index(1) for row in basis}
+            free = [c for c in range(m + 1) if c not in pivots]
+            assert pts[on_e][:, free].tolist() == projective_points(F, m - t).tolist()
+
+
+# at most 5 * 10^4 classes on each of q = 2 to m = 6, q = 3 to m = 4,
+# q = 4 to m = 3 and q = 5, 7, 8, 9 to m = 2, every t and s among them
+CLASS_CASES = [
+    (q, d, m)
+    for q, mmax in [(2, 6), (3, 4), (4, 3), (5, 2), (7, 2), (8, 2), (9, 2)]
+    for m in range(1, mmax + 1)
+    for d in range(1, m * (q - 1) + 2)
+    if minwt._class_count(q, d, m) <= 5 * 10 ** 4
+]
+
+
+@pytest.mark.parametrize(
+    "q,d,m", CLASS_CASES, ids=[f"q{q}-d{d}-m{m}" for q, d, m in CLASS_CASES]
+)
+def test_class_words_equal_the_subspace_walk(q, d, m):
+    # the words of P^(m-t) placed on each flat are the words read off the
+    # form table of all of P^m, block for block, in walk order and dtype
+    F = GF.from_q(q)
+    got = list(minwt._class_words(F, d, m, WITNESS_GUARD, "witness"))
+    want = list(class_blocks(F, d, m))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def scalar_witness_codewords(F, d, m):
@@ -618,6 +640,20 @@ def test_tau_check_frozen_values():
     assert rep.ok
     rep3 = tau_bijection_check(F3, 3, 2)
     assert rep3.pair_count == 52 and rep3.implied_count == 104 and rep3.ok
+
+
+def test_tau_check_allocates_no_table_over_all_forms():
+    # prm(2,12,11), t = m = 11: 4095 flats, each one point.  A table of the
+    # 4096 forms at the 4095 points of P^11 alone takes 128 MiB in int64;
+    # the walk reads the forms of P^0 and the packed supports take 1 MiB
+    tracemalloc.start()
+    try:
+        rep = tau_bijection_check(F2, 12, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak <= 16 * 2 ** 20
 
 
 def test_tau_check_rejects_wrong_shape():
@@ -826,20 +862,23 @@ def test_fiber_check_equals_scalar_reference(q, d, m):
 
 
 def exhaustive_fiber_check(F, d, m):
-    """The array fiber check over every form pair: L_t and L_{t+1} run over
-    all q^(m+1) rows of the form-value table on each E, one tuple each."""
+    """The fiber check over every form pair, in arrays: L_t and L_{t+1} run
+    over all q^(m+1) rows of the test-side form table on each E, the zeros
+    of the forms of a canonical RREF basis W, one tuple each."""
     q = F.q
     t, s = divmod(d - 1, q - 1)
-    vals, _, walk = _subspaces(F, m, t)
-    npts = vals.shape[1]
-    inv = _inverses(F)
+    pts = projective_points(F, m)
+    npts = len(pts)
+    vals = form_values(F, m, pts)
+    by_form = dict_form_values(F, m, pts)
+    inv = np.array([0] + [F.inv(a) for a in range(1, q)])
     outside = np.ones((binomial(q, s), q), dtype=bool)
     for k, sset in enumerate(combinations(range(q), s)):
         outside[k, list(sset)] = False
     fibers = Counter()
     j_size = 0
-    for zeros, _ in walk:
-        epts = np.flatnonzero(zeros)
+    for basis in rref_bases(F, m + 1, t):
+        epts = np.array(sorted(dict_zeros(by_form, basis, npts)))
         on_e = vals[:, epts]
         for vt in on_e:
             on = vt != 0
@@ -905,11 +944,11 @@ def test_guard_counts_classes(monkeypatch, name, check, q, d, m):
     assert sum(map(len, minwt._class_words(F, d, m, need, name))) == need
     check(F, d, m, guard=need)
     built = []
-    real = minwt._subspaces
-    monkeypatch.setattr(minwt, "_subspaces", lambda *a: built.append(a) or real(*a))
+    real = minwt._form_values
+    monkeypatch.setattr(minwt, "_form_values", lambda *a: built.append(a) or real(*a))
     with pytest.raises(GuardExceeded, match=rf"^{name} guard: {need} classes > {need - 1}$"):
         check(F, d, m, guard=need - 1)
-    assert built == []                 # refused before the table is built
+    assert built == []                 # refused before the form table is built
 
 
 def scalar_tau_check(F, d, m):

@@ -19,7 +19,7 @@ from prmcodes.oracle import (
     weight_distribution,
 )
 
-from lemmas import word_set
+from lemmas import krawtchouk_table, word_set
 
 F2, F3, F4 = GF(2), GF(3), GF(2, 2)
 
@@ -440,13 +440,21 @@ def test_dual_route_equals_primal_walk():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_krawtchouk_table_equals_the_sum(q):
+    # the full table is the reference of the columns the dual route reads
     for n in (0, 1, 7, 13):
-        table = oracle._krawtchouk(n, q)
+        table = krawtchouk_table(n, q)
         for j in range(n + 1):
             for i in range(n + 1):
                 want = sum((-1) ** l * (q - 1) ** (i - l) * comb(j, l) * comb(n - j, i - l)
                            for l in range(i + 1))
                 assert table[j][i] == want, (n, q, i, j)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_krawtchouk_columns_equal_the_table(q):
+    for n in range(65):
+        table = krawtchouk_table(n, q)
+        assert [list(oracle._krawtchouk(n, q, j)) for j in range(n + 1)] == table, n
 
 
 def test_parity_check_spans_the_dual():
@@ -577,10 +585,9 @@ def test_wrong_krawtchouk_entry_raises(monkeypatch, j, i):
     # by one in column 0 or 27 breaks a division or the total
     real = oracle._krawtchouk
 
-    def wrong(n, q):
-        table = [list(col) for col in real(n, q)]
-        table[j][i] += 1
-        return table
+    def wrong(n, q, col):
+        for row, k in enumerate(real(n, q, col)):
+            yield k + (col == j and row == i)
 
     monkeypatch.setattr(oracle, "_krawtchouk", wrong)
     with pytest.raises(RuntimeError, match="MacWilliams transform"):

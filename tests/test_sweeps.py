@@ -258,14 +258,14 @@ def test_affine_codes_over_both_walks_are_refused_before_g_is_built(monkeypatch)
 
 
 def test_incidence_rows_fail_when_a_subspace_is_dropped(monkeypatch):
-    real = minwt._subspaces
+    real = minwt._flats
 
     def dropped(field, m, t):
-        vals, coeffs, walk = real(field, m, t)
-        next(walk)
-        return vals, coeffs, walk
+        flats = real(field, m, t)
+        next(flats)
+        return flats
 
-    monkeypatch.setattr(minwt, "_subspaces", dropped)
+    monkeypatch.setattr(minwt, "_flats", dropped)
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     rows = {(r.d, r.check): r for r in rep.results if r.check in ("fibers", "tau")}
     assert {key: r.status for key, r in rows.items()} == {
@@ -325,19 +325,23 @@ def test_fiber_rows_fail_on_a_wrong_class_weight(monkeypatch):
 
 def test_fiber_rows_fail_when_two_translates_are_walked(monkeypatch):
     # over GF(3), m = 2 the coefficient table that the L_{t+1} range reads
-    # gives X0 + X1 (table row 12) no X1, so for each L_t = X1 + c X2 it
-    # passes the range beside X0 - c X2, of which it is the translate by
-    # L_t.  Those classes are walked twice and |J| overshoots; the walk
-    # masks are real, so the witness sets and the tau rows still PASS.
-    real = minwt._subspaces
+    # gives X0 + X1 on P^2 (table row 12) and Y0 + Y1 on P^1 (row 4) no
+    # coefficient at column 1, while their values stay true.  So for each
+    # L_t = X1 + c X2 on P^2 (t = 0), and L_t = Y1 on P^1 (t = 1), that form
+    # passes the range beside X0 - c X2, or Y0, of which it is the
+    # translate by L_t.  Those classes are walked twice and |J| overshoots;
+    # the form values are real, so the witness sets and the tau rows still
+    # PASS.
+    real = minwt._form_values
 
-    def one_more_translate(field, m, t):
-        vals, coeffs, walk = real(field, m, t)
-        coeffs = coeffs.copy()
-        coeffs[12, 1] = 0
-        return vals, coeffs, walk
+    def one_more_translate(field, coeffs, pts):
+        vals = real(field, coeffs, pts)
+        q, n = field.q, coeffs.shape[1]
+        if n >= 2:
+            coeffs[q ** (n - 1) + q ** (n - 2), 1] = 0
+        return vals
 
-    rows = _incidence_rows(monkeypatch, "_subspaces", one_more_translate)
+    rows = _incidence_rows(monkeypatch, "_form_values", one_more_translate)
     for d in (2, 4):
         assert rows[d, "fibers"].status == "FAIL"
         found, want = map(int, re.match(r"\|J\|=(\d+)/(\d+) ", rows[d, "fibers"].detail).groups())
@@ -369,8 +373,8 @@ def test_incidence_rows_fail_when_a_class_is_walked_twice(monkeypatch):
 def _corrupt_form_table(monkeypatch, change):
     real = minwt._form_values
 
-    def corrupted(field, m, pts):
-        vals = real(field, m, pts).copy()
+    def corrupted(field, coeffs, pts):
+        vals = real(field, coeffs, pts)
         change(vals, field.q)
         return vals
 
@@ -378,11 +382,12 @@ def _corrupt_form_table(monkeypatch, change):
 
 
 def test_verify_fails_on_a_wrong_form_value(monkeypatch):
-    # q=3, m=2: the value of the form X2 (table row 1) at the first point
-    # (0,0,1) reads 2 instead of 1.  The witness-set row of prm(3,2,2)
-    # (t=0, s=1) and both fiber rows read that row and FAIL.  The tau rows
-    # stay PASS: they read only whether a value is zero, and 2 is as
-    # nonzero as 1 (a flip to zero is the next test).
+    # q=3, m=2: in the form table of each P^(m-t), the last coordinate
+    # (table row 1) reads 2 instead of 1 at the first point (0, ..., 0, 1).
+    # The witness-set row of prm(3,2,2) (t=0, s=1, the table of P^2) and
+    # both fiber rows read that row and FAIL.  The tau rows stay PASS: they
+    # read only whether a value is zero, and 2 is as nonzero as 1 (a flip
+    # to zero is a later test).
     def change(vals, q):
         vals[1, 0] = (vals[1, 0] + 1) % q
 
@@ -399,24 +404,54 @@ def test_verify_fails_on_a_wrong_form_value(monkeypatch):
 
 
 def test_tau_rows_fail_on_a_copied_form_row(monkeypatch):
-    # q=3, m=2: the row of X1 + X2 (row 4) holds the values of X1 (row 3),
-    # so two hyperplanes of some E give the same support E minus H
+    # q=3, m=2: on P^1, the flats of prm(3,2,3) (t=1), the row of Y0 + Y1
+    # (row 4) holds the values of Y0 (row 3), so two hyperplanes of each E
+    # give the same support E minus H.  At t = m = 2 each E is a point, a
+    # copy of P^0, whose table holds the forms 0, Y0 and 2 Y0 and walks
+    # Y0 alone: no walked row can be copied there, and prm(3,2,5) PASSes
+    # (a flat walked twice is the next test).
     def change(vals, q):
-        vals[4] = vals[3]
+        if len(vals) > 4:
+            vals[4] = vals[3]
 
     _corrupt_form_table(monkeypatch, change)
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     rows = {(r.d, r.check): r for r in rep.results if r.check == "tau"}
-    assert rows[3, "tau"].detail == "pairs=52/52 injective=False count=104/104"
-    assert rows[5, "tau"].detail == "pairs=13/13 injective=False count=26/26"
-    assert {r.status for r in rows.values()} == {"FAIL"}
+    assert (rows[3, "tau"].status, rows[3, "tau"].detail) == (
+        "FAIL", "pairs=52/52 injective=False count=104/104")
+    assert rows[5, "tau"].status == "PASS"
+
+
+def test_incidence_rows_fail_when_a_flat_is_walked_twice(monkeypatch):
+    # the first flat of each walk comes twice: its supports are counted
+    # again, the 4 hyperplanes of a copy of P^1 (t=1) or the one point of
+    # P^0 (t=2), so the tau rows lose injectivity and |J| overshoots
+    real = minwt._flats
+
+    def repeated(field, m, t):
+        flats = real(field, m, t)
+        first = next(flats)
+        yield first
+        yield first
+        yield from flats
+
+    rows = _incidence_rows(monkeypatch, "_flats", repeated)
+    assert rows[3, "tau"].detail == "pairs=56/52 injective=False count=112/104"
+    assert rows[5, "tau"].detail == "pairs=14/13 injective=False count=28/26"
+    for d in (2, 4):
+        assert rows[d, "fibers"].status == "FAIL"
+        found, want = map(int, re.match(r"\|J\|=(\d+)/(\d+) ", rows[d, "fibers"].detail).groups())
+        assert found > want
 
 
 def test_tau_rows_fail_on_a_value_flipped_to_zero(monkeypatch):
-    # q=3, m=2: the form X2 (row 1) reads 0 instead of 1 at the first point
-    # (0,0,1).  No two supports E minus H coincide, so injectivity holds,
+    # q=3, m=2: in the form table of each P^(m-t), the last coordinate
+    # (row 1) reads 0 instead of 1 at the first point (0, ..., 0, 1).  On
+    # P^1 (t=1) no two supports E minus H coincide, so injectivity holds,
     # but the supports that hold or lose that point are the wrong size:
-    # prm(3,2,3) (t=1) needs q^(m-t) = 3 points and prm(3,2,5) (t=2) needs 1
+    # prm(3,2,3) needs q^(m-t) = 3 points.  At t = m = 2 every E is a copy
+    # of P^0, whose one point is that point: all 13 words read 0, so their
+    # supports are empty (size 0 of 1) and equal.
     def change(vals, q):
         vals[1, 0] = 0
 
@@ -424,7 +459,7 @@ def test_tau_rows_fail_on_a_value_flipped_to_zero(monkeypatch):
     rep = run_verify(SweepConfig(qs=(3,), m_lo=2, m_hi=2))
     rows = {(r.d, r.check): r for r in rep.results if r.check == "tau"}
     assert rows[3, "tau"].detail == "pairs=52/52 injective=True count=104/104 size=2/3"
-    assert rows[5, "tau"].detail == "pairs=13/13 injective=True count=26/26 size=0/1"
+    assert rows[5, "tau"].detail == "pairs=13/13 injective=False count=26/26 size=0/1"
     assert {r.status for r in rows.values()} == {"FAIL"}
 
 
