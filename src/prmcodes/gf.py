@@ -15,11 +15,15 @@ once, on first use: Python lists for the scalar ops `add` and `mul`, which
 check their arguments, and read-only int64 numpy arrays for the array ops
 `vadd` and `vmul`, which work elementwise on int64 arrays of canonical
 elements (or ints), broadcast, and do not check.  `vadd` is XOR whenever
-p = 2; otherwise both array ops are one gather from the table.  Negation
-is multiplication by the element p - 1, since -a = (p - 1) a in
-characteristic p.  Larger fields have no tables: the scalar ops compute
-each result from the digits, and the array ops apply the same scalar
-routines elementwise.
+p = 2; otherwise both array ops are one gather from the table.  Fields
+with q <= 256 also build the same tables flat, as read-only uint8 arrays:
+when both operands are uint8 symbols (or one is an int), the array ops
+return uint8, one `take` from the flat table at a * q + b, indexed in
+uint8 while q <= 16 and in uint16 above.  int64 operands keep the int64
+path.  Negation is multiplication by the element p - 1, since
+-a = (p - 1) a in characteristic p.  Larger fields have no tables: the
+scalar ops compute each result from the digits, and the array ops apply
+the same scalar routines elementwise.
 
 GF instances are immutable after construction (the tables are a lazily
 built cache) and all operations are pure functions of their arguments, so
@@ -34,6 +38,7 @@ import numpy as np
 
 MAX_Q = 1 << 16      # construction guard; larger fields are out of scope
 _TABLE_MAX = 1 << 10  # build q*q lookup tables only for fields this small
+_SYMBOL_MAX = 1 << 8  # and flat uint8 tables for uint8 symbols while q fits
 
 
 def is_prime(n: int) -> bool:
@@ -96,8 +101,8 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
-def _frozen_square(tab: list[int], q: int) -> np.ndarray:
-    arr = np.array(tab, dtype=np.int64).reshape(q, q)
+def _frozen(tab: list[int], dtype) -> np.ndarray:
+    arr = np.array(tab, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -117,7 +122,8 @@ class GF:
     """
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_add_tab", "_mul_tab", "_add_arr", "_mul_arr"
+        "p", "e", "q", "modulus", "_add_tab", "_mul_tab", "_add_arr", "_mul_arr",
+        "_add_flat", "_mul_flat",
     )
 
     def __init__(self, p: int, e: int = 1):
@@ -136,6 +142,8 @@ class GF:
         self._mul_tab: list[int] | None = None
         self._add_arr: np.ndarray | None = None
         self._mul_arr: np.ndarray | None = None
+        self._add_flat: np.ndarray | None = None
+        self._mul_flat: np.ndarray | None = None
 
     @classmethod
     def from_q(cls, q: int) -> GF:
@@ -199,8 +207,11 @@ class GF:
         q = self.q
         self._add_tab = [self._add_raw(a, b) for a in range(q) for b in range(q)]
         self._mul_tab = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-        self._add_arr = _frozen_square(self._add_tab, q)
-        self._mul_arr = _frozen_square(self._mul_tab, q)
+        self._add_arr = _frozen(self._add_tab, np.int64).reshape(q, q)
+        self._mul_arr = _frozen(self._mul_tab, np.int64).reshape(q, q)
+        if q <= _SYMBOL_MAX:
+            self._add_flat = _frozen(self._add_tab, np.uint8)
+            self._mul_flat = _frozen(self._mul_tab, np.uint8)
 
     def add(self, a: int, b: int) -> int:
         self._chk(a)
@@ -224,19 +235,31 @@ class GF:
             return self._mul_tab[a * self.q + b]
         return self._mul_raw(a, b)
 
+    def _flat_take(self, flat: np.ndarray, a, b) -> np.ndarray:
+        """flat[a * q + b] of uint8 symbols, indexed in uint8 while
+        q * q <= 256 and in uint16 otherwise."""
+        index = np.uint8 if self.q <= 16 else np.uint16
+        return flat.take(np.asarray(a, dtype=index) * self.q + np.asarray(b, dtype=index))
+
     def vadd(self, a, b) -> np.ndarray:
-        """Elementwise a + b of int64 arrays of elements; broadcasts."""
+        """Elementwise a + b of arrays of elements (or ints); broadcasts.
+        uint8 operands give uint8, int64 operands int64."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         self._ensure_tables()
+        if self._add_flat is not None and np.result_type(a, b) == np.uint8:
+            return self._flat_take(self._add_flat, a, b)
         if self._add_arr is None:
             return _elementwise(self._add_raw, a, b)
         return self._add_arr[a, b]
 
     def vmul(self, a, b) -> np.ndarray:
-        """Elementwise a * b of int64 arrays of elements; broadcasts.
-        vmul(p - 1, a) is the array negation."""
+        """Elementwise a * b of arrays of elements (or ints); broadcasts.
+        uint8 operands give uint8, int64 operands int64.  vmul(p - 1, a)
+        is the array negation."""
         self._ensure_tables()
+        if self._mul_flat is not None and np.result_type(a, b) == np.uint8:
+            return self._flat_take(self._mul_flat, a, b)
         if self._mul_arr is None:
             return _elementwise(self._mul_raw, a, b)
         return self._mul_arr[a, b]

@@ -2,20 +2,24 @@
 
 The whole message space of a code, or of its dual code (see below), is
 enumerated exhaustively under a guard on the number of words walked.
-The performance commitment is the traversal: the trailing message symbols
-are expanded once into a dense block of q^lo codewords, and the leading
-symbols are walked in batches of prefixes, each batch's prefix codewords
-built at once from the mixed-radix digits of a counter and pre-scaled
-generator rows.  Weighing then needs no field addition:
-block[r] + prefix is nonzero at column j exactly when
+The performance commitment is the traversal, on the smallest unsigned
+symbols that hold an element (uint8 for q <= 256, and the field's flat
+uint8 tables) from the scaled generator rows to the packed bit planes:
+the trailing message symbols are expanded once into a dense block of q^lo
+codewords, and every prefix codeword of the leading symbols that the walk
+visits (one per scalar orbit, see below) is built once, each word of
+either one field addition from words built before.  Weighing then needs
+no field addition: block[r] + prefix is nonzero at column j exactly when
 block[r, j] != -prefix[j].  So the block is stored once as bit planes,
 bit b of every symbol, its n columns packed into the narrowest unsigned
 word that holds them (uint8, uint16 or uint32 for n <= 32) or into
-ceil(n / 64) uint64 words.  A batch of at most 2^16 int64 prefix symbols
-(or one chunk, if that is more) is negated and packed once, and each
-chunk of P of its prefixes is weighed in one pass: the (P, R) weights of
-every prefix against every row are the popcount of the OR over planes of
-block XOR -prefix, with P chosen so that a chunk compares at most 2^16
+ceil(n / 64) uint64 words, each plane one flat np.packbits over the rows
+padded to whole words.  The prefixes come in batches of at most
+max(q^lo rows, 2^16 symbols) (or one chunk, if that is more), which may
+cross orbit groups; a batch is negated and packed once, and each chunk of
+P of its prefixes is weighed in one pass: the (P, R) weights of every
+prefix against every row are the popcount of the OR over planes of block
+XOR -prefix, with P chosen so that a chunk compares at most 2^16
 (prefix, row, word) triples, or P = 1.  The compare is the same for
 every field, since it tests symbol equality only.  While n <= 255 a
 weight fits in uint8, summed over words there when a row takes several,
@@ -31,6 +35,9 @@ all zero has exactly one multiple whose first nonzero leading symbol is 1.
 So only those messages are walked, each row standing for its q - 1
 multiples, and the trailing block (leading symbols all zero) is walked
 once in full: 1 + (q^(k-lo) - 1)/(q - 1) blocks instead of q^(k-lo).
+Grouped by the position i of that 1, their prefixes are row i plus the
+span of the leading rows after it: slices of the span of the last few
+leading rows, or that span plus one word (`_orbit_prefixes`).
 Partitioning the space differently would merge to the same distribution,
 so results are deterministic and independent of the split.  Both walkers
 raise unless the multipliers times the rows walked add up to q^k.
@@ -81,7 +88,7 @@ information-set route keeps those words itself, by the same scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -117,33 +124,80 @@ def _pack(vals: np.ndarray, bits: int) -> np.ndarray:
     plane b holds bit b of each element, the n columns packed into the
     narrowest unsigned word that holds them (uint8, uint16 or uint32, with
     W = 1), or into W = ceil(n / 64) uint64 words for n > 32.  The words
-    are zero past column n."""
-    n = vals.shape[-1]
+    are zero past column n.  Each row is padded to whole words, so each
+    plane is one flat np.packbits of the padded rows."""
+    *lead, n = vals.shape
     word = next((w for w in (1, 2, 4) if 8 * w >= n), 8)      # bytes a word
-    out = np.zeros((bits, *vals.shape[:-1], -(-n // (8 * word)) * word), dtype=np.uint8)
+    width = -(-n // (8 * word)) * 8 * word                      # bits a padded row
+    rows = vals.reshape(prod(lead), n)
+    padded = np.zeros((len(rows), width), dtype=vals.dtype)
+    out = np.empty((bits, len(rows), width // 8), dtype=np.uint8)
     for b in range(bits):
-        out[b, ..., : -(-n // 8)] = np.packbits((vals >> b) & 1, axis=-1)
-    return np.ascontiguousarray(np.moveaxis(out.view(f"u{word}"), -1, 1))
+        np.bitwise_and(rows, 1 << b, out=padded[:, :n])
+        out[b] = np.packbits(padded).reshape(len(rows), width // 8)
+    planes = out.view(f"u{word}").transpose(0, 2, 1)
+    return np.ascontiguousarray(planes).reshape(bits, width // (8 * word), *lead)
 
 
-def _prefixes(field, scaled, lead: int, size: int):
-    """Yield (multiplier, prefixes) pairs, prefixes a (P, n) array of at
-    most size prefix codewords: the zero prefix with multiplier 1, then, for
-    each i < lead, the prefixes whose first nonzero leading symbol is a 1 at
-    position i, with multiplier q - 1.  The leading symbols after i are the
-    mixed-radix digits of a counter, so each group is cut into batches of
-    consecutive counts.  scaled[i, s] is s times generator row i."""
-    q, n = field.q, scaled.shape[-1]
-    yield 1, np.zeros((1, n), dtype=np.int64)
-    for i in range(lead):
-        tail = lead - 1 - i
-        for start in range(0, q ** tail, size):
-            count = np.arange(start, min(start + size, q ** tail))
-            prefixes = np.broadcast_to(scaled[i, 1], (len(count), n))
-            for j in range(tail):
-                digit = count // q ** (tail - 1 - j) % q
-                prefixes = field.vadd(prefixes, scaled[i + 1 + j, digit])
-            yield q - 1, prefixes
+def _span(field, scaled: np.ndarray) -> np.ndarray:
+    """The q^r words sum_i c_i rows[i] of r rows, word number sum_i c_i q^i,
+    from scaled[i, s] = s * rows[i]: the nonzero multiples of each row in
+    turn are added to every word so far, one field addition a word."""
+    words = np.zeros((1, scaled.shape[-1]), dtype=scaled.dtype)
+    for row in scaled:
+        more = field.vadd(row[1:, None, :], words[None]).astype(words.dtype, copy=False)
+        words = np.concatenate([words, more.reshape(-1, words.shape[1])])
+    return words
+
+
+def _orbit_prefixes(field, scaled: np.ndarray, lead: int, cap: int):
+    """Yield, in runs of at most cap rows, the prefix codewords whose first
+    nonzero leading symbol is 1, in groups i = 0 .. lead-1: group i is row
+    i plus each word of the span of rows i+1 .. lead-1, in counter order
+    with row i+1 most significant.  scaled[i, s] is s times row i.
+
+    The span of the last t rows, t the most with t < lead and q^t <= cap,
+    is built once, as tail.  Group i is the part of the span of rows
+    i .. lead-1 whose coefficient of row i is 1, so each of the last t
+    groups is a slice of tail.  The group before them, j = lead-1-t, is
+    row j plus tail, and each earlier group is tail plus, in turn, each of
+    its heads: row i plus a word of the span of rows i+1 .. j, in counter
+    order, one run a head.  So each word of tail or of a run costs one
+    field addition, and a head, one for every q^t prefixes, about two."""
+    if not lead:
+        return
+    q = field.q
+    t = 0
+    while t + 1 < lead and q ** (t + 1) <= cap:
+        t += 1
+    j = lead - 1 - t
+    tail = _span(field, scaled[lead - 1:j:-1])
+
+    def add(head):
+        return field.vadd(head, tail).astype(tail.dtype, copy=False)
+
+    for i in range(j):
+        yield from map(add, field.vadd(scaled[i, 1], _span(field, scaled[j:i:-1])))
+    yield add(scaled[j, 1])
+    for i in range(j + 1, lead):
+        size = q ** (lead - 1 - i)
+        yield tail[size:2 * size]
+
+
+def _batches(runs, size: int):
+    """The rows of the runs in order, cut into arrays of size rows, the
+    last one shorter."""
+    held, count = [], 0
+    for run in runs:
+        while len(run):
+            part, run = run[:size - count], run[size - count:]
+            held.append(part)
+            count += len(part)
+            if count == size:
+                yield np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield np.concatenate(held)
 
 
 def _weights(planes: np.ndarray, negp: np.ndarray, n: int) -> np.ndarray:
@@ -185,11 +239,16 @@ def _check_coverage(g: GeneratorMatrix, covered: int) -> None:
 def _walk(g: GeneratorMatrix, guard: int):
     """(block, steps): the trailing block of q^lo codewords, in the
     smallest unsigned dtype that holds a symbol, and a generator of
-    (multiplier, prefixes, weights) triples, one per chunk of P prefixes,
-    where weights[p, r] is the Hamming weight of block[r] + prefixes[p].
-    A row with multiplier M stands for its multiples by the scalars 1..M:
-    itself when M = 1, every nonzero multiple when M = q - 1.  So covered,
-    every codeword appears exactly once."""
+    (multiplier, prefixes, weights) triples, one per chunk of P prefixes
+    (in the symbol dtype), where weights[p, r] is the Hamming weight of
+    block[r] + prefixes[p].  A row with multiplier M stands for its
+    multiples by the scalars 1..M: itself when M = 1, every nonzero
+    multiple when M = q - 1.  So covered, every codeword appears exactly
+    once.  The block and the prefixes are built once, one field addition
+    a word, from the generator rows scaled by every symbol; the prefixes
+    after the zero word come in batches of at most max(q^lo rows,
+    _CHUNK_WORDS symbols), or one chunk if that is more, each negated and
+    packed once, and a batch or chunk may cross orbit groups."""
     field, n = g.field, g.n
     q, k = field.q, g.k
     if q ** k > guard:
@@ -197,22 +256,24 @@ def _walk(g: GeneratorMatrix, guard: int):
     lo = 0
     while lo < k and q ** (lo + 1) <= _BLOCK:
         lo += 1
-    # scaled[i, s] = s * rows[i]
-    scaled = field.vmul(np.arange(q)[None, :, None], g.rows[:, None, :])
     symbol = np.min_scalar_type(q - 1)       # uint8 for q <= 256
-    block = np.zeros((1, n), dtype=symbol)
-    for i in range(k - lo, k):
-        block = field.vadd(scaled[i][:, None, :], block[None, :, :])
-        block = block.reshape(-1, n).astype(symbol)
+    # scaled[i, s] = s * rows[i]
+    scaled = field.vmul(np.arange(q, dtype=symbol)[None, :, None],
+                        g.rows.astype(symbol)[:, None, :]).astype(symbol, copy=False)
+    block = _span(field, scaled[k - lo:])
     bits = (q - 1).bit_length()
     planes = _pack(block, bits)
-    size = max(1, _CHUNK_WORDS // planes[0].size)          # prefixes per chunk
-    batch = size * max(1, _CHUNK_WORDS // (size * n))      # prefixes per packing
-    minus_one = field.p - 1
+    size = max(1, _CHUNK_WORDS // planes[0].size)           # prefixes per chunk
+    cap = max(len(block), _CHUNK_WORDS // n)                # prefixes per run
+    batch = size * max(1, cap // size)                      # whole chunks per batch
 
     def steps():
-        for mult, prefixes in _prefixes(field, scaled, k - lo, batch):
-            yield from _chunks(mult, prefixes, _pack(field.vmul(minus_one, prefixes), bits), planes)
+        zero = np.zeros((1, n), dtype=symbol)
+        yield from _chunks(1, zero, _pack(zero, bits), planes)
+        for prefixes in _batches(_orbit_prefixes(field, scaled, k - lo, cap), batch):
+            # -a = a in characteristic 2
+            negp = prefixes if field.p == 2 else field.vmul(field.p - 1, prefixes)
+            yield from _chunks(q - 1, prefixes, _pack(negp, bits), planes)
 
     return block, steps()
 

@@ -3,9 +3,10 @@
 The standard representative of a projective point, the support of a word,
 a word array as a set, the coordinate witness polynomial, the zero-set
 bound, the bounded compositions, the canonical RREF bases as tuples, the
-form-value table, the class walk over the form table of all of P^m and
-the full Krawtchouk table: the tests check the library against them, and
-nothing in the library calls them.  Not collected: the file name has no
+form-value table, the class walk over the form table of all of P^m, the
+full Krawtchouk table and the oracle's bit planes packed one row at a
+time: the tests check the library against them, and nothing in the
+library calls them.  Not collected: the file name has no
 test_ prefix.
 """
 
@@ -200,3 +201,15 @@ def krawtchouk_table(n: int, q: int) -> list[list[int]]:
         col = nxt
         table.append(col)
     return table
+
+
+def pack_by_row(vals: np.ndarray, bits: int) -> np.ndarray:
+    """The (bits, W, ...) bit planes of oracle._pack, each row packed on its
+    own by np.packbits along the last axis into a zeroed buffer of whole
+    words."""
+    n = vals.shape[-1]
+    word = next((w for w in (1, 2, 4) if 8 * w >= n), 8)      # bytes a word
+    out = np.zeros((bits, *vals.shape[:-1], -(-n // (8 * word)) * word), dtype=np.uint8)
+    for b in range(bits):
+        out[b, ..., : -(-n // 8)] = np.packbits((vals >> b) & 1, axis=-1)
+    return np.ascontiguousarray(np.moveaxis(out.view(f"u{word}"), -1, 1))

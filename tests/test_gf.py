@@ -170,6 +170,31 @@ def test_array_ops_equal_scalar_ops_on_every_pair(F):
     assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == np.int64
 
 
+# every prime power q <= 256: the fields whose symbols fit in uint8, among
+# them the prime fields past 16, where the flat index is uint16
+UINT8_QS = sorted({p ** e for p in range(2, 257) if is_prime(p) for e in range(1, 9) if p ** e <= 256})
+
+
+@pytest.mark.parametrize("q", UINT8_QS)
+def test_uint8_array_ops_equal_int64_ops(q):
+    # uint8 operands go through the flat uint8 tables and give uint8; int64
+    # operands keep the 2-D int64 gathers (XOR for vadd when p = 2): the two
+    # agree on every pair, broadcast, against an int and on empty arrays
+    F = GF.from_q(q)
+    a, b = np.arange(q)[:, None], np.arange(q)[None, :]
+    a8, b8 = a.astype(np.uint8), b.astype(np.uint8)
+    for op in (F.vadd, F.vmul):
+        want = op(a, b)
+        assert want.dtype == np.int64
+        for got, ref in [(op(a8, b8), want),
+                         (op(a8[:, :, None], b8.reshape(1, 1, q)), want.reshape(q, 1, q)),
+                         (op(F.p - 1, b8), op(F.p - 1, b)),
+                         (op(a8[:0], b8), want[:0]),
+                         (op(np.zeros((0, 1), dtype=np.uint8), b8), want[:0])]:
+            assert got.dtype == np.uint8, (q, op)
+            assert got.shape == ref.shape and got.tolist() == ref.tolist(), (q, op)
+
+
 def test_tables_are_read_only():
     F = GF(3, 2)
     F.mul(1, 1)
@@ -177,6 +202,10 @@ def test_tables_are_read_only():
         F._mul_arr[1, 1] = 0
     with pytest.raises(ValueError):
         F._add_arr[1, 1] = 0
+    with pytest.raises(ValueError):
+        F._mul_flat[1] = 0
+    with pytest.raises(ValueError):
+        F._add_flat[1] = 0
 
 
 # fields above the table limit: the array ops take the scalar routines

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -19,30 +20,68 @@ from prmcodes.oracle import (
     weight_distribution,
 )
 
-from lemmas import krawtchouk_table, word_set
+from lemmas import krawtchouk_table, pack_by_row, word_set
 
 F2, F3, F4 = GF(2), GF(3), GF(2, 2)
 
 
+def _orbit_order(radix, length):
+    """The zero tuple, then every tuple whose first nonzero symbol is 1,
+    grouped by the position of that 1 and in counter order in a group."""
+    tuples = [t for t in product(range(radix), repeat=length)
+              if not any(t) or next(x for x in t if x) == 1]
+    return sorted(tuples, key=lambda t: (next((i for i, x in enumerate(t) if x), -1), t))
+
+
 @pytest.mark.parametrize("radix,length", list(product(range(2, 6), range(6))))
-def test_prefixes_are_orbit_representatives_once(radix, length):
+def test_prefixes_are_orbit_representatives_once(monkeypatch, radix, length):
     # with unit generator rows a prefix codeword is its own leading tuple:
     # the zero tuple once with multiplier 1, then every tuple whose first
-    # nonzero symbol is 1 exactly once with multiplier q - 1, in chunks of
-    # at most size prefixes
+    # nonzero symbol is 1 exactly once with multiplier q - 1, in the order
+    # of its orbit group and of the counter in a group.  The runs of the
+    # builder are at most cap rows, whatever cap is, and cut into batches
+    # of size rows
     F = GF.from_q(radix)
-    eye = np.eye(length, dtype=np.int64)
-    scaled = F.vmul(np.arange(radix)[None, :, None], eye[:, None, :])
-    want = {t for t in product(range(radix), repeat=length)
-            if not any(t) or next(x for x in t if x) == 1}
-    for size in (1, 3, radix ** length):
+    eye = np.eye(length, dtype=np.uint8)
+    scaled = F.vmul(np.arange(radix, dtype=np.uint8)[None, :, None], eye[:, None, :])
+    want = _orbit_order(radix, length)
+    for cap, size in [(1, 1), (1, 2), (radix, 2), (radix, 3), (radix ** 2, 5), (radix ** length, 7)]:
+        runs = list(oracle._orbit_prefixes(F, scaled, length, cap))
+        assert all(run.dtype == np.uint8 and 1 <= len(run) <= cap for run in runs), cap
+        batches = list(oracle._batches(runs, size))
+        assert all(len(batch) == size for batch in batches[:-1]), (cap, size)
+        assert all(1 <= len(batch) <= size for batch in batches), (cap, size)
+        got = [tuple(row) for batch in batches for row in batch.tolist()]
+        assert got == want[1:], (cap, size)
+    # the walk of a code with one more unit row, its block that row's q
+    # multiples: batches of a few prefixes split the first orbit group
+    # once it holds q^2 tuples, and chunks of two and three prefixes cross
+    # groups
+    eye = np.eye(length + 1, dtype=np.int64)
+    g = codes.GeneratorMatrix("rm", F, 1, length + 1, eye, (), eye)
+    batches, crossed = [], False
+    cut = oracle._batches
+    monkeypatch.setattr(oracle, "_batches",
+                        lambda runs, size: (batches.append(len(b)) or b for b in cut(runs, size)))
+    monkeypatch.setattr(oracle, "_BLOCK", radix)
+    for per_chunk in (2, 3):
+        monkeypatch.setattr(oracle, "_CHUNK_WORDS", per_chunk * radix)
+        block, steps = oracle._walk(g, radix ** g.k)
+        assert len(block) == radix
         seen = []
-        for mult, prefixes in oracle._prefixes(F, scaled, length, size):
-            assert 1 <= len(prefixes) <= size
-            for t in map(tuple, prefixes.tolist()):
+        for mult, prefixes, w in steps:
+            assert prefixes.dtype == np.uint8 and w.shape == (len(prefixes), radix)
+            assert not prefixes[:, length:].any()
+            heads = [tuple(row[:length]) for row in prefixes.tolist()]
+            for t in heads:
                 assert mult == (1 if not any(t) else radix - 1), (t, mult)
-                seen.append(t)
-        assert len(seen) == len(set(seen)) and set(seen) == want, size
+            groups = {next((i for i, x in enumerate(t) if x), -1) for t in heads}
+            crossed |= len(groups) > 1
+            seen.extend(heads)
+        assert seen == want, per_chunk
+        assert length < 3 or batches[0] < radix ** (length - 1), batches
+        batches.clear()
+    assert crossed or length < 2
 
 
 def test_simplex_distribution():
@@ -401,15 +440,48 @@ def test_pair_count_equals_bincount(n, mult):
 
 
 def test_pair_count_that_drops_the_odd_weight_raises(monkeypatch):
-    # prm(3,3,2) is walked as chunks of 2187 uint8 weights: after the
-    # first, each of the three others is counted in pairs and its odd last
-    # weight on its own, with multiplier 2.  A pair count that loses that
-    # weight is caught by the coverage check, under python -O too
+    # prm(3,3,2) is walked against a block of 2187 rows as the zero prefix,
+    # then one chunk of all 13 orbit prefixes: that chunk's 28431 uint8
+    # weights are counted in pairs and its odd last weight on its own, with
+    # multiplier 2.  A pair count that loses that weight is caught by the
+    # coverage check, under python -O too
     count_pairs = oracle._count_pairs
     monkeypatch.setattr(oracle, "_count_pairs",
                         lambda table, tail, mult, w: count_pairs(table, tail, mult, w[:-1]))
-    with pytest.raises(RuntimeError, match=r"covered 59043 of 3\^10 codewords"):
+    with pytest.raises(RuntimeError, match=r"covered 59047 of 3\^10 codewords"):
         weight_distribution(prm_generator_matrix(F3, 3, 2))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_flat_packer_equals_packing_by_row(bits):
+    # one flat np.packbits a plane over rows padded to whole words gives
+    # the bytes of packing each row on its own: on every word width and
+    # its edges, on zero rows, one row, many rows and two leading axes,
+    # for uint8 symbols and the uint16 symbols of fields past 256
+    rng = np.random.default_rng(bits)
+    for n in (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 300):
+        for shape in [(0, n), (1, n), (37, n), (3, 5, n)]:
+            for dtype in (np.uint8, np.uint16):
+                vals = rng.integers(0, 1 << bits, size=shape).astype(dtype)
+                want, got = pack_by_row(vals, bits), oracle._pack(vals, bits)
+                assert got.dtype == want.dtype and got.shape == want.shape, (n, shape, dtype)
+                assert got.tobytes() == want.tobytes(), (n, shape, dtype)
+
+
+def test_walk_peak_memory():
+    # the walk of prm(2,5,2), 2^21 codewords of length 63 against a block
+    # of 4096 rows, peaks at 1.1 MiB: the uint8 block and its packed plane,
+    # one compare chunk and one pair count.  The block alone in int64 would
+    # take 2 MiB
+    g = prm_generator_matrix(F2, 2, 5)
+    tracemalloc.start()
+    try:
+        dist = weight_distribution(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.total == 2 ** 21
+    assert peak <= 1.5 * 2 ** 20
 
 
 # -- the MacWilliams dual route ---------------------------------------------------
