@@ -7,12 +7,13 @@ nonzero coordinate is 1) in lexicographic order.  Any fixed order gives a
 permutation-equivalent code, so weights, distances and counts do not depend
 on this choice; only codeword indexing does.  Point indices are 0-based.
 
-Points, generator matrices and word sets are numpy arrays from here to the
-verify row; only the export functions turn them into text.  A generator
-matrix is evaluated in one array pass: a table of every power x^a of every
-field element, gathered at the (row, point) pairs of each variable's
-exponents and coordinates, and the gathers multiplied together.  Its point
-and row arrays are read-only, since every check of a code shares them.
+Points, generator matrices and word sets are numpy arrays of the field's
+symbol dtype (`GF.symbol`) from here to the verify row; only the export
+functions turn them into text.  A generator matrix is evaluated in one
+array pass: a table of every power x^a of every field element, gathered
+at the (row, point) pairs of each variable's exponents and coordinates,
+and the gathers multiplied together.  Its point and row arrays are
+read-only, since every check of a code shares them.
 
 The parity-check matrix H of a code, whose rows span its dual code, is
 `GeneratorMatrix.h`, built on first read and kept by that instance.  H
@@ -51,19 +52,19 @@ def digits(q: int, m: int) -> np.ndarray:
 
 
 def affine_points(field: GF, m: int, guard: int = POINT_GUARD) -> np.ndarray:
-    """All q^m affine points as a read-only (q^m, m) int64 array, in
+    """All q^m affine points as a read-only (q^m, m) symbol array, in
     lexicographic order."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if field.q ** m > guard:
         raise GuardExceeded("point", f"{field.q}^{m} affine points", guard)
-    pts = digits(field.q, m)
+    pts = digits(field.q, m).astype(field.symbol)
     pts.flags.writeable = False
     return pts
 
 
 def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> np.ndarray:
-    """All p_m standard representatives as a read-only (p_m, m + 1) int64
+    """All p_m standard representatives as a read-only (p_m, m + 1) symbol
     array, in lexicographic order.  They are built by their first
     coordinate: the representatives of P^i are (0, r) for every
     representative r of P^(i-1), then (1, 0, ..., 0), then (a, r) for
@@ -73,10 +74,11 @@ def projective_points(field: GF, m: int, guard: int = POINT_GUARD) -> np.ndarray
     q, n = field.q, p_k(field.q, m)
     if n > guard:
         raise GuardExceeded("point", f"{n} projective points", guard)
-    pts = np.ones((1, 1), dtype=np.int64)          # P^0
+    pts = np.ones((1, 1), dtype=field.symbol)      # P^0
     for i in range(m):
-        grid = np.hstack([np.repeat(np.arange(q), len(pts))[:, None], np.tile(pts, (q, 1))])
-        pts = np.concatenate([grid[: len(pts)], np.eye(1, i + 2, dtype=np.int64), grid[len(pts) :]])
+        grid = np.hstack([np.repeat(np.arange(q, dtype=field.symbol), len(pts))[:, None],
+                          np.tile(pts, (q, 1))])
+        pts = np.concatenate([grid[: len(pts)], np.eye(1, i + 2, dtype=field.symbol), grid[len(pts) :]])
     if len(pts) != n:
         raise RuntimeError(f"{len(pts)} standard representatives, not p_{m} = {n}")
     pts.flags.writeable = False
@@ -88,13 +90,13 @@ def ev_vector(f: Poly, pts: np.ndarray) -> Codeword:
     return tuple(f.evaluate(p) for p in pts.tolist())
 
 
-def distinct_words(words: np.ndarray, q: int) -> np.ndarray:
-    """The distinct rows of an (N, n) array of words over GF(q), in one fixed
-    order, in the smallest unsigned dtype that holds a symbol.  Each row is
-    compared as one opaque block of bytes, which sorts far faster than
-    np.unique(axis=0); that byte order need not be lexicographic, so
-    nothing may rely on the order beyond its being fixed."""
-    words = np.ascontiguousarray(words, dtype=np.min_scalar_type(q - 1))
+def distinct_words(words: np.ndarray, field: GF) -> np.ndarray:
+    """The distinct rows of an (N, n) array of words over the field, in one
+    fixed order, as symbols.  Each row is compared as one opaque block of
+    bytes, which sorts far faster than np.unique(axis=0); that byte order
+    need not be lexicographic, so nothing may rely on the order beyond its
+    being fixed."""
+    words = np.ascontiguousarray(words, dtype=field.symbol)
     n = words.shape[1]
     out = np.unique(words.view(f"V{n * words.itemsize}").ravel())
     return out.view(words.dtype).reshape(-1, n)
@@ -108,7 +110,7 @@ class GeneratorMatrix:
     m: int
     points: np.ndarray       # (n, nvars), one row per point
     basis: tuple[tuple[int, ...], ...]   # exponent vectors, one per row
-    rows: np.ndarray         # (k, n) int64
+    rows: np.ndarray         # (k, n) symbols
 
     @property
     def k(self) -> int:
@@ -130,21 +132,21 @@ class GeneratorMatrix:
 
 
 def power_table(field: GF, top: int) -> np.ndarray:
-    """The (top + 1, q) int64 table powers[a, x] = x^a with 0^0 = 1."""
-    powers = np.ones((top + 1, field.q), dtype=np.int64)
-    elements = np.arange(field.q)
+    """The (top + 1, q) symbol table powers[a, x] = x^a with 0^0 = 1."""
+    powers = np.ones((top + 1, field.q), dtype=field.symbol)
+    elements = np.arange(field.q, dtype=field.symbol)
     for a in range(1, top + 1):
         powers[a] = field.vmul(powers[a - 1], elements)
     return powers
 
 
 def _evaluate(field: GF, table: np.ndarray, basis, pts: np.ndarray) -> np.ndarray:
-    """The read-only (r, n) int64 rows prod_i table[e_i, x_i], one per
+    """The read-only (r, n) symbol rows prod_i table[e_i, x_i], one per
     exponent vector e of basis, at every point x of pts: one gather of
     table and one field product per coordinate."""
     nvars = pts.shape[1]
     exps = np.array(basis, dtype=np.intp).reshape(len(basis), nvars)
-    vals = np.ones((len(basis), len(pts)), dtype=np.int64)
+    vals = np.ones((len(basis), len(pts)), dtype=field.symbol)
     for i in range(nvars):
         vals = field.vmul(vals, table[exps[:, i, None], pts[None, :, i]])
     vals.flags.writeable = False
@@ -195,7 +197,7 @@ def _affine_parity_rows(g: GeneratorMatrix) -> np.ndarray:
     makes rank G = k."""
     field, q, m = g.field, g.field.q, g.m
     v1 = power_table(field, q - 1)
-    identity = np.eye(q, dtype=np.int64)
+    identity = np.eye(q, dtype=field.symbol)
     inv = linalg.rref(field, np.hstack([v1, identity]))[0][:, q:]
     if not np.array_equal(linalg.mat_mul(field, v1, inv), identity):
         raise RuntimeError("V_1 times the inverse read off [V_1 | I] is not the identity")
@@ -211,7 +213,7 @@ def _affine_parity_rows(g: GeneratorMatrix) -> np.ndarray:
 
 
 def parity_check(g: GeneratorMatrix) -> np.ndarray:
-    """H, an (n - r) x n int64 array whose rows span the dual code, r the
+    """H, an (n - r) x n symbol array whose rows span the dual code, r the
     rank of G.  For an affine code, the rows of the inverse evaluation map
     at the exponent vectors outside the basis (`_affine_parity_rows`).
     Otherwise, with G in reduced row echelon form [I | A] on its pivot
@@ -225,7 +227,7 @@ def parity_check(g: GeneratorMatrix) -> np.ndarray:
         field, n = g.field, g.n
         red, pivots = linalg.rref(field, g.rows)
         free = sorted(set(range(n)) - set(pivots))
-        h = np.zeros((len(free), n), dtype=np.int64)
+        h = np.zeros((len(free), n), dtype=field.symbol)
         h[:, pivots] = field.vmul(field.p - 1, red[: len(pivots), free].T)
         h[np.arange(len(free)), free] = 1
     if linalg.mat_mul(g.field, g.rows, h.T).any():

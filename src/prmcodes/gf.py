@@ -10,20 +10,19 @@ low-degree-first.  For e = 1 the modulus is the degree-1 polynomial x and
 arithmetic is plain arithmetic mod p.
 
 GF is the only code that does field arithmetic, on scalars and on arrays.
+An array of elements has one dtype, the field's `symbol`: the smallest
+unsigned integer that holds q - 1 (uint8 for q <= 256, else uint16).
 Fields with q <= _TABLE_MAX build q x q addition and multiplication tables
 once, on first use: Python lists for the scalar ops `add` and `mul`, which
-check their arguments, and read-only int64 numpy arrays for the array ops
-`vadd` and `vmul`, which work elementwise on int64 arrays of canonical
-elements (or ints), broadcast, and do not check.  `vadd` is XOR whenever
-p = 2; otherwise both array ops are one gather from the table.  Fields
-with q <= 256 also build the same tables flat, as read-only uint8 arrays:
-when both operands are uint8 symbols (or one is an int), the array ops
-return uint8, one `take` from the flat table at a * q + b, indexed in
-uint8 while q <= 16 and in uint16 above.  int64 operands keep the int64
-path.  Negation is multiplication by the element p - 1, since
--a = (p - 1) a in characteristic p.  Larger fields have no tables: the
-scalar ops compute each result from the digits, and the array ops apply
-the same scalar routines elementwise.
+check their arguments, and the same tables flat, as read-only symbol
+arrays, for the array ops `vadd` and `vmul`.  The array ops take any
+integer arrays of canonical elements (or ints), broadcast, do not check,
+and return symbols: `vadd` is XOR whenever p = 2; otherwise each op is one
+`take` from the flat table at a * q + b, indexed in uint8 while q <= 16,
+in uint16 while q <= 256 and in intp above.  Negation is multiplication
+by the element p - 1, since -a = (p - 1) a in characteristic p.  Larger
+fields have no tables: the scalar ops compute each result from the
+digits, and the array ops apply the same scalar routines elementwise.
 
 GF instances are immutable after construction (the tables are a lazily
 built cache) and all operations are pure functions of their arguments, so
@@ -38,7 +37,6 @@ import numpy as np
 
 MAX_Q = 1 << 16      # construction guard; larger fields are out of scope
 _TABLE_MAX = 1 << 10  # build q*q lookup tables only for fields this small
-_SYMBOL_MAX = 1 << 8  # and flat uint8 tables for uint8 symbols while q fits
 
 
 def is_prime(n: int) -> bool:
@@ -107,10 +105,10 @@ def _frozen(tab: list[int], dtype) -> np.ndarray:
     return arr
 
 
-def _elementwise(op, a, b) -> np.ndarray:
-    """op applied to every broadcast pair: the array ops of fields too large
-    for lookup tables."""
-    return np.asarray(np.frompyfunc(op, 2, 1)(a, b), dtype=np.int64)
+def _elementwise(op, a, b, symbol) -> np.ndarray:
+    """op applied to every broadcast pair, as symbols: the array ops of
+    fields too large for lookup tables."""
+    return np.asarray(np.frompyfunc(op, 2, 1)(a, b), dtype=symbol)
 
 
 class GF:
@@ -122,8 +120,7 @@ class GF:
     """
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_add_tab", "_mul_tab", "_add_arr", "_mul_arr",
-        "_add_flat", "_mul_flat",
+        "p", "e", "q", "modulus", "symbol", "_add_tab", "_mul_tab", "_add_flat", "_mul_flat",
     )
 
     def __init__(self, p: int, e: int = 1):
@@ -138,10 +135,9 @@ class GF:
         self.e = e
         self.q = q
         self.modulus = _least_irreducible(p, e)
+        self.symbol = np.min_scalar_type(q - 1)      # the dtype of an element array
         self._add_tab: list[int] | None = None
         self._mul_tab: list[int] | None = None
-        self._add_arr: np.ndarray | None = None
-        self._mul_arr: np.ndarray | None = None
         self._add_flat: np.ndarray | None = None
         self._mul_flat: np.ndarray | None = None
 
@@ -207,11 +203,8 @@ class GF:
         q = self.q
         self._add_tab = [self._add_raw(a, b) for a in range(q) for b in range(q)]
         self._mul_tab = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-        self._add_arr = _frozen(self._add_tab, np.int64).reshape(q, q)
-        self._mul_arr = _frozen(self._mul_tab, np.int64).reshape(q, q)
-        if q <= _SYMBOL_MAX:
-            self._add_flat = _frozen(self._add_tab, np.uint8)
-            self._mul_flat = _frozen(self._mul_tab, np.uint8)
+        self._add_flat = _frozen(self._add_tab, self.symbol)
+        self._mul_flat = _frozen(self._mul_tab, self.symbol)
 
     def add(self, a: int, b: int) -> int:
         self._chk(a)
@@ -236,33 +229,29 @@ class GF:
         return self._mul_raw(a, b)
 
     def _flat_take(self, flat: np.ndarray, a, b) -> np.ndarray:
-        """flat[a * q + b] of uint8 symbols, indexed in uint8 while
-        q * q <= 256 and in uint16 otherwise."""
-        index = np.uint8 if self.q <= 16 else np.uint16
-        return flat.take(np.asarray(a, dtype=index) * self.q + np.asarray(b, dtype=index))
+        """flat[a * q + b], indexed in uint8 while q * q <= 256, in uint16
+        while q * q <= 2^16 and in intp above."""
+        q = self.q
+        index = np.uint8 if q <= 16 else np.uint16 if q <= 256 else np.intp
+        return flat.take(np.asarray(a, dtype=index) * q + np.asarray(b, dtype=index))
 
     def vadd(self, a, b) -> np.ndarray:
-        """Elementwise a + b of arrays of elements (or ints); broadcasts.
-        uint8 operands give uint8, int64 operands int64."""
+        """Elementwise a + b of arrays of elements (or ints), as symbols;
+        broadcasts."""
         if self.p == 2:
-            return np.bitwise_xor(a, b)
+            return np.bitwise_xor(a, b).astype(self.symbol, copy=False)
         self._ensure_tables()
-        if self._add_flat is not None and np.result_type(a, b) == np.uint8:
-            return self._flat_take(self._add_flat, a, b)
-        if self._add_arr is None:
-            return _elementwise(self._add_raw, a, b)
-        return self._add_arr[a, b]
+        if self._add_flat is None:
+            return _elementwise(self._add_raw, a, b, self.symbol)
+        return self._flat_take(self._add_flat, a, b)
 
     def vmul(self, a, b) -> np.ndarray:
-        """Elementwise a * b of arrays of elements (or ints); broadcasts.
-        uint8 operands give uint8, int64 operands int64.  vmul(p - 1, a)
-        is the array negation."""
+        """Elementwise a * b of arrays of elements (or ints), as symbols;
+        broadcasts.  vmul(p - 1, a) is the array negation."""
         self._ensure_tables()
-        if self._mul_flat is not None and np.result_type(a, b) == np.uint8:
-            return self._flat_take(self._mul_flat, a, b)
-        if self._mul_arr is None:
-            return _elementwise(self._mul_raw, a, b)
-        return self._mul_arr[a, b]
+        if self._mul_flat is None:
+            return _elementwise(self._mul_raw, a, b, self.symbol)
+        return self._flat_take(self._mul_flat, a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over GF(q).
 
 A matrix is a 2-D integer array of canonical element ints; each function
-also takes a list of equal-length rows.  rank and rref run one Gaussian
-elimination on an int64 copy, one row operation per field array op
+also takes a list of equal-length rows, and each array it returns holds
+the field's symbols (`GF.symbol`).  rank and rref run one Gaussian
+elimination on a symbol copy, one row operation per field array op
 (`GF.vmul`, `GF.vadd`) on the columns from the pivot's on, since the
 pivot row is zero left of its pivot: rank clears each pivot column below
 the pivot, rref above it too, and rref returns the array.  mat_mul is one
@@ -23,9 +24,9 @@ from .gf import GF
 def _eliminate(field: GF, rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """(echelon form, pivot columns) of rows; with reduced, every pivot is
     the only nonzero entry of its column (reduced row echelon form)."""
-    mat = np.array(rows, dtype=np.int64)      # a copy: elimination writes to it
+    mat = np.array(rows, dtype=field.symbol)      # a copy: elimination writes to it
     if not len(mat):
-        return np.zeros((0, 0), dtype=np.int64), []
+        return np.zeros((0, 0), dtype=field.symbol), []
     nrows, ncols = mat.shape
     pivots: list[int] = []
     for c in range(ncols):
@@ -57,7 +58,7 @@ def rank(field: GF, rows) -> int:
 
 
 def rref(field: GF, rows) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (int64 array, pivot column indices)."""
+    """Reduced row echelon form; returns (symbol array, pivot column indices)."""
     return _eliminate(field, rows, reduced=True)
 
 
@@ -66,7 +67,7 @@ def is_independent(field: GF, rows) -> bool:
 
 
 def mat_mul(field: GF, a, b) -> np.ndarray:
-    """The product a b as an int64 array; a is (r, n), b is (n, c).  Over a
+    """The product a b as a symbol array; a is (r, n), b is (n, c).  Over a
     prime field it is one integer product reduced mod p, exact while the
     n (p-1)^2 of a sum fits in int64.  Otherwise, for each inner index j,
     the products a[i, j] b[j, :] are the rows of the table
@@ -75,14 +76,13 @@ def mat_mul(field: GF, a, b) -> np.ndarray:
     uint16) symbols for p = 2, else digit by digit in base p, in uint16
     for p < 256, reduced mod p only where another sum could overflow and
     once at the end."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = np.asarray(a), np.asarray(b)
     p, q, e = field.p, field.q, field.e
     (r, inner), c = a.shape, b.shape[1]
     if e == 1 and inner * (p - 1) ** 2 < 2 ** 63:
-        return a @ b % p
+        return (a.astype(np.int64) @ b.astype(np.int64) % p).astype(field.symbol)
     if p == 2:
-        out = np.zeros((r, c), dtype=np.min_scalar_type(q - 1))
+        out = np.zeros((r, c), dtype=field.symbol)
     else:
         out = np.zeros((r, c, e), dtype=np.uint16 if p < 256 else np.int64)
         place = p ** np.arange(e)
@@ -91,9 +91,7 @@ def mat_mul(field: GF, a, b) -> np.ndarray:
 
     def products(rows, j):
         prod = field.vmul(rows, b[j])
-        if p == 2:
-            return prod.astype(out.dtype)
-        return (prod[..., None] // place % p).astype(out.dtype)
+        return prod if p == 2 else (prod[..., None] // place % p).astype(out.dtype)
 
     values = np.arange(q)[:, None]
     for j in range(inner):
@@ -105,5 +103,5 @@ def mat_mul(field: GF, a, b) -> np.ndarray:
             out %= p
         out += prod
     if p == 2:
-        return out.astype(np.int64)
-    return (out % p).astype(np.int64) @ place
+        return out
+    return ((out % p) @ place).astype(field.symbol)

@@ -35,6 +35,8 @@ form in those coordinates, so the class words on E are the t = 0 class
 words of P^(m-t) (`_flat_words`), read from one form-value table over
 P^(m-t), whose row i holds the form with the base-q digits of i as
 coefficients (`product` order).  They are made once and placed on each E.
+Form values, class words and the witness set are arrays of the field's
+symbols (`GF.symbol`).
 """
 
 from __future__ import annotations
@@ -249,10 +251,9 @@ def count_report(
 
 
 def _form_values(field: GF, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The (len(coeffs), npts) values over the point array, one point a
-    row, of the forms whose coefficients are the rows of coeffs, in the
-    smallest unsigned dtype that holds a symbol."""
-    return linalg.mat_mul(field, coeffs, pts.T).astype(np.min_scalar_type(field.q - 1))
+    """The (len(coeffs), npts) symbol values over the point array, one
+    point a row, of the forms whose coefficients are the rows of coeffs."""
+    return linalg.mat_mul(field, coeffs, pts.T)
 
 
 def _flats(field: GF, m: int, t: int):
@@ -268,12 +269,12 @@ def _flats(field: GF, m: int, t: int):
     ys = projective_points(field, m - t)
     place = q ** np.arange(m, -1, -1)
     codes = projective_points(field, m) @ place
-    neg = np.array([field.neg(a) for a in range(q)])
+    neg = field.vmul(field.p - 1, np.arange(q))
     for pivots in combinations(range(m + 1), t):
         free = [c for c in range(m + 1) if c not in pivots]
         cells = [(r, j) for r in range(t) for j, c in enumerate(free) if c > pivots[r]]
         fills = digits(q, len(cells))
-        wf = np.zeros((len(fills), t, len(free)), dtype=np.int64)     # -W_F of every fill
+        wf = np.zeros((len(fills), t, len(free)), dtype=field.symbol)     # -W_F of every fill
         wf[:, [r for r, _ in cells], [j for _, j in cells]] = neg[fills]
         xp = linalg.mat_mul(field, wf.reshape(-1, len(free)), ys.T).reshape(len(fills), t, len(ys))
         yield from np.searchsorted(codes, ys @ place[free] + place[list(pivots)] @ xp)
@@ -350,7 +351,7 @@ def _flat_words(field: GF, k: int, s: int):
     s = 0, else one block per L_t, of its L_{t+1} and S."""
     q = field.q
     coeffs = digits(q, k + 1)
-    pts = np.vstack([projective_points(field, k), np.zeros((1, k + 1), dtype=np.int64)])
+    pts = np.vstack([projective_points(field, k), np.zeros((1, k + 1), dtype=field.symbol)])
     vals = _form_values(field, coeffs, pts)
     leading = np.flatnonzero(_leading_one(q, k))
     if not s:
@@ -359,7 +360,7 @@ def _flat_words(field: GF, k: int, s: int):
     lead = np.array([field.pow(v, s + 1) for v in range(q)])
     symbols = np.empty((binomial(q, s), q, q), dtype=vals.dtype)
     for j, sset in enumerate(combinations(range(q), s)):
-        prod = np.ones(q, dtype=np.int64)
+        prod = np.ones(q, dtype=field.symbol)
         for w in sset:
             prod = field.vmul(prod, field.vadd(np.arange(q), field.neg(w)))
         symbols[j] = field.vmul(lead[:, None], prod)
@@ -389,16 +390,15 @@ def enumerate_witness_codewords(
     the characterization this set must equal the set of minimum-weight
     codewords of the projective code."""
     q = field.q
-    dtype = np.min_scalar_type(q - 1)
     # the walk reaches a word from several forms of its pencil
     # <L_t, L_{t+1}>, so the class words are deduplicated before scaling
     words = distinct_words(np.concatenate(
-        [np.zeros((0, p_k(q, m)), dtype), *_class_words(field, d, m, guard, "witness")]
-    ), q)
+        [np.zeros((0, p_k(q, m)), field.symbol), *_class_words(field, d, m, guard, "witness")]
+    ), field)
     if q > 2:
         elements = np.arange(q)
-        scaled = field.vmul(elements[1:, None], elements).astype(dtype)
-        words = distinct_words(scaled.take(words, axis=1).reshape(-1, words.shape[1]), q)
+        scaled = field.vmul(elements[1:, None], elements)
+        words = distinct_words(scaled.take(words, axis=1).reshape(-1, words.shape[1]), field)
     return words
 
 

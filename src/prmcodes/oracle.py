@@ -2,13 +2,12 @@
 
 The whole message space of a code, or of its dual code (see below), is
 enumerated exhaustively under a guard on the number of words walked.
-The performance commitment is the traversal, on the smallest unsigned
-symbols that hold an element (uint8 for q <= 256, and the field's flat
-uint8 tables) from the scaled generator rows to the packed bit planes:
-the trailing message symbols are expanded once into a dense block of q^lo
-codewords, and every prefix codeword of the leading symbols that the walk
-visits (one per scalar orbit, see below) is built once, each word of
-either one field addition from words built before.  Weighing then needs
+The performance commitment is the traversal, on the field's symbols
+(`GF.symbol`, uint8 for q <= 256) from the generator rows to the packed
+bit planes: the trailing message symbols are expanded once into a dense
+block of q^lo codewords, and every prefix codeword of the leading
+symbols that the walk visits (one per scalar orbit, see below) is built
+once, each word of either one field addition from words built before.  Weighing then needs
 no field addition: block[r] + prefix is nonzero at column j exactly when
 block[r, j] != -prefix[j].  So the block is stored once as bit planes,
 bit b of every symbol, its n columns packed into the narrowest unsigned
@@ -145,7 +144,7 @@ def _span(field, scaled: np.ndarray) -> np.ndarray:
     turn are added to every word so far, one field addition a word."""
     words = np.zeros((1, scaled.shape[-1]), dtype=scaled.dtype)
     for row in scaled:
-        more = field.vadd(row[1:, None, :], words[None]).astype(words.dtype, copy=False)
+        more = field.vadd(row[1:, None, :], words[None])
         words = np.concatenate([words, more.reshape(-1, words.shape[1])])
     return words
 
@@ -173,12 +172,10 @@ def _orbit_prefixes(field, scaled: np.ndarray, lead: int, cap: int):
     j = lead - 1 - t
     tail = _span(field, scaled[lead - 1:j:-1])
 
-    def add(head):
-        return field.vadd(head, tail).astype(tail.dtype, copy=False)
-
     for i in range(j):
-        yield from map(add, field.vadd(scaled[i, 1], _span(field, scaled[j:i:-1])))
-    yield add(scaled[j, 1])
+        for head in field.vadd(scaled[i, 1], _span(field, scaled[j:i:-1])):
+            yield field.vadd(head, tail)
+    yield field.vadd(scaled[j, 1], tail)
     for i in range(j + 1, lead):
         size = q ** (lead - 1 - i)
         yield tail[size:2 * size]
@@ -237,14 +234,13 @@ def _check_coverage(g: GeneratorMatrix, covered: int) -> None:
 
 
 def _walk(g: GeneratorMatrix, guard: int):
-    """(block, steps): the trailing block of q^lo codewords, in the
-    smallest unsigned dtype that holds a symbol, and a generator of
-    (multiplier, prefixes, weights) triples, one per chunk of P prefixes
-    (in the symbol dtype), where weights[p, r] is the Hamming weight of
-    block[r] + prefixes[p].  A row with multiplier M stands for its
-    multiples by the scalars 1..M: itself when M = 1, every nonzero
-    multiple when M = q - 1.  So covered, every codeword appears exactly
-    once.  The block and the prefixes are built once, one field addition
+    """(block, steps): the trailing block of q^lo codewords and a generator
+    of (multiplier, prefixes, weights) triples, one per chunk of P
+    prefixes, block and prefixes as symbols, where weights[p, r] is the
+    Hamming weight of block[r] + prefixes[p].  A row with multiplier M
+    stands for its multiples by the scalars 1..M: itself when M = 1, every
+    nonzero multiple when M = q - 1.  So covered, every codeword appears
+    exactly once.  The block and the prefixes are built once, one field addition
     a word, from the generator rows scaled by every symbol; the prefixes
     after the zero word come in batches of at most max(q^lo rows,
     _CHUNK_WORDS symbols), or one chunk if that is more, each negated and
@@ -256,10 +252,8 @@ def _walk(g: GeneratorMatrix, guard: int):
     lo = 0
     while lo < k and q ** (lo + 1) <= _BLOCK:
         lo += 1
-    symbol = np.min_scalar_type(q - 1)       # uint8 for q <= 256
     # scaled[i, s] = s * rows[i]
-    scaled = field.vmul(np.arange(q, dtype=symbol)[None, :, None],
-                        g.rows.astype(symbol)[:, None, :]).astype(symbol, copy=False)
+    scaled = field.vmul(np.arange(q, dtype=field.symbol)[None, :, None], g.rows[:, None, :])
     block = _span(field, scaled[k - lo:])
     bits = (q - 1).bit_length()
     planes = _pack(block, bits)
@@ -268,7 +262,7 @@ def _walk(g: GeneratorMatrix, guard: int):
     batch = size * max(1, cap // size)                      # whole chunks per batch
 
     def steps():
-        zero = np.zeros((1, n), dtype=symbol)
+        zero = np.zeros((1, n), dtype=field.symbol)
         yield from _chunks(1, zero, _pack(zero, bits), planes)
         for prefixes in _batches(_orbit_prefixes(field, scaled, k - lo, cap), batch):
             # -a = a in characteristic 2
@@ -409,8 +403,7 @@ def _lightest(field, chunks, u: int, kept: list) -> tuple[int, list, int]:
         if low == u:
             pi, ri = np.nonzero(w == u)
             if len(pi):
-                kept.append((mult, field.vadd(block[ri].astype(np.int64),
-                                              prefixes[pi].astype(np.int64))))
+                kept.append((mult, field.vadd(block[ri], prefixes[pi])))
     return u, kept, covered
 
 
@@ -418,7 +411,7 @@ def _multiples(field, kept: list) -> np.ndarray:
     """The distinct words of the kept (mult, rows), each row times the
     scalars 1..mult, in the order of codes.distinct_words."""
     return distinct_words(np.concatenate(
-        [field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]), field.q)
+        [field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]), field)
 
 
 def brute_min_weight_words(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> np.ndarray:
@@ -483,19 +476,17 @@ def _bound(k: int, ranks: list[int], p: int) -> int:
 def _side_words(field, part: np.ndarray, top: int):
     """(words, lead, after) over the rows of part, for each weight
     a <= min(top, len(part)): words[a] holds the words sum_i c_i part[i] of
-    all messages c of weight a, in the smallest unsigned dtype that holds a
-    symbol, grouped by their first nonzero position j in ascending order,
-    so words[a][after[a][j]:] are those that start after j; lead[a], for
-    a >= 1, holds the words whose symbol at j is 1, one of each scalar
-    orbit.  The group at j is c part[j], c = 1..q-1, plus each word of
+    all messages c of weight a, as symbols, grouped by their first nonzero
+    position j in ascending order, so words[a][after[a][j]:] are those
+    that start after j; lead[a], for a >= 1, holds the words whose symbol
+    at j is 1, one of each scalar orbit.  The group at j is c part[j], c = 1..q-1, plus each word of
     weight a - 1 after j: one field addition per j.  The one word of
     weight 0 starts after every j."""
     q, (size, n) = field.q, part.shape
-    symbol = np.min_scalar_type(q - 1)
     scaled = field.vmul(np.arange(1, q)[None, :, None], part[:, None, :])
-    words, lead, after = [np.zeros((1, n), dtype=symbol)], [None], [np.zeros(size, dtype=np.intp)]
+    words, lead, after = [np.zeros((1, n), dtype=field.symbol)], [None], [np.zeros(size, dtype=np.intp)]
     for _ in range(min(top, size)):
-        groups = [field.vadd(scaled[j][:, None, :], words[-1][after[-1][j]:][None]).astype(symbol)
+        groups = [field.vadd(scaled[j][:, None, :], words[-1][after[-1][j]:][None])
                   for j in range(size)]
         words.append(np.concatenate([grp.reshape(-1, n) for grp in groups]))
         lead.append(np.concatenate([grp[0] for grp in groups]))
@@ -509,8 +500,7 @@ def _packed(field, arrays: list[np.ndarray], negate: bool = False) -> list:
     words = np.concatenate(arrays)
     if negate:
         words = field.vmul(field.p - 1, words)
-    symbol = np.min_scalar_type(field.q - 1)
-    planes = _pack(words.astype(symbol, copy=False), (field.q - 1).bit_length())
+    planes = _pack(words, (field.q - 1).bit_length())
     bounds = np.cumsum([0] + [len(x) for x in arrays]).tolist()
     return [(x, planes[..., lo:hi]) for x, lo, hi in zip(arrays, bounds, bounds[1:])]
 

@@ -304,7 +304,7 @@ def _witness_set(c: Code) -> str | None:
     result = c.min_weight  # oracle first: its guard refuses before any enumeration
     dmin, count = result.dmin, result.count
     wit = minwt.enumerate_witness_codewords(c.field, c.order, c.m, c.cfg.witness_guard)
-    words = codes.distinct_words(wit, c.q)
+    words = codes.distinct_words(wit, c.field)
     syndromes = linalg.mat_mul(c.field, words, c.gm.h.T)
     bad = syndromes.any(axis=1) | (np.count_nonzero(words, axis=1) != dmin)
     sizes = f"witness set size {len(words)}, oracle count {count}"

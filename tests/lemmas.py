@@ -114,7 +114,7 @@ def rref_bases(field: GF, ambient: int, k: int):
 
 
 def form_values(field: GF, m: int, pts) -> np.ndarray:
-    """The (q^(m+1), npts) int64 values of every form over the point array,
+    """The (q^(m+1), npts) symbol values of every form over the point array,
     forms in `product` order, added up one coordinate at a time."""
     q = field.q
     points = np.array(pts, dtype=np.int64).reshape(len(pts), m + 1)
@@ -127,14 +127,13 @@ def form_values(field: GF, m: int, pts) -> np.ndarray:
 
 
 def subspace_walk(field: GF, m: int, t: int):
-    """(vals, coeffs, walk): the form-value table over all of P^m, in the
-    smallest unsigned dtype that holds a symbol, the digit table of the
-    forms, and for each canonical RREF basis W, in order, the mask of the
+    """(vals, coeffs, walk): the form-value table over all of P^m, as
+    symbols, the digit table of the forms, and for each canonical RREF basis W, in order, the mask of the
     points of E = V(W) and the mask of the nonzero forms that vanish on
     W's pivot columns, one per nonzero coset modulo W.  A basis is t table
     rows: the pivot rows plus every digit fill of the free cells."""
     q = field.q
-    vals = form_values(field, m, projective_points(field, m)).astype(np.min_scalar_type(q - 1))
+    vals = form_values(field, m, projective_points(field, m))
     coeffs = digits(q, m + 1)
     nonzero = coeffs.any(axis=1)
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from prmcodes import codes, linalg
+from prmcodes import codes, linalg, minwt, oracle
 from prmcodes.codes import (
     affine_points,
     ev_vector,
@@ -166,11 +166,45 @@ def test_wrong_point_count_raises(monkeypatch):
 def test_points_and_rows_are_read_only_arrays():
     # every check of a code shares its G, so nothing may write to it
     for g in (prm_generator_matrix(F3, 2, 2), rm_generator_matrix(F2, 1, 3)):
-        assert g.rows.dtype == g.points.dtype == np.int64
+        assert g.rows.dtype == g.points.dtype == g.field.symbol
         assert g.rows.shape == (g.k, g.n) and len(g.points) == g.n
         for arr in (g.rows, g.points):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 257, 1031])
+def test_every_field_array_is_symbols(q):
+    # uint8 symbols, then uint16 with flat tables (q = 257) and without
+    # (q = 1031), whatever dtype the operands come in.  The affine H and the
+    # witness set are left out at q = 1031: the one needs an elimination of
+    # 1031 x 2062 elementwise ops, the other holds (q + 1)(q - 1) words
+    F = GF.from_q(q)
+    rm, prm = rm_generator_matrix(F, 0, 1), prm_generator_matrix(F, 1, 1)
+    ints = np.arange(min(q, 50))
+    symbols = ints.astype(F.symbol)
+    arrays = {
+        "affine points": affine_points(F, 1),
+        "projective points": projective_points(F, 1),
+        "power table": codes.power_table(F, 2),
+        "rm rows": rm.rows,
+        "prm rows": prm.rows,
+        "prm h": prm.h,
+        "rref": linalg.rref(F, prm.rows)[0],
+        "rref of ints": linalg.rref(F, prm.rows.tolist())[0],
+        "mat_mul": linalg.mat_mul(F, prm.rows, prm.h.T),
+        "mat_mul of ints": linalg.mat_mul(F, prm.rows.tolist(), prm.h.T.tolist()),
+        "vadd of int64": F.vadd(ints[:, None], ints),
+        "vmul of int64": F.vmul(ints[:, None], ints),
+        "vadd of symbols": F.vadd(symbols[:, None], symbols),
+        "vmul of symbols": F.vmul(symbols[:, None], symbols),
+        "brute min weight words": oracle.brute_min_weight_words(rm),
+    }
+    if q < 1024:
+        arrays["rm h"] = rm.h
+        arrays["witness words"] = minwt.enumerate_witness_codewords(F, 1, 1)
+    for name, arr in arrays.items():
+        assert arr.dtype == F.symbol, (q, name, arr.dtype)
 
 
 def test_parity_check_is_built_once_per_instance():
@@ -198,12 +232,13 @@ def test_distinct_words(q, dtype):
     words = rng.integers(0, q, size=(50, 9))
     words[:, 0] = rng.integers(q - 2, q, size=50)      # symbols above 127 where q allows
     doubled = np.concatenate([words, words[::-1]])
-    out = codes.distinct_words(doubled, q)
+    F = GF.from_q(q)
+    out = codes.distinct_words(doubled, F)
     assert out.dtype == dtype and out.shape[1] == 9
     assert len(out) == len(set(map(tuple, words.tolist())))
     assert set(map(tuple, out.tolist())) == set(map(tuple, words.tolist()))
-    assert np.array_equal(codes.distinct_words(words[::-1], q), out)
-    assert codes.distinct_words(np.zeros((0, 9), dtype=np.int64), q).shape == (0, 9)
+    assert np.array_equal(codes.distinct_words(words[::-1], F), out)
+    assert codes.distinct_words(np.zeros((0, 9), dtype=np.int64), F).shape == (0, 9)
 
 
 def test_point_guard():

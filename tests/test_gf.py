@@ -156,7 +156,8 @@ def test_is_prime():
 
 # -- the array ops -----------------------------------------------------------------
 
-ARRAY_FIELDS = SMALL_FIELDS + [GF(11), GF(13), GF(2, 4), GF(5, 2)]
+# GF(257) is the first field whose flat tables are indexed in intp
+ARRAY_FIELDS = SMALL_FIELDS + [GF(11), GF(13), GF(2, 4), GF(5, 2), GF(257)]
 
 
 @pytest.mark.parametrize("F", ARRAY_FIELDS, ids=repr)
@@ -167,7 +168,7 @@ def test_array_ops_equal_scalar_ops_on_every_pair(F):
     assert F.vadd(a, b).ravel().tolist() == [F.add(x, y) for x, y in pairs]
     assert F.vmul(a, b).ravel().tolist() == [F.mul(x, y) for x, y in pairs]
     assert F.vmul(F.p - 1, b).ravel().tolist() == [F.neg(y) for y in range(F.q)]
-    assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == np.int64
+    assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == F.symbol
 
 
 # every prime power q <= 256: the fields whose symbols fit in uint8, among
@@ -177,35 +178,32 @@ UINT8_QS = sorted({p ** e for p in range(2, 257) if is_prime(p) for e in range(1
 
 @pytest.mark.parametrize("q", UINT8_QS)
 def test_uint8_array_ops_equal_int64_ops(q):
-    # uint8 operands go through the flat uint8 tables and give uint8; int64
-    # operands keep the 2-D int64 gathers (XOR for vadd when p = 2): the two
-    # agree on every pair, broadcast, against an int and on empty arrays
+    # uint8 and int64 operands take the same flat tables (XOR for vadd when
+    # p = 2) and give the same uint8 symbols, equal to the scalar ops on
+    # every pair, broadcast, against an int and on empty arrays
     F = GF.from_q(q)
+    assert F.symbol == np.uint8
     a, b = np.arange(q)[:, None], np.arange(q)[None, :]
-    a8, b8 = a.astype(np.uint8), b.astype(np.uint8)
-    for op in (F.vadd, F.vmul):
-        want = op(a, b)
-        assert want.dtype == np.int64
-        for got, ref in [(op(a8, b8), want),
-                         (op(a8[:, :, None], b8.reshape(1, 1, q)), want.reshape(q, 1, q)),
-                         (op(F.p - 1, b8), op(F.p - 1, b)),
-                         (op(a8[:0], b8), want[:0]),
-                         (op(np.zeros((0, 1), dtype=np.uint8), b8), want[:0])]:
-            assert got.dtype == np.uint8, (q, op)
-            assert got.shape == ref.shape and got.tolist() == ref.tolist(), (q, op)
+    for op, scalar in ((F.vadd, F.add), (F.vmul, F.mul)):
+        want = np.array([[scalar(x, y) for y in range(q)] for x in range(q)])
+        for x, y in ((a, b), (a.astype(np.uint8), b.astype(np.uint8))):
+            for got, ref in [(op(x, y), want),
+                             (op(x[:, :, None], y.reshape(1, 1, q)), want.reshape(q, 1, q)),
+                             (op(F.p - 1, y), want[F.p - 1:F.p]),
+                             (op(x[:0], y), want[:0]),
+                             (op(np.zeros((0, 1), dtype=x.dtype), y), want[:0])]:
+                assert got.dtype == np.uint8, (q, op, x.dtype)
+                assert got.shape == ref.shape and got.tolist() == ref.tolist(), (q, op, x.dtype)
 
 
 def test_tables_are_read_only():
-    F = GF(3, 2)
-    F.mul(1, 1)
-    with pytest.raises(ValueError):
-        F._mul_arr[1, 1] = 0
-    with pytest.raises(ValueError):
-        F._add_arr[1, 1] = 0
-    with pytest.raises(ValueError):
-        F._mul_flat[1] = 0
-    with pytest.raises(ValueError):
-        F._add_flat[1] = 0
+    # the flat tables of a field with uint8 symbols and of one with uint16
+    for F in (GF(3, 2), GF(257)):
+        F.mul(1, 1)
+        for table in (F._add_flat, F._mul_flat):
+            assert table.dtype == F.symbol
+            with pytest.raises(ValueError):
+                table[1] = 0
 
 
 # fields above the table limit: the array ops take the scalar routines
@@ -228,7 +226,7 @@ def test_array_ops_without_tables(F):
     assert F.vmul(col, row).tolist() == [
         [F.mul(x, y) for y in row.tolist()] for x in col.ravel().tolist()
     ]
-    assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == np.int64
+    assert F.vadd(a, b).dtype == F.vmul(a, b).dtype == F.symbol
     assert F.add(F.neg(7), 7) == 0
 
 
@@ -269,7 +267,7 @@ def python_rref(field, rows):
     return mat, pivots
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 1031])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 257, 1031])
 def test_rref_equals_python_elimination(q):
     # random shapes, sparse and dense, with dependent rows and zero columns
     F = GF.from_q(q)
@@ -294,7 +292,7 @@ def test_rref_equals_python_elimination(q):
         cases.append(mat.tolist())
     for rows in cases:
         red, pivots = linalg.rref(F, rows)
-        assert red.dtype == np.int64
+        assert red.dtype == F.symbol
         assert (red.tolist(), pivots) == python_rref(F, rows), rows
         assert linalg.rank(F, rows) == len(pivots)
 
@@ -309,7 +307,7 @@ def _scalar_product(F, a, b):
     return want
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 1031])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 257, 1031])
 def test_mat_mul_equals_scalar_sums(q):
     # the integer product mod p of a prime field and the table gathers of
     # an extension field (XOR for p = 2, base-p digits for odd p) against
@@ -324,7 +322,7 @@ def test_mat_mul_equals_scalar_sums(q):
         a = rng.integers(0, q, size=(r, n))
         b = rng.integers(0, q, size=(n, c))
         got = linalg.mat_mul(F, a, b)
-        assert got.dtype == np.int64 and got.shape == (r, c)
+        assert got.dtype == F.symbol and got.shape == (r, c)
         assert got.tolist() == _scalar_product(F, a, b), (q, r, n, c)
 
 

@@ -410,7 +410,7 @@ def test_form_values_equal_scalar(q, m):
     vals = _form_values(F, digits(q, m + 1), pts)
     forms = list(product(range(q), repeat=m + 1))
     assert vals.shape == (len(forms), len(pts))
-    assert vals.dtype == np.min_scalar_type(q - 1)
+    assert vals.dtype == F.symbol
     assert digits(q, m + 1).tolist() == [list(c) for c in forms]
     # row i is the i-th form in product order: every form where the scalar
     # reference stays under 10^5 dot products, an evenly spaced sample of
