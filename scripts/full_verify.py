@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a wide verification sweep and the coverage grid (about 4 s of
+"""Run a wide verification sweep and the coverage grid (about 2.8 s of
 exhaustive checking on one core of a shared 2-vCPU x86-64 host; the
 stage times below are from there).
 
@@ -19,14 +19,14 @@ The last four are the coverage grid, one (q, m) each, where the guards
 start to bite:
 
 4. q = 2, m = 6 at default guards: 46 PASS, 9 SKIPPED (oracle), about
-   0.7 s;
+   0.6 s;
 5. q = 3, m = 4 at a witness guard of 2*10^5: 53 PASS, 18 SKIPPED
    (16 oracle, and the fiber rows of d = 4 and 6 at 377520 classes),
-   about 0.9 s;
+   about 0.7 s;
 6. q = 4, m = 3 at a witness guard of 2*10^5: 61 PASS, 18 SKIPPED
-   (oracle), about 1.0 s;
+   (oracle), about 0.4 s;
 7. q = 7, m = 2 at a witness guard of 2*10^5: 70 PASS, 33 SKIPPED
-   (oracle), about 0.7 s.
+   (oracle), about 0.6 s.
 
 The witness guard also bounds the fiber and tau walks.  An oracle skip
 names the least need of the three routes: the smaller walk as q^e, or

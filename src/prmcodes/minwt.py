@@ -41,7 +41,7 @@ symbols (`GF.symbol`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -224,15 +224,9 @@ class CountReport:
         return ok
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "d": self.d,
-            "m": self.m,
-            "formula_count": str(self.formula_count),
-            "alt_count": str(self.alt_count),
-            "brute_count": None if self.brute_count is None else str(self.brute_count),
-            "agree": self.agree,
-        }
+        brute = None if self.brute_count is None else str(self.brute_count)
+        return {**asdict(self), "formula_count": str(self.formula_count),
+                "alt_count": str(self.alt_count), "brute_count": brute, "agree": self.agree}
 
 
 def count_report(
@@ -462,21 +456,8 @@ class FiberReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "d": self.d,
-            "m": self.m,
-            "t": self.t,
-            "s": self.s,
-            "j_size": self.j_size,
-            "j_expected": self.j_expected,
-            "fiber_sizes": list(self.fiber_sizes),
-            "fiber_expected": self.fiber_expected,
-            "support_count": self.support_count,
-            "implied_count": str(self.implied_count),
-            "formula_count": str(self.formula_count),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "implied_count": str(self.implied_count),
+                "formula_count": str(self.formula_count), "ok": self.ok}
 
 
 def _class_size(q: int, t: int) -> int:
@@ -559,20 +540,9 @@ class TauReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "d": self.d,
-            "m": self.m,
-            "t": self.t,
-            "pair_count": self.pair_count,
-            "pair_expected": self.pair_expected,
-            "injective": self.injective,
-            "sizes_ok": self.sizes_ok,
-            "wrong_size": self.wrong_size,
-            "implied_count": str(self.implied_count),
-            "formula_count": str(self.formula_count),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "implied_count": str(self.implied_count),
+                "formula_count": str(self.formula_count), "sizes_ok": self.sizes_ok,
+                "ok": self.ok}
 
 
 def tau_bijection_check(field: GF, d: int, m: int, guard: int = WITNESS_GUARD) -> TauReport:

@@ -15,7 +15,10 @@ H c^T = 0 for the parity-check matrix H of G and weight d_min, and there
 are A_dmin of them, which together make the witness set the minimum-weight
 set.  The rank row reads the rank off the same H.  H is `gm.h`, the
 parity-check matrix that `codes.parity_check` builds once per generator
-matrix, and only when a row or an oracle route reads it.
+matrix, and only when a row or an oracle route reads it.  Every row reaches
+G through `Code.gm`, the one rank-length gate: a projective code longer
+than the limit, or an affine one on the information-set route, is refused
+there before G is built.
 """
 
 from __future__ import annotations
@@ -193,9 +196,11 @@ class Code:
     """One code of a sweep: (family, q, m, order).
 
     Its generator matrix (with its parity-check matrix `gm.h`) and
-    minimum-weight result are each made at most once, on first use.  When
-    the rank-length guard (projective codes, and affine codes on the
-    information-set route) or the oracle guard refuses, the access raises
+    minimum-weight result are each made at most once, on first use.  `gm`
+    is the one rank-length gate: before G is built, it refuses a code
+    longer than the limit when some row would reduce G, as for every
+    projective code and for an affine code on the information-set route.
+    When that gate or the oracle guard refuses, the access raises
     GuardExceeded instead.
     """
 
@@ -220,33 +225,24 @@ class Code:
 
     @cached_property
     def gm(self) -> codes.GeneratorMatrix:
-        n, limit = p_k(self.q, self.m), self.cfg.rank_len_guard
-        if self.family == "prm" and n > limit:
+        # a projective code's H comes from elimination, and the
+        # information-set route reduces G several times; an affine code's
+        # route sorts its monomial basis, so it is read only past the limit
+        n = p_k(self.q, self.m) if self.family == "prm" else self.q ** self.m
+        limit = self.cfg.rank_len_guard
+        if n > limit and (
+            self.family == "prm"
+            or oracle.route(self.q, len(reduced_monomials_affine(self.q, self.order, self.m)),
+                            n, self.cfg.guard) == "information-set"
+        ):
             raise GuardExceeded("rank", f"length {n}", limit)
         return codes.generator_matrix(self.family, self.field, self.order, self.m)
-
-    @cached_property
-    def route(self) -> str:
-        """oracle.route of the code: from G for a projective code, whose
-        rank row builds G anyway, and for an affine code from its
-        monomial-basis size and point count."""
-        if self.family == "prm":
-            k, n = self.gm.k, self.gm.n
-        else:
-            k, n = len(reduced_monomials_affine(self.q, self.order, self.m)), self.q ** self.m
-        return oracle.route(self.q, k, n, self.cfg.guard)
 
     @cached_property
     def _min_weight(self) -> oracle.MinWeight | GuardExceeded:
         # a refusal is kept too, so the rows of a refused code predict
         # their work once (cached_property does not cache an exception)
-        n, limit = self.q ** self.m, self.cfg.rank_len_guard
         try:
-            if self.route == "information-set" and n > limit:
-                # that route reduces G several times: an affine code is
-                # held to the rank-length guard there (a projective one
-                # always is, by gm)
-                raise GuardExceeded("rank", f"length {n}", limit)
             return oracle.min_weight(self.gm, self.cfg.guard)
         except GuardExceeded as exc:
             return exc

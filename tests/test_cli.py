@@ -405,6 +405,9 @@ TEXT_EDGE_COMMANDS = [
     ["genmat", "--family", "rm", "--q", "3", "--order", "2", "--m", "2", "--format", "json"],
     ["witness", "--q", "3", "--d", "2", "--m", "2", "--seed", "1", "--format", "json"],
     ["distribution", "--family", "prm", "--q", "3", "--order", "2", "--m", "2"],
+    ["count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle"],
+    ["check-fibers", "--q", "3", "--d", "2", "--m", "2"],
+    ["check-fibers", "--q", "2", "--d", "3", "--m", "3"],
 ]
 
 

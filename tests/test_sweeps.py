@@ -76,15 +76,32 @@ def test_guards_must_be_positive(guard):
         run_verify(SweepConfig(qs=(2,), m_lo=1, m_hi=1, **{guard: 0}))
 
 
-def test_rank_guard_skips_name_the_rank_guard():
-    cfg = SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=1, d_hi=1, rank_len_guard=10)
-    rep = run_verify(cfg)
-    prm = {r.check: r for r in rep.results if r.family == "prm"}
-    assert prm["dims"].status == "PASS"
-    for check in ("rank", "distance", "count", "witness-set"):
-        assert prm[check].status == "SKIPPED"
-        assert prm[check].detail == "rank guard: length 15 > 10"
-    assert all(r.status == "PASS" for r in rep.results if r.family == "rm")
+def test_rank_guard_skips_name_the_rank_guard(monkeypatch):
+    # prm(2,3,1) has length 15: below that limit its G is never built, and
+    # every row that reads G or the oracle names the rank guard
+    built = []
+    real = codes.prm_generator_matrix
+
+    def recording(field, d, m):
+        built.append((d, m))
+        return real(field, d, m)
+
+    monkeypatch.setattr(codes, "prm_generator_matrix", recording)
+    for limit in (10, 14, 15):
+        built.clear()
+        cfg = SweepConfig(qs=(2,), m_lo=3, m_hi=3, d_lo=1, d_hi=1, rank_len_guard=limit)
+        rep = run_verify(cfg)
+        prm = {r.check: r for r in rep.results if r.family == "prm"}
+        assert all(r.status == "PASS" for r in rep.results if r.family == "rm")
+        if limit == 15:
+            assert built == [(1, 3)]
+            assert all(r.status == "PASS" for r in rep.results)
+            continue
+        assert built == []
+        assert prm["dims"].status == "PASS"
+        for check in ("rank", "distance", "count", "witness-set"):
+            assert prm[check].status == "SKIPPED"
+            assert prm[check].detail == f"rank guard: length 15 > {limit}"
 
 
 def test_oracle_guard_skips_say_needed_and_limit():
