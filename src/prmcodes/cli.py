@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("table", help="dimension/distance/count table")
+    sp.set_defaults(run=cmd_table)
     sp.add_argument("--q", type=_parse_ints, default=(2, 3))
     sp.add_argument("--m", type=_parse_range, default=(1, 2))
     sp.add_argument("--d", type=_parse_range, default=None)
@@ -95,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
 
     sp = sub.add_parser("verify", help="full cross-verification sweep")
+    sp.set_defaults(run=cmd_verify)
     sp.add_argument("--q", type=_parse_ints, default=(2, 3))
     sp.add_argument("--m", type=_parse_range, default=(1, 2))
     sp.add_argument("--d", type=_parse_range, default=None)
@@ -103,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
 
     sp = sub.add_parser("genmat", help="emit a generator matrix")
+    sp.set_defaults(run=cmd_genmat)
     sp.add_argument("--family", choices=("rm", "prm"), required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -112,12 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
 
     sp = sub.add_parser("reduce", help="projectively reduce a polynomial")
+    sp.set_defaults(run=cmd_reduce)
     sp.add_argument("poly")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     _common_flags(sp)
 
     sp = sub.add_parser("witness", help="a random minimum-weight witness")
+    sp.set_defaults(run=cmd_witness)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -125,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
 
     sp = sub.add_parser("count-minwt", help="minimum-weight codeword counts")
+    sp.set_defaults(run=cmd_count_minwt)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -133,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp, with_format=False)
 
     sp = sub.add_parser("check-fibers", help="incidence consistency report")
+    sp.set_defaults(run=cmd_check_fibers)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
@@ -140,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp, with_format=False)
 
     sp = sub.add_parser("distribution", help="exhaustive weight distribution")
+    sp.set_defaults(run=cmd_distribution)
     sp.add_argument("--family", choices=("rm", "prm"), required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
@@ -248,22 +256,10 @@ def cmd_distribution(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "table": cmd_table,
-    "verify": cmd_verify,
-    "genmat": cmd_genmat,
-    "reduce": cmd_reduce,
-    "witness": cmd_witness,
-    "count-minwt": cmd_count_minwt,
-    "check-fibers": cmd_check_fibers,
-    "distribution": cmd_distribution,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except PolyParseError as exc:
         print(f"parse error at {exc}", file=sys.stderr)
         return 2

@@ -102,6 +102,16 @@ def distinct_words(words: np.ndarray, field: GF) -> np.ndarray:
     return out.view(words.dtype).reshape(-1, n)
 
 
+def scalar_multiples(words: np.ndarray, field: GF) -> np.ndarray:
+    """The distinct nonzero scalar multiples of the rows of an (N, n) word
+    array, in the order of `distinct_words`: one gather of the rows from
+    the (q - 1, q) table of the products of each nonzero scalar with every
+    element."""
+    elements = np.arange(field.q)
+    scaled = field.vmul(elements[1:, None], elements)
+    return distinct_words(scaled.take(words, axis=1).reshape(-1, words.shape[1]), field)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     family: str              # "rm" | "prm"

@@ -9,7 +9,12 @@ lexicographically least irreducible, comparing coefficient tuples
 low-degree-first.  For e = 1 the modulus is the degree-1 polynomial x and
 arithmetic is plain arithmetic mod p.
 
-GF is the only code that does field arithmetic, on scalars and on arrays.
+GF does the field arithmetic, on scalars and on arrays, everywhere but
+`linalg.mat_mul`, which sums its products as integers (int64 mod p over
+a prime field, else XOR or base-p digits) and reduces them once, since
+a (20000 x 91)(91 x 85) product over GF(9) takes 0.14 s that way against
+0.42 s as one `vmul` and one `vadd` per inner index (2-vCPU Xeon,
+numpy 2.4).
 An array of elements has one dtype, the field's `symbol`: the smallest
 unsigned integer that holds q - 1 (uint8 for q <= 256, else uint16).
 Fields with q <= _TABLE_MAX build q x q addition and multiplication tables

@@ -25,8 +25,8 @@ def _eliminate(field: GF, rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """(echelon form, pivot columns) of rows; with reduced, every pivot is
     the only nonzero entry of its column (reduced row echelon form)."""
     mat = np.array(rows, dtype=field.symbol)      # a copy: elimination writes to it
-    if not len(mat):
-        return np.zeros((0, 0), dtype=field.symbol), []
+    if mat.ndim != 2:                             # a bare [] has no columns
+        mat = mat.reshape(len(mat), 0)
     nrows, ncols = mat.shape
     pivots: list[int] = []
     for c in range(ncols):

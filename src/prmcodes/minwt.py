@@ -23,9 +23,9 @@ up to a scalar, L_{t+1} modulo <W, L_t>, S), since the translate
 (L_t, L_{t+1} + a L_t, S + a) gives the same word, and yields them in
 blocks of rows.  The number of classes is the guard of all three, checked
 before any table is built and refused as `<check> guard: N classes >
-limit`.  The witness set is the class words and their scalar multiples,
-deduplicated by `codes.distinct_words`, and the fiber and tau checks
-count the packed supports of the class words, sorted in place.
+limit`.  The witness set is the class words closed under the nonzero
+scalars by `codes.scalar_multiples`, and the fiber and tau checks count
+the packed supports of the class words, sorted in place.
 
 The class walk is two walks.  `_flats` walks the canonical RREF bases W
 of the t-dimensional spans of forms, one pivot set at a time, and gives
@@ -47,7 +47,8 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg, oracle
-from .codes import digits, distinct_words, prm_generator_matrix, projective_points
+from .codes import (digits, distinct_words, prm_generator_matrix, projective_points,
+                    scalar_multiples)
 from .combinat import TSDecomp, binomial, gaussian_binomial, p_k, ts_decompose
 from .errors import ORACLE_GUARD, WITNESS_GUARD, GuardExceeded
 from .gf import GF
@@ -389,11 +390,7 @@ def enumerate_witness_codewords(
     words = distinct_words(np.concatenate(
         [np.zeros((0, p_k(q, m)), field.symbol), *_class_words(field, d, m, guard, "witness")]
     ), field)
-    if q > 2:
-        elements = np.arange(q)
-        scaled = field.vmul(elements[1:, None], elements)
-        words = distinct_words(scaled.take(words, axis=1).reshape(-1, words.shape[1]), field)
-    return words
+    return scalar_multiples(words, field) if q > 2 else words
 
 
 # -- incidence checks -------------------------------------------------------------

@@ -78,10 +78,12 @@ the first route of three that fits the guard (`route` decides).
 
 `distribution` keeps the full weight distribution for the walk routes
 and the `distribution` command.  `brute_min_weight_words` (one walk that
-keeps the words at the running minimum weight, returned as one
-`codes.distinct_words` array) is called only to name a minimum-weight
-word that a wrong witness set lacks, when the primal walk fits; the
-information-set route keeps those words itself, by the same scan.
+keeps the words at the running minimum weight) is called only to name a
+minimum-weight word that a wrong witness set lacks, when the primal walk
+fits; the information-set route keeps those words itself, by the same
+scan.  Both close the words they keep under the nonzero scalars with
+`codes.scalar_multiples`, the one closure the witness set uses too, so
+each returns one `codes.distinct_words` array.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrix, distinct_words
+from .codes import GeneratorMatrix, scalar_multiples
 from .errors import ORACLE_GUARD, GuardExceeded
 
 _BLOCK = 4096
@@ -386,11 +388,13 @@ def brute_min_distance(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> int:
 
 def _lightest(field, chunks, u: int, kept: list) -> tuple[int, list, int]:
     """(u, kept, covered) after the (block, mult, prefixes, weights)
-    chunks, given the least nonzero weight u so far and the (mult, words)
+    chunks, given the least nonzero weight u so far and the word arrays
     kept at it: u becomes the least nonzero weight seen, kept the words
     block[r] + prefixes[p] at that weight, gathered per chunk and dropped
-    whenever a lower weight appears, each with its chunk's mult, and
-    covered is the sum over chunks of mult * P * R."""
+    whenever a lower weight appears, and covered is the sum over chunks
+    of mult * P * R.  The words of an orbit chunk stand for their scalar
+    multiples, which `codes.scalar_multiples` adds; those of a chunk with
+    mult 1 are rows of the trailing block, whose multiples are rows too."""
     covered, kept = 0, list(kept)
     for block, mult, prefixes, w in chunks:
         covered += mult * w.size
@@ -403,29 +407,22 @@ def _lightest(field, chunks, u: int, kept: list) -> tuple[int, list, int]:
         if low == u:
             pi, ri = np.nonzero(w == u)
             if len(pi):
-                kept.append((mult, field.vadd(block[ri], prefixes[pi])))
+                kept.append(field.vadd(block[ri], prefixes[pi]))
     return u, kept, covered
-
-
-def _multiples(field, kept: list) -> np.ndarray:
-    """The distinct words of the kept (mult, rows), each row times the
-    scalars 1..mult, in the order of codes.distinct_words."""
-    return distinct_words(np.concatenate(
-        [field.vmul(lam, rows) for mult, rows in kept for lam in range(1, mult + 1)]), field)
 
 
 def brute_min_weight_words(g: GeneratorMatrix, guard: int = ORACLE_GUARD) -> np.ndarray:
     """The distinct codewords attaining the minimum nonzero weight, as one
     (N, n) array in the order of codes.distinct_words, from one walk whose
-    words at the running minimum `_lightest` keeps.  Words kept from an
-    orbit chunk are expanded into their scalar multiples at the end."""
+    words at the running minimum `_lightest` keeps, closed under the
+    nonzero scalars at the end by `codes.scalar_multiples`."""
     block, steps = _walk(g, guard)
     # no weight exceeds n, and no word is kept until one is seen
     _, kept, covered = _lightest(g.field, ((block, *step) for step in steps), g.n, [])
     _check_coverage(g, covered)
     if not kept:
         raise ValueError("the zero code has no minimum distance")
-    return _multiples(g.field, kept)
+    return scalar_multiples(np.concatenate(kept), g.field)
 
 
 # -- the information-set route ------------------------------------------------
@@ -575,7 +572,7 @@ def information_set_min_weight(g: GeneratorMatrix, guard: int = ORACLE_GUARD) ->
         walk = q ** min(k, n - k)
         shown = f"{need}" if need < walk else f"{q}^{min(k, n - k)}"
         raise GuardExceeded("oracle", f"{shown} codewords", guard)
-    kept = [(q - 1, level1[row_weights == u])]
+    kept = [level1[row_weights == u]]
     covered, p = (q - 1) * len(level1), 1
     levels = zip(*(_level_pairs(field, rows, top) for rows, _ in chosen))
     while _bound(k, ranks, p) <= u and p < top:
@@ -590,10 +587,10 @@ def information_set_min_weight(g: GeneratorMatrix, guard: int = ORACLE_GUARD) ->
                            f"bound {_bound(k, ranks, p)} <= best weight {u}")
     if covered != work(p):
         raise RuntimeError(f"information sets covered {covered} of {work(p)} codewords")
-    found = np.concatenate([rows for _, rows in kept])
+    found = np.concatenate(kept)
     if linalg.mat_mul(field, found, g.h.T).any() or (np.count_nonzero(found, axis=1) != u).any():
         raise RuntimeError(f"an information-set word is not a codeword of weight {u}")
-    words = _multiples(field, kept)
+    words = scalar_multiples(found, field)
     return MinWeight(u, len(words), words)
 
 

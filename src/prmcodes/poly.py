@@ -78,14 +78,7 @@ class Poly:
         coeffs = tuple(coeffs)
         if not any(coeffs):
             raise ValueError("linear form must have a nonzero coefficient")
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls(field, n, terms)
+        return cls.affine(field, coeffs + (0,))
 
     @classmethod
     def affine(cls, field: GF, coeffs) -> "Poly":

@@ -23,7 +23,7 @@ there before G is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -177,18 +177,9 @@ class VerifyReport:
         return {
             "ok": self.ok,
             "counts": self.counts(),
-            "results": [
-                {
-                    "q": r.q,
-                    "m": r.m,
-                    "order": r.d,
-                    "family": r.family,
-                    "check": r.check,
-                    "status": r.status,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
+            # each row is its record, with d named "order"
+            "results": [{"order" if k == "d" else k: v for k, v in asdict(r).items()}
+                        for r in self.results],
         }
 
 

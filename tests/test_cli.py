@@ -408,6 +408,7 @@ TEXT_EDGE_COMMANDS = [
     ["count-minwt", "--q", "3", "--d", "2", "--m", "2", "--oracle"],
     ["check-fibers", "--q", "3", "--d", "2", "--m", "2"],
     ["check-fibers", "--q", "2", "--d", "3", "--m", "3"],
+    ["verify", "--q", "2", "--m", "2:2", "--guard", "4", "--format", "json"],
 ]
 
 

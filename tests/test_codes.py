@@ -241,6 +241,22 @@ def test_distinct_words(q, dtype):
     assert codes.distinct_words(np.zeros((0, 9), dtype=np.int64), F).shape == (0, 9)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_scalar_multiples(q):
+    # every nonzero multiple of every row, each once, in distinct_words order
+    F = GF.from_q(q)
+    rng = np.random.default_rng(q)
+    words = rng.integers(0, q, size=(20, 7)).astype(F.symbol)
+    words[-1] = F.vmul(q - 1, words[0])         # a multiple of another row
+    out = codes.scalar_multiples(words, F)
+    assert out.dtype == F.symbol and np.array_equal(out, codes.distinct_words(out, F))
+    rows = set(map(tuple, out.tolist()))
+    assert len(rows) == len(out) and set(map(tuple, words.tolist())) <= rows
+    for lam in range(1, q):
+        assert set(map(tuple, F.vmul(lam, out).tolist())) == rows
+    assert rows == {tuple(F.vmul(lam, w).tolist()) for w in words for lam in range(1, q)}
+
+
 def test_point_guard():
     with pytest.raises(GuardExceeded):
         projective_points(F2, 2, guard=5)

@@ -297,6 +297,17 @@ def test_rref_equals_python_elimination(q):
         assert linalg.rank(F, rows) == len(pivots)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 257])
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+def test_rref_and_rank_keep_empty_shapes(q, shape):
+    # a matrix with no rows keeps its columns, one with no columns its rows
+    F = GF.from_q(q)
+    red, pivots = linalg.rref(F, np.zeros(shape, dtype=F.symbol))
+    assert red.shape == shape and red.dtype == F.symbol and pivots == []
+    assert linalg.rank(F, np.zeros(shape, dtype=F.symbol)) == 0
+    assert linalg.rref(F, [])[0].shape == (0, 0)
+
+
 def _scalar_product(F, a, b):
     r, c = len(a), b.shape[1]
     want = [[0] * c for _ in range(r)]

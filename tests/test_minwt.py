@@ -395,7 +395,7 @@ def test_quotiented_enumeration_equals_redundant(F, d, m):
 
 
 # Reference for the vectorized form table: the scalar evaluation, one
-# linalg._dot per (form, point).
+# call of this module's _dot (below) per (form, point).
 
 
 def scalar_form_values(F, m, pts, forms):
